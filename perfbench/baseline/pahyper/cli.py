@@ -1,0 +1,316 @@
+"""Command-line interface.
+
+Subcommands wire generation, projection, analysis, and ingestion into
+reproducible pipelines; all data outputs are plain text (see io module),
+'-' means stdin/stdout, and diagnostics go to stderr.  Exit codes: 0 on
+success, 2 for usage or validation problems, 1 for I/O failures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+from . import analysis, io
+from .generator import (Constant, EdgeSizeDistribution, GeneratorConfig,
+                        TruncatedZipf, UniformInt, evolve,
+                        evolve_graph_baseline)
+
+
+class CLIError(Exception):
+    """Usage-level error; message should name the offending flag."""
+
+
+def parse_size_dist(text: str) -> EdgeSizeDistribution:
+    """Parse --size specs: const:<d> | uniform:<lo>:<hi> | zipf:<exp>:<lo>:<hi>."""
+    parts = text.split(":")
+    try:
+        if parts[0] == "const" and len(parts) == 2:
+            return Constant(int(parts[1]))
+        if parts[0] == "uniform" and len(parts) == 3:
+            return UniformInt(int(parts[1]), int(parts[2]))
+        if parts[0] == "zipf" and len(parts) == 4:
+            return TruncatedZipf(float(parts[1]), int(parts[2]), int(parts[3]))
+    except ValueError as e:
+        raise CLIError(f"--size: {e}") from None
+    raise CLIError(f"--size: cannot parse {text!r} "
+                   "(expected const:<d> | uniform:<lo>:<hi> | zipf:<exp>:<lo>:<hi>)")
+
+
+def _check(cond: bool, message: str) -> None:
+    if not cond:
+        raise CLIError(message)
+
+
+def _parse_kmin(text: str):
+    if text == "auto":
+        return "auto"
+    try:
+        return int(text)
+    except ValueError:
+        raise CLIError(f"--kmin must be an integer or 'auto', got {text!r}") from None
+
+
+# ----------------------------------------------------------------------
+# generate
+
+
+def _generate_one(config: GeneratorConfig, out: str) -> str:
+    h = evolve(config)
+    io.write_hypergraph(h, out)
+    return (f"seed={config.seed} num_vertices={h.num_vertices} "
+            f"num_edges={h.num_edges} total_degree={h.total_degree}")
+
+
+def cmd_generate(args) -> int:
+    _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
+    _check(args.steps >= 0, f"--steps must be >= 0, got {args.steps}")
+    _check(args.y0 >= 1, f"--y0 must be >= 1, got {args.y0}")
+    _check(0.0 <= args.cap_exponent < 0.5,
+           f"--cap-exponent must be in [0, 0.5), got {args.cap_exponent}")
+    _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
+    _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+    size_dist = parse_size_dist(args.size)
+
+    def config_for(seed):
+        return GeneratorConfig(p=args.p, steps=args.steps, size_dist=size_dist,
+                               y0=args.y0, seed=seed, enforce_cap=args.cap,
+                               cap_exponent=args.cap_exponent)
+
+    if args.trials == 1:
+        print(_generate_one(config_for(args.seed), args.out), file=sys.stderr)
+        return 0
+
+    _check(args.out != "-", "--trials > 1 requires --out to be a file prefix")
+    jobs = [(config_for(args.seed + i), f"{args.out}.{i:03d}")
+            for i in range(args.trials)]
+    if args.jobs == 1:
+        summaries = [_generate_one(cfg, path) for cfg, path in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            summaries = list(pool.map(_generate_one, *zip(*jobs)))
+    for line in summaries:
+        print(line, file=sys.stderr)
+    return 0
+
+
+# ----------------------------------------------------------------------
+# analytic
+
+
+def cmd_analytic(args) -> int:
+    if args.sweep_p is not None:
+        _check(args.sweep_p >= 1, f"--sweep-p must be >= 1, got {args.sweep_p}")
+        _check(args.mu > 1.0, f"--mu must exceed 1 to sweep p over (0, 1], got {args.mu}")
+        n = args.sweep_p
+        for i in range(1, n + 1):
+            p = i / n
+            bg = analysis.analytic_beta(p, 2.0)
+            bh = analysis.analytic_beta(p, args.mu)
+            print(f"{p:.10g},{bg:.10g},{bh:.10g}")
+        return 0
+
+    _check(args.p is not None, "--p is required (unless --sweep-p is given)")
+    _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
+    _check(args.mu > args.p, f"--mu must exceed --p, got mu={args.mu}, p={args.p}")
+    print(f"beta={analysis.analytic_beta(args.p, args.mu):.6g}")
+    if args.kmax is not None:
+        _check(args.kmax >= 1, f"--kmax must be >= 1, got {args.kmax}")
+        print("k,M_k")
+        for k, m in enumerate(analysis.analytic_mk(args.p, args.mu, args.kmax), start=1):
+            print(f"{k},{m:.10g}")
+    return 0
+
+
+# ----------------------------------------------------------------------
+# thin wrappers
+
+
+def cmd_degrees(args) -> int:
+    h = io.read_hypergraph(args.input)
+    io.write_histogram_csv(analysis.degree_histogram(h), args.out)
+    return 0
+
+
+def cmd_project(args) -> int:
+    h = io.read_hypergraph(args.input)
+    g = analysis.project(h, simple=args.simple)
+    io.write_observed_graph(g, args.out)
+    print(f"num_vertices={g.num_vertices} num_edges={g.num_edges}", file=sys.stderr)
+    return 0
+
+
+def cmd_fit(args) -> int:
+    hist = io.read_histogram_csv(args.input)
+    report = analysis.fit_power_law(hist, _parse_kmin(args.kmin))
+    io.write_fit_report(report, args.out)
+    if args.out != "-":
+        print(f"beta_hat={report.beta_hat:#.6g} k_min={report.k_min}", file=sys.stderr)
+    return 0
+
+
+def cmd_edge_sizes(args) -> int:
+    _check(args.min_size >= 1, f"--min-size must be >= 1, got {args.min_size}")
+    h = io.read_hypergraph(args.input)
+    hist = analysis.edge_size_histogram(h).restrict(args.min_size)
+    io.write_histogram_csv(hist, args.out)
+    return 0
+
+
+def cmd_ingest(args) -> int:
+    _check(len(args.delimiter) >= 1, "--delimiter must be non-empty")
+    h, labels = io.ingest_labeled(args.input, args.delimiter)
+    io.write_hypergraph(h, args.out)
+    if args.labels_out is not None:
+        io.write_label_map(labels, args.labels_out)
+    print(f"num_vertices={h.num_vertices} num_edges={h.num_edges}", file=sys.stderr)
+    return 0
+
+
+# ----------------------------------------------------------------------
+# compare
+
+
+def _compare_one(p: float, d: int, steps: int, seed: int, kmin, prefix: str) -> list[str]:
+    cfg = GeneratorConfig(p=p, steps=steps, size_dist=Constant(d), y0=d, seed=seed)
+    projected = analysis.project(evolve(cfg))
+    baseline = evolve_graph_baseline(p, 1, steps, seed)
+
+    lines = []
+    for tag, graph in (("hypergraph", projected), ("graph", baseline)):
+        hist = analysis.degree_histogram(graph)
+        io.write_ccdf_csv(analysis.ccdf(hist), f"{prefix}.{tag}_ccdf.csv")
+        report = analysis.fit_power_law(hist, kmin)
+        io.write_fit_report(report, f"{prefix}.{tag}_fit.txt")
+        lines.append(f"beta_hat_{tag}={report.beta_hat:#.6g}")
+    lines.append(f"beta_analytic_hypergraph={analysis.analytic_beta(p, d):#.6g}")
+    lines.append(f"beta_analytic_graph={analysis.analytic_beta(p, 2.0):#.6g}")
+    return lines
+
+
+def cmd_compare(args) -> int:
+    _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
+    _check(args.d >= 2, f"--d must be >= 2, got {args.d}")
+    _check(args.steps >= 0, f"--steps must be >= 0, got {args.steps}")
+    _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
+    _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+    kmin = _parse_kmin(args.kmin)
+
+    if args.trials == 1:
+        tasks = [(args.p, args.d, args.steps, args.seed, kmin, args.out_prefix)]
+    else:
+        tasks = [(args.p, args.d, args.steps, args.seed + i, kmin,
+                  f"{args.out_prefix}.{i:03d}") for i in range(args.trials)]
+    if args.jobs == 1:
+        results = [_compare_one(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_compare_one, *zip(*tasks)))
+    for (_, _, _, seed, _, _), lines in zip(tasks, results):
+        prefix = "" if args.trials == 1 else f"seed={seed} "
+        for line in lines:
+            print(prefix + line)
+    return 0
+
+
+# ----------------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pahyper",
+        description="Generate and analyze preferential-attachment hypergraphs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    g = sub.add_parser("generate", help="run the hypergraph evolution process")
+    g.add_argument("--steps", type=int, required=True, help="number of time steps")
+    g.add_argument("--p", type=float, required=True,
+                   help="vertex-arrival probability in (0, 1]")
+    g.add_argument("--size", default="const:3",
+                   help="edge-size distribution: const:<d> | uniform:<lo>:<hi> | "
+                        "zipf:<exp>:<lo>:<hi> (default const:3)")
+    g.add_argument("--y0", type=int, default=3, help="seed hyperedge cardinality")
+    g.add_argument("--seed", type=int, default=0, help="RNG seed")
+    g.add_argument("--cap", action=argparse.BooleanOptionalAction, default=True,
+                   help="clamp edge sizes to the t^(1/3) growth cap")
+    g.add_argument("--cap-exponent", type=float, default=1.0 / 3.0,
+                   help="growth-cap exponent (advanced; default 1/3)")
+    g.add_argument("--out", default="-", help="output hypergraph file")
+    g.add_argument("--trials", type=int, default=1,
+                   help="independent seeded runs (out becomes a prefix)")
+    g.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    g.set_defaults(func=cmd_generate)
+
+    a = sub.add_parser("analytic", help="print analytic exponent and M_k table")
+    a.add_argument("--p", type=float, default=None, help="vertex-arrival probability")
+    a.add_argument("--mu", type=float, required=True, help="expected edge size")
+    a.add_argument("--kmax", type=int, default=None, help="emit M_1..M_kmax as CSV")
+    a.add_argument("--sweep-p", type=int, default=None, metavar="N",
+                   help="emit N rows 'p,beta_graph,beta_hypergraph' for p in (0, 1]")
+    a.set_defaults(func=cmd_analytic)
+
+    d = sub.add_parser("degrees", help="degree histogram of a hypergraph file")
+    d.add_argument("--in", dest="input", default="-", help="hypergraph file")
+    d.add_argument("--out", default="-", help="histogram CSV")
+    d.set_defaults(func=cmd_degrees)
+
+    pr = sub.add_parser("project", help="clique-expansion graph of a hypergraph")
+    pr.add_argument("--in", dest="input", default="-", help="hypergraph file")
+    pr.add_argument("--out", default="-", help="edge-list output")
+    pr.add_argument("--simple", action="store_true",
+                    help="collapse duplicate edges and drop self loops")
+    pr.set_defaults(func=cmd_project)
+
+    f = sub.add_parser("fit", help="power-law fit of a histogram CSV")
+    f.add_argument("--in", dest="input", default="-", help="histogram CSV")
+    f.add_argument("--out", default="-", help="fit report output")
+    f.add_argument("--kmin", default="5", help="tail cutoff, integer or 'auto'")
+    f.set_defaults(func=cmd_fit)
+
+    e = sub.add_parser("edge-sizes", help="hyperedge-size histogram")
+    e.add_argument("--in", dest="input", default="-", help="hypergraph file")
+    e.add_argument("--out", default="-", help="histogram CSV")
+    e.add_argument("--min-size", type=int, default=3,
+                   help="smallest cardinality to keep (default 3)")
+    e.set_defaults(func=cmd_edge_sizes)
+
+    i = sub.add_parser("ingest", help="hypergraph from labeled records")
+    i.add_argument("--in", dest="input", default="-", help="records file")
+    i.add_argument("--delimiter", default=";", help="label separator (default ';')")
+    i.add_argument("--out", default="-", help="output hypergraph file")
+    i.add_argument("--labels-out", default=None, help="optional id,label CSV")
+    i.set_defaults(func=cmd_ingest)
+
+    c = sub.add_parser("compare",
+                       help="d-uniform projection vs. baseline graph, CCDFs and fits")
+    c.add_argument("--steps", type=int, required=True)
+    c.add_argument("--p", type=float, required=True)
+    c.add_argument("--d", type=int, default=3, help="uniform edge cardinality")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--out-prefix", required=True, help="prefix for output files")
+    c.add_argument("--kmin", default="auto", help="tail cutoff, integer or 'auto'")
+    c.add_argument("--trials", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1)
+    c.set_defaults(func=cmd_compare)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CLIError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
