@@ -16,9 +16,7 @@ M_k / M_{k-1} = (k - 1) / (k + mu/(mu - p)).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -60,8 +58,9 @@ class DegreeHistogram:
 
     @classmethod
     def from_degrees(cls, degrees) -> "DegreeHistogram":
-        counts = Counter(int(d) for d in degrees if d > 0)
-        return cls(dict(counts))
+        degrees = np.asarray(degrees)
+        values, counts = np.unique(degrees[degrees > 0], return_counts=True)
+        return cls(dict(zip(values.tolist(), counts.tolist())))
 
     @property
     def total_vertices(self) -> int:
@@ -98,12 +97,15 @@ class FitReport:
             raise ValueError(f"KS statistic out of range: {self.ks_stat}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedGraph:
-    """Multigraph (or simplified graph) of unordered vertex-id pairs."""
+    """Multigraph (or simplified graph) of unordered vertex-id pairs.
+
+    edges is an (m, 2) int64 array; each row holds a pair with a <= b.
+    """
 
     num_vertices: int
-    edges: list[tuple[int, int]]
+    edges: np.ndarray
     simple: bool = False
 
     @property
@@ -112,10 +114,7 @@ class ObservedGraph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees; a self loop contributes 2 to its endpoint."""
-        if not self.edges:
-            return np.zeros(self.num_vertices, dtype=np.int64)
-        flat = np.asarray(self.edges, dtype=np.int64).ravel()
-        return np.bincount(flat, minlength=self.num_vertices)
+        return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
 
     def average_degree(self) -> float:
         if self.num_vertices == 0:
@@ -134,7 +133,7 @@ def degree_histogram(structure) -> DegreeHistogram:
 
 def edge_size_histogram(h: Hypergraph) -> DegreeHistogram:
     """Histogram of hyperedge cardinalities."""
-    return DegreeHistogram.from_degrees(len(e) for e in h.hyperedges)
+    return DegreeHistogram.from_degrees(np.diff(h.offsets))
 
 
 def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
@@ -142,15 +141,28 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
 
     Every hyperedge of cardinality c contributes one edge per unordered pair
     of its c occurrence positions, i.e. c*(c-1)/2 edges; repeated members
-    yield self loops and parallel edges.  With simple=True duplicate pairs
-    are collapsed and self loops dropped across the whole graph.
+    yield self loops and parallel edges.  Edges come in hyperedge order, and
+    within a hyperedge in the order of itertools.combinations.  With
+    simple=True duplicate pairs are collapsed and self loops dropped across
+    the whole graph, and the edges come sorted.
     """
-    pairs: list[tuple[int, int]] = []
-    for e in h.hyperedges:
-        pairs.extend(combinations(e, 2))  # members sorted, so pairs are too
+    sizes = np.diff(h.offsets)
+    counts = sizes * (sizes - 1) // 2
+    first = np.concatenate(([0], np.cumsum(counts)))   # first pair of each edge
+    edges = np.empty((int(first[-1]), 2), dtype=np.int64)
+    for s in np.unique(sizes[sizes > 1]).tolist():
+        idx = np.flatnonzero(sizes == s)
+        a, b = np.triu_indices(s, 1)    # members sorted, so pairs are too
+        starts = h.offsets[idx][:, None]
+        rows = first[idx][:, None] + np.arange(len(a))
+        edges[rows, 0] = h.tokens[starts + a]
+        edges[rows, 1] = h.tokens[starts + b]
     if simple:
-        pairs = sorted({(a, b) for a, b in pairs if a != b})
-    return ObservedGraph(num_vertices=h.num_vertices, edges=pairs, simple=simple)
+        n = h.num_vertices
+        a, b = edges[edges[:, 0] != edges[:, 1]].T
+        keys = np.unique(a * n + b)
+        edges = np.column_stack((keys // n, keys % n))
+    return ObservedGraph(num_vertices=h.num_vertices, edges=edges, simple=simple)
 
 
 def ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:

@@ -3,12 +3,16 @@
 Subcommands wire generation, projection, analysis, and ingestion into
 reproducible pipelines; all data outputs are plain text (see io module),
 '-' means stdin/stdout, and diagnostics go to stderr.  Exit codes: 0 on
-success, 2 for usage or validation problems, 1 for I/O failures.
+success, 2 for usage or validation problems, 1 for I/O failures, and
+EXIT_CLOSED_STDOUT (141, as for a process ended by SIGPIPE) without any
+message when the reader of stdout has gone, as in `pahyper generate ... |
+head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -16,6 +20,9 @@ from . import analysis, io
 from .generator import (Constant, EdgeSizeDistribution, GeneratorConfig,
                         TruncatedZipf, UniformInt, evolve,
                         evolve_graph_baseline)
+
+
+EXIT_CLOSED_STDOUT = 141
 
 
 class CLIError(Exception):
@@ -36,6 +43,14 @@ def parse_size_dist(text: str) -> EdgeSizeDistribution:
         raise CLIError(f"--size: {e}") from None
     raise CLIError(f"--size: cannot parse {text!r} "
                    "(expected const:<d> | uniform:<lo>:<hi> | zipf:<exp>:<lo>:<hi>)")
+
+
+def _run_all(fn, tasks: list[tuple], jobs: int) -> list:
+    """fn(*task) for every task, in order, over `jobs` worker processes."""
+    if jobs == 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _check(cond: bool, message: str) -> None:
@@ -85,12 +100,7 @@ def cmd_generate(args) -> int:
     _check(args.out != "-", "--trials > 1 requires --out to be a file prefix")
     jobs = [(config_for(args.seed + i), f"{args.out}.{i:03d}")
             for i in range(args.trials)]
-    if args.jobs == 1:
-        summaries = [_generate_one(cfg, path) for cfg, path in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_generate_one, *zip(*jobs)))
-    for line in summaries:
+    for line in _run_all(_generate_one, jobs, args.jobs):
         print(line, file=sys.stderr)
     return 0
 
@@ -202,11 +212,7 @@ def cmd_compare(args) -> int:
     else:
         tasks = [(args.p, args.d, args.steps, args.seed + i, kmin,
                   f"{args.out_prefix}.{i:03d}") for i in range(args.trials)]
-    if args.jobs == 1:
-        results = [_compare_one(*t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_compare_one, *zip(*tasks)))
+    results = _run_all(_compare_one, tasks, args.jobs)
     for (_, _, _, seed, _, _), lines in zip(tasks, results):
         prefix = "" if args.trials == 1 else f"seed={seed} "
         for line in lines:
@@ -300,13 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
     except CLIError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # keep the interpreter's flush at exit from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -7,11 +7,13 @@ existing vertices; otherwise a hyperedge of Y_t preferential draws is added.
 Draws are independent, with repetition, and always use degrees as of the end
 of the previous step.  Y_t comes from a configurable edge-size distribution.
 
-The implementation is vectorized: for a fixed seed it first materializes the
-whole event/size/draw-index stream with numpy, then resolves the drawn vertex
-values in one pass (each draw references an earlier token slot, so the slots
-form a forest that pointer doubling collapses in O(log depth) sweeps).  A run
-of 10^5 steps takes milliseconds.  Random numbers are consumed array-at-a-time
+The implementation is vectorized and works on the token array of core.py.
+For a fixed seed it first materializes the whole event/size/draw-index
+stream with numpy, then resolves the drawn vertex values in one pass (each
+draw references an earlier token slot, so the slots form a forest that
+pointer doubling collapses in O(log depth) sweeps).  The result is the token
+array itself, its edge offsets and a per-size-class sort of the members; no
+per-edge Python object is built.  Random numbers are consumed array-at-a-time
 in a fixed order (event bits, edge sizes, member draws), so identical configs
 give bit-identical results.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ObservedGraph
-from .core import Hyperedge, Hypergraph
+from .core import Hypergraph, sort_members
 
 __all__ = [
     "EdgeSizeDistribution",
@@ -157,13 +159,36 @@ def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
     return is_vertex, sizes
 
 
-def _resolve_pointers(parent: np.ndarray) -> np.ndarray:
-    """Collapse parent chains (parent[i] <= i) to their roots by doubling."""
+def _fill_stream(rng: np.random.Generator, seed: int, widths: np.ndarray,
+                 is_vertex: np.ndarray, source_offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ids of a token stream, and the first slot of each step.
+
+    The stream holds `seed` slots of vertex 0, then one block of widths[t]
+    slots per step t.  In a vertex-arrival step the block's slots at
+    source_offsets hold the new vertex; every other slot copies a uniform
+    draw among the slots before its block, drawn in slot order.
+    """
+    starts = seed + np.concatenate(([0], np.cumsum(widths)[:-1]))
+    total = seed + int(widths.sum())
+    source_slots = (starts[is_vertex][:, None] + source_offsets).ravel()
+    is_draw = np.ones(total, dtype=bool)
+    is_draw[:seed] = False
+    is_draw[source_slots] = False
+    draw_pos = np.flatnonzero(is_draw)
+    step = np.repeat(np.arange(len(widths)), widths)[draw_pos - seed]
+
+    parent = np.arange(total, dtype=np.int64)
+    parent[draw_pos] = rng.integers(0, starts[step])
     while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
-            return parent
-        parent = nxt
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            break
+        parent = grand
+
+    values = np.zeros(total, dtype=np.int64)
+    vertex_ids = np.cumsum(is_vertex)   # id of the vertex added at step t
+    values[source_slots] = np.repeat(vertex_ids[is_vertex], len(source_offsets))
+    return values[parent], starts
 
 
 def evolve(config: GeneratorConfig) -> Hypergraph:
@@ -171,44 +196,11 @@ def evolve(config: GeneratorConfig) -> Hypergraph:
     if config.steps == 0:
         return Hypergraph.initial(config.y0)
     rng = np.random.default_rng(config.seed)
-    y0 = config.y0
     is_vertex, sizes = _draw_events(config, rng)
-
-    csum = np.cumsum(sizes)
-    starts = y0 + np.concatenate(([0], csum[:-1]))  # token slots before step t
-    total = int(y0 + csum[-1])
-
-    # every non-source slot holds a preferential draw from the earlier slots
-    n_draws = sizes - is_vertex
-    total_draws = int(n_draws.sum())
-    cum_draws = np.cumsum(n_draws)
-    offsets = np.arange(total_draws) - np.repeat(cum_draws - n_draws, n_draws)
-    draw_pos = np.repeat(starts + is_vertex, n_draws) + offsets
-    draw_idx = rng.integers(0, np.repeat(starts, n_draws))
-
-    parent = np.arange(total, dtype=np.int64)
-    parent[draw_pos] = draw_idx
-    roots = _resolve_pointers(parent)
-
-    values = np.zeros(total, dtype=np.int64)
-    vertex_ids = np.cumsum(is_vertex)  # id of the vertex added at step t
-    values[starts[is_vertex]] = vertex_ids[is_vertex]
-    tokens = values[roots]
-
-    # canonicalize: sort members within each edge, per size class
-    edges: list[Hyperedge] = [(0,) * y0] * (config.steps + 1)
-    flat = np.empty(total, dtype=np.int64)
-    flat[:y0] = 0
-    for s in np.unique(sizes):
-        step_idx = np.nonzero(sizes == s)[0]
-        slots = starts[step_idx][:, None] + np.arange(s)
-        rows = np.sort(tokens[slots], axis=1)
-        flat[slots] = rows
-        for i, row in zip(step_idx.tolist(), rows.tolist()):
-            edges[i + 1] = tuple(row)
-
-    num_vertices = 1 + int(vertex_ids[-1])
-    return Hypergraph._from_parts(num_vertices, edges, flat.tolist())
+    tokens, starts = _fill_stream(rng, config.y0, sizes, is_vertex, [0])
+    offsets = np.concatenate(([0], starts, [len(tokens)]))
+    sort_members(tokens, offsets)
+    return Hypergraph(1 + int(is_vertex.sum()), tokens, offsets)
 
 
 def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
@@ -247,37 +239,13 @@ def evolve_graph_baseline(p: float, edges_per_step: int, steps: int,
         raise ValueError(f"steps must be >= 0, got {steps}")
 
     if steps == 0:
-        return ObservedGraph(num_vertices=1, edges=[(0, 0)], simple=False)
+        return ObservedGraph(num_vertices=1, edges=np.zeros((1, 2), dtype=np.int64))
 
     rng = np.random.default_rng(seed)
     is_vertex = rng.random(steps) < p
-
-    m = edges_per_step
-    block = 2 * m
-    starts = 2 + block * np.arange(steps, dtype=np.int64)
-    total = 2 + block * steps
-
     # in a vertex-arrival step the first endpoint of every edge is the newcomer
-    is_source = np.zeros(total, dtype=bool)
-    is_source[:2] = True
-    vertex_steps = np.nonzero(is_vertex)[0]
-    source_slots = (starts[vertex_steps][:, None] + 2 * np.arange(m)).ravel()
-    is_source[source_slots] = True
-
-    draw_pos = np.nonzero(~is_source)[0]
-    bounds = starts[(draw_pos - 2) // block]
-    draw_idx = rng.integers(0, bounds)
-
-    parent = np.arange(total, dtype=np.int64)
-    parent[draw_pos] = draw_idx
-    roots = _resolve_pointers(parent)
-
-    values = np.zeros(total, dtype=np.int64)
-    vertex_ids = np.cumsum(is_vertex)
-    values[source_slots] = np.repeat(vertex_ids[vertex_steps], m)
-    tokens = values[roots]
-
-    pairs = np.sort(tokens[2:].reshape(-1, 2), axis=1)
-    edges = [(0, 0)] + [tuple(row) for row in pairs.tolist()]
-    return ObservedGraph(num_vertices=1 + int(vertex_ids[-1]),
-                         edges=edges, simple=False)
+    tokens, _ = _fill_stream(rng, 2, np.full(steps, 2 * edges_per_step), is_vertex,
+                             2 * np.arange(edges_per_step))
+    # the seed loop (0, 0) fills slots 0 and 1
+    edges = np.sort(tokens.reshape(-1, 2), axis=1)
+    return ObservedGraph(num_vertices=1 + int(is_vertex.sum()), edges=edges)

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
+from io import StringIO
+
+import numpy as np
 
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hyperedge, Hypergraph
+from .core import Hyperedge, Hypergraph, sort_members
 
 __all__ = [
     "VertexLabelMap",
@@ -86,24 +89,32 @@ class VertexLabelMap:
 # ----------------------------------------------------------------------
 # hypergraph files
 
+WRITE_CHUNK = 1 << 20
+
+
+def _write_text(destination: str, text: str) -> None:
+    # In pieces: when a pipe's reader leaves during one large write, the
+    # text layer drops the short write silently, and only a later write
+    # raises BrokenPipeError.
+    with _open_write(destination) as f:
+        for i in range(0, len(text), WRITE_CHUNK):
+            f.write(text[i:i + WRITE_CHUNK])
+
 
 def write_hypergraph(h: Hypergraph, destination: str) -> None:
-    with _open_write(destination) as f:
-        for e in h.hyperedges:
-            f.write(" ".join(map(str, e)))
-            f.write("\n")
+    sizes = np.diff(h.offsets).tolist()
+    line = {s: " ".join(["%d"] * s) + "\n" for s in set(sizes)}
+    _write_text(destination, "".join([line[s] for s in sizes]) % tuple(h.tokens.tolist()))
 
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
-    with _open_write(destination) as f:
-        for a, b in g.edges:
-            f.write(f"{a} {b}\n")
+    _write_text(destination, "%d %d\n" * g.num_edges % tuple(g.edges.ravel().tolist()))
 
 
-def _parse_edge_lines(f) -> list[Hyperedge]:
+def _parse_edge_lines(lines) -> list[Hyperedge]:
     edges: list[Hyperedge] = []
-    for lineno, raw in enumerate(f, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
             continue
@@ -122,11 +133,52 @@ def _parse_edge_lines(f) -> list[Hyperedge]:
     return edges
 
 
+MAX_BULK_DIGITS = 18    # any id this long fits int64
+
+
+def _parse_bulk(text: str) -> Hypergraph | None:
+    """Parse text made only of ASCII digits, spaces and newlines, at least
+    one id per line, at most MAX_BULK_DIGITS digits per id and ids covering
+    0..max, in one numpy pass; None for any other text."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, b"0123456789 \n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    step = np.diff((buf > ord(" ")).view(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(step == 1)          # first digit of each id
+    if len(starts) and (np.flatnonzero(step == -1) - starts).max() > MAX_BULK_DIGITS:
+        return None
+    line_ends = np.flatnonzero(buf == ord("\n"))
+    if data and not data.endswith(b"\n"):
+        line_ends = np.append(line_ends, len(buf))
+    ends_in_ids = np.searchsorted(starts, line_ends)
+    if not np.diff(ends_in_ids, prepend=0).all():
+        return None                             # a blank line
+    tokens = np.fromstring(text, dtype=np.int64, sep=" ")
+    if len(tokens) and tokens.max() >= len(tokens):
+        return None                             # ids cannot be contiguous
+    seen = np.bincount(tokens)
+    if not seen.all():
+        return None                             # an id gap
+    offsets = np.concatenate(([0], ends_in_ids))
+    sort_members(tokens, offsets)
+    return Hypergraph(len(seen), tokens, offsets)
+
+
 def read_hypergraph(source: str) -> Hypergraph:
-    """Inverse of write_hypergraph; read(write(h)) == h."""
+    """Inverse of write_hypergraph; read(write(h)) == h.
+
+    Text the bulk parser does not take goes through the line parser, which
+    is the one source of error messages.
+    """
     with _open_read(source) as f:
-        edges = _parse_edge_lines(f)
-    return Hypergraph.from_edges(edges)
+        text = f.read()
+    h = _parse_bulk(text)
+    if h is None:
+        h = Hypergraph.from_edges(_parse_edge_lines(StringIO(text)))
+    return h
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, VertexLabelMap]:
@@ -136,7 +188,7 @@ def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, Verte
     first-seen order.  Singleton records are kept (cardinality-1 edges).
     """
     label_map = VertexLabelMap()
-    edges: list[Hyperedge] = []
+    edges: list[list[int]] = []
     with _open_read(source) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -145,19 +197,15 @@ def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, Verte
             labels = [tok.strip() for tok in line.split(delimiter)]
             if any(not lab for lab in labels):
                 raise ValueError(f"line {lineno}: empty label in record")
-            edges.append(tuple(sorted(label_map.add(lab) for lab in labels)))
+            edges.append([label_map.add(lab) for lab in labels])
     if not edges:
         raise ValueError("empty input: no records")
-    h = Hypergraph._from_parts(
-        len(label_map), edges, [v for e in edges for v in e])
-    return h, label_map
+    return Hypergraph.from_edges(edges), label_map
 
 
 def write_label_map(labels: VertexLabelMap, destination: str) -> None:
-    with _open_write(destination) as f:
-        f.write("id,label\n")
-        for vid, label in enumerate(labels.labels()):
-            f.write(f"{vid},{label}\n")
+    rows = (f"{vid},{label}\n" for vid, label in enumerate(labels.labels()))
+    _write_text(destination, "id,label\n" + "".join(rows))
 
 
 # ----------------------------------------------------------------------
@@ -165,10 +213,8 @@ def write_label_map(labels: VertexLabelMap, destination: str) -> None:
 
 
 def write_histogram_csv(hist: DegreeHistogram, destination: str) -> None:
-    with _open_write(destination) as f:
-        f.write("degree,count\n")
-        for k, c in hist.items_sorted():
-            f.write(f"{k},{c}\n")
+    rows = (f"{k},{c}\n" for k, c in hist.items_sorted())
+    _write_text(destination, "degree,count\n" + "".join(rows))
 
 
 def read_histogram_csv(source: str) -> DegreeHistogram:
@@ -183,22 +229,22 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
                 raise ValueError(f"line {lineno}: empty row")
             try:
                 k_str, c_str = line.split(",")
-                counts[int(k_str)] = int(c_str)
+                k, c = int(k_str), int(c_str)
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed row {line!r}") from None
+            if k in counts:
+                raise ValueError(f"line {lineno}: duplicate degree {k}")
+            counts[k] = c
     return DegreeHistogram(counts)
 
 
 def write_ccdf_csv(pairs: list[tuple[int, float]], destination: str) -> None:
-    with _open_write(destination) as f:
-        f.write("degree,ccdf\n")
-        for k, prob in pairs:
-            f.write(f"{k},{prob:.10g}\n")
+    rows = (f"{k},{prob:.10g}\n" for k, prob in pairs)
+    _write_text(destination, "degree,ccdf\n" + "".join(rows))
 
 
 def write_fit_report(report: FitReport, destination: str) -> None:
-    with _open_write(destination) as f:
-        f.write(f"beta_hat={report.beta_hat:#.6g}\n")
-        f.write(f"k_min={report.k_min}\n")
-        f.write(f"n_tail={report.n_tail}\n")
-        f.write(f"ks_stat={report.ks_stat:#.6g}\n")
+    _write_text(destination, f"beta_hat={report.beta_hat:#.6g}\n"
+                             f"k_min={report.k_min}\n"
+                             f"n_tail={report.n_tail}\n"
+                             f"ks_stat={report.ks_stat:#.6g}\n")

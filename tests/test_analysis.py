@@ -1,11 +1,14 @@
 """Tests for histograms, projection, analytic oracles, and power-law fitting."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from pahyper import (DegreeHistogram, FitReport, Hypergraph, analytic_beta,
                      analytic_mk, ccdf, degree_histogram, edge_size_histogram,
                      fit_loglog, fit_power_law, project, sample_power_law)
+from reference import EdgeList
 
 
 class TestDegreeHistogram:
@@ -71,19 +74,32 @@ class TestProjection:
     def test_triangle(self):
         h = Hypergraph.from_edges([(0, 1, 2)])
         g = project(h)
-        assert g.edges == [(0, 1), (0, 2), (1, 2)]
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_repeated_member_multigraph(self):
         h = Hypergraph.from_edges([(0, 0, 1)])
         g = project(h)
-        assert sorted(g.edges) == [(0, 0), (0, 1), (0, 1)]
+        assert sorted(g.edges.tolist()) == [[0, 0], [0, 1], [0, 1]]
         assert g.degrees().tolist() == [4, 2]  # the loop counts twice
 
     def test_simple_collapses(self):
         h = Hypergraph.from_edges([(0, 1), (0, 0, 1, 2)])
         g = project(h, simple=True)
         assert g.simple
-        assert g.edges == [(0, 1), (0, 2), (1, 2)]
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+
+    def test_matches_pairwise_reference(self):
+        # mixed sizes and repeated members against itertools.combinations
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            nv = int(rng.integers(1, 10))
+            edges = [rng.integers(0, nv, size=rng.integers(1, 7)).tolist()
+                     for _ in range(int(rng.integers(1, 15)))]
+            h = Hypergraph.from_edges(edges + [list(range(nv))])
+            pairs = [p for e in h.hyperedges for p in combinations(e, 2)]
+            assert list(map(tuple, project(h).edges.tolist())) == pairs
+            assert list(map(tuple, project(h, simple=True).edges.tolist())) == sorted(
+                {(a, b) for a, b in pairs if a != b})
 
     def test_degree_scaling_identity(self):
         # multigraph projection of no-repeat d-uniform edges: deg_G = (d-1) deg_H
@@ -91,9 +107,10 @@ class TestProjection:
         for trial in range(30):
             d = int(rng.choice([2, 3, 5]))
             nv = int(rng.integers(d, 25))
-            h = Hypergraph.empty(nv)
+            edges = EdgeList(nv)
             for _ in range(int(rng.integers(5, 60))):
-                h.add_hyperedge(rng.choice(nv, size=d, replace=False))
+                edges.add_hyperedge(rng.choice(nv, size=d, replace=False))
+            h = edges.freeze()
             g = project(h)
             assert np.array_equal(g.degrees(), (d - 1) * h.degrees())
             # brute-force recount of graph degrees from the edge list
@@ -163,8 +180,7 @@ class TestAnalyticMk:
 
 class TestEdgeSizeHistogram:
     def test_mixed(self):
-        h = Hypergraph.initial(3)
-        h.add_hyperedge((1, 0), new_vertex=True)
+        h = Hypergraph.from_edges([(0, 0, 0), (1, 0)])
         assert edge_size_histogram(h).counts == {3: 1, 2: 1}
 
     def test_d_uniform(self):

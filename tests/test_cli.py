@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line surface (in-process main calls)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pahyper
 from pahyper import analytic_mk
-from pahyper.cli import main, parse_size_dist
+from pahyper.cli import EXIT_CLOSED_STDOUT, main, parse_size_dist
 from pahyper.generator import Constant, TruncatedZipf, UniformInt
 
 
@@ -132,6 +138,12 @@ class TestPipelines:
         assert rc == 2
         assert "tail too small" in capsys.readouterr().err
 
+    def test_fit_duplicate_degree_row(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("degree,count\n5,10\n5,3\n6,20\n")
+        assert main(["fit", "--in", str(hist), "--kmin", "5"]) == 2
+        assert "line 3: duplicate degree 5" in capsys.readouterr().err
+
     def test_generate_project_degrees_fit(self, tmp_path, capsys):
         h, g, hist, rep = (tmp_path / n for n in
                            ("h.txt", "g.txt", "hist.csv", "fit.txt"))
@@ -225,3 +237,19 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # like `pahyper generate ... | head -1`
+    src = str(Path(pahyper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "pahyper.cli", "generate", "--steps", "200000",
+             "--p", "0.5"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env) as proc:
+        assert proc.stdout.readline() == b"0 0 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT
+    assert err == b""

@@ -1,15 +1,20 @@
 """Tests for serialization formats and labeled-corpus ingestion."""
 
 import io as stdio
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      Hypergraph, UniformInt, evolve, ingest_labeled, project,
                      read_histogram_csv, read_hypergraph, write_ccdf_csv,
                      write_fit_report, write_histogram_csv, write_hypergraph,
                      write_observed_graph)
+from pahyper.io import _parse_bulk, _parse_edge_lines
 
 
 class TestHypergraphFile:
@@ -49,7 +54,7 @@ class TestHypergraphFile:
             write_hypergraph(h, str(path))
             back = read_hypergraph(str(path))
             assert back == h
-            assert back.degree_tokens == h.degree_tokens
+            assert np.array_equal(back.tokens, h.tokens)
 
     def test_non_integer_token(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -92,6 +97,62 @@ class TestHypergraphFile:
         assert path.read_text() == "0 1\n0 2\n1 2\n"
         # a 2-uniform hypergraph reads back with matching degrees
         assert read_hypergraph(str(path)).degrees().tolist() == g.degrees().tolist()
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as e:
+        return f"error: {e}"
+
+
+TOKENS = st.one_of(
+    st.integers(0, 8).map(str),
+    st.sampled_from(["+3", "1_0", "007", "\u0661", "-1", "#", "x", "9" * 19,
+                     "0" * 19 + "1", "18446744073709551616"]))
+LINES = st.builds(lambda lead, toks, sep, trail: lead + sep.join(toks) + trail,
+                  st.sampled_from(["", " ", "\t"]), st.lists(TOKENS, max_size=5),
+                  st.sampled_from([" ", "  ", "\t"]), st.sampled_from(["", " ", "\t"]))
+TEXTS = st.one_of(
+    st.builds(lambda lines, newline, last: newline.join(lines) + last,
+              st.lists(LINES, max_size=8), st.sampled_from(["\n", "\r\n"]),
+              st.sampled_from(["", "\n", "\r\n"])),
+    st.text(alphabet="0123 \n\t\r#-+_\u0661", max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS)
+@example("0 +1\n")
+@example("0 1 2 3 4 5 6 7 8 9 1_0\n")
+@example("007 0 1 2 3 4 5 6\n")
+@example("0 \u0661\n")
+@example("0\t1\n")
+@example("0 1\r\n1 0\r\n")
+@example("# comment\n0 1\n")
+@example("0 1\n1 0")
+@example("0 1\n\n1 0\n")
+@example("0 1\n   \n")
+@example("0 -1\n")
+@example("0 0\n2 2\n")
+@example("0 " + "0" * 19 + "1\n")
+@example("0 " + "1" * 19 + "\n")
+def test_bulk_reader_agrees_with_line_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.txt"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = _outcome(lambda: read_hypergraph(str(path)))
+        with open(path, encoding="utf-8") as f:
+            lines = _outcome(lambda: Hypergraph.from_edges(_parse_edge_lines(f)))
+    assert type(bulk) is type(lines)
+    assert bulk == lines
+
+
+def test_bulk_parser_takes_canonical_text():
+    assert _parse_bulk("0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
+        [(0, 0, 0), (0, 1), (1, 2)])
+    assert _parse_bulk("") == Hypergraph.from_edges([])
+    for other in ("0 +1\n", "0\t1\n", "0 1\n\n", "0 2\n", "0 " + "0" * 19 + "1\n"):
+        assert _parse_bulk(other) is None
 
 
 class TestIngest:
