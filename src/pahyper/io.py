@@ -12,13 +12,22 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
   labeled records   one hyperedge per line as delimiter-separated labels
                     (coauthorship-style corpora); labels are trimmed and
                     case-sensitive, duplicates within a record are kept.
+
+Hypergraph and graph files go through one numpy codec over bytes, with no
+Python int or str per id.  The writer formats every id from a table of digit
+pairs and writes the file in binary; '-' decodes that ASCII and goes through
+sys.stdout's text layer.  The reader takes the file's bytes: data of only
+ASCII digits, spaces and newlines is parsed in one numpy pass; anything else
+is decoded as text mode would (UTF-8, universal newlines) and handed to the
+line parser, which is the one source of error messages.  Stdin is read as
+text.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
 
@@ -101,15 +110,62 @@ def _write_text(destination: str, text: str) -> None:
             f.write(text[i:i + WRITE_CHUNK])
 
 
+def _write_bytes(destination: str, data: bytes) -> None:
+    """Write ASCII data; '-' goes through sys.stdout's text layer."""
+    if destination == "-":
+        _write_text(destination, data.decode("ascii"))
+        return
+    with open(destination, "wb") as f:
+        view = memoryview(data)
+        for i in range(0, len(view), WRITE_CHUNK):
+            f.write(view[i:i + WRITE_CHUNK])
+
+
+def _pair_table() -> np.ndarray:
+    """The 2-byte cells of _encode_rows: entry r < 100 is r as two digits;
+    entry 100 + r is r as the leading pair of an id, with a pad byte (NUL)
+    for a leading zero and two pad bytes for a pair left of the id."""
+    two = [f"{r:02d}" for r in range(100)]
+    lead = ["\0\0"] + [str(r).rjust(2, "\0") for r in range(1, 100)]
+    return np.frombuffer("".join(two + lead).encode("ascii"), dtype="<u2")
+
+
+_PAIRS = _pair_table()
+_UNITS = _PAIRS.copy()              # the last pair of an id: id 0 reads "0"
+_UNITS[100] = ord("0") << 8
+
+
+def _encode_rows(tokens: np.ndarray, offsets: np.ndarray) -> bytes:
+    """The hypergraph lines of non-negative ids, one line per edge of at
+    least one member: ids in decimal, ' ' between them and '\n' after each
+    edge.
+
+    Every id is laid out right-aligned in a row of 2-byte cells, one per
+    pair of decimal digits, followed by a separator cell; cells left of the
+    id are pad bytes, which one translate drops.
+    """
+    if not len(tokens):
+        return b""
+    width = (len(str(int(tokens.max()))) + 1) // 2
+    cells = np.empty((len(tokens), width + 1), dtype="<u2")
+    cells[:, width] = ord(" ")
+    cells[offsets[1:] - 1, width] = ord("\n")
+    q, r = np.divmod(tokens, 100)
+    cells[:, width - 1] = _UNITS[r + 100 * (q == 0)]
+    for j in range(width - 2, -1, -1):
+        q, r = np.divmod(q, 100)
+        cells[:, j] = _PAIRS[r + 100 * (q == 0)]
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_hypergraph(h: Hypergraph, destination: str) -> None:
-    sizes = np.diff(h.offsets).tolist()
-    line = {s: " ".join(["%d"] * s) + "\n" for s in set(sizes)}
-    _write_text(destination, "".join([line[s] for s in sizes]) % tuple(h.tokens.tolist()))
+    _write_bytes(destination, _encode_rows(h.tokens, h.offsets))
 
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
-    _write_text(destination, "%d %d\n" * g.num_edges % tuple(g.edges.ravel().tolist()))
+    offsets = np.arange(0, 2 * g.num_edges + 1, 2)
+    _write_bytes(destination, _encode_rows(g.edges.ravel(), offsets))
 
 
 def _parse_edge_lines(lines) -> list[Hyperedge]:
@@ -136,19 +192,19 @@ def _parse_edge_lines(lines) -> list[Hyperedge]:
 MAX_BULK_DIGITS = 18    # any id this long fits int64
 
 
-def _parse_bulk(text: str) -> Hypergraph | None:
-    """Parse text made only of ASCII digits, spaces and newlines, at least
+def _parse_bulk(data: bytes) -> Hypergraph | None:
+    """Parse data made only of ASCII digits, spaces and newlines, at least
     one id per line, at most MAX_BULK_DIGITS digits per id and ids covering
-    0..max, in one numpy pass; None for any other text."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
+    0..max, in one numpy pass; None for any other data."""
     if data.translate(None, b"0123456789 \n"):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    step = np.diff((buf > ord(" ")).view(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(step == 1)          # first digit of each id
-    if len(starts) and (np.flatnonzero(step == -1) - starts).max() > MAX_BULK_DIGITS:
+    digit = np.zeros(len(buf) + 2, dtype=bool)
+    np.greater(buf, ord(" "), out=digit[1:-1])
+    # an id starts where the digit mask turns on and ends where it turns off
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts = bounds[0::2]
+    if len(starts) and (bounds[1::2] - starts).max() > MAX_BULK_DIGITS:
         return None
     line_ends = np.flatnonzero(buf == ord("\n"))
     if data and not data.endswith(b"\n"):
@@ -156,26 +212,36 @@ def _parse_bulk(text: str) -> Hypergraph | None:
     ends_in_ids = np.searchsorted(starts, line_ends)
     if not np.diff(ends_in_ids, prepend=0).all():
         return None                             # a blank line
-    tokens = np.fromstring(text, dtype=np.int64, sep=" ")
+    tokens = np.fromstring(data, dtype=np.int64, sep=" ")
     if len(tokens) and tokens.max() >= len(tokens):
         return None                             # ids cannot be contiguous
     seen = np.bincount(tokens)
     if not seen.all():
         return None                             # an id gap
     offsets = np.concatenate(([0], ends_in_ids))
-    sort_members(tokens, offsets)
+    descents = tokens[1:] < tokens[:-1]
+    descents[offsets[1:-1] - 1] = False         # a new edge may start lower
+    if descents.any():
+        sort_members(tokens, offsets)
     return Hypergraph(len(seen), tokens, offsets)
 
 
 def read_hypergraph(source: str) -> Hypergraph:
     """Inverse of write_hypergraph; read(write(h)) == h.
 
-    Text the bulk parser does not take goes through the line parser, which
-    is the one source of error messages.
+    A file is read as bytes.  Data the bulk parser does not take is decoded
+    as text mode would decode it and goes through the line parser, which is
+    the one source of error messages.
     """
-    with _open_read(source) as f:
-        text = f.read()
-    h = _parse_bulk(text)
+    if source == "-":
+        text = sys.stdin.read()
+        h = _parse_bulk(text.encode("ascii")) if text.isascii() else None
+    else:
+        with open(source, "rb") as f:
+            data = f.read()
+        h = _parse_bulk(data)
+        if h is None:
+            text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
     if h is None:
         h = Hypergraph.from_edges(_parse_edge_lines(StringIO(text)))
     return h
@@ -232,6 +298,9 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
                 k, c = int(k_str), int(c_str)
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed row {line!r}") from None
+            if k < 1 or c < 1:
+                raise ValueError(f"line {lineno}: degree and count must be "
+                                 f"positive, got {line!r}")
             if k in counts:
                 raise ValueError(f"line {lineno}: duplicate degree {k}")
             counts[k] = c

@@ -1,7 +1,8 @@
 """Naive reference code the tests compare the library against.
 
 EdgeList is a growing list-of-tuples hypergraph with per-edge validation;
-reference_evolve runs the evolution process one step at a time on it.
+reference_evolve runs the evolution process one step at a time on it;
+reference_rows formats the hypergraph line format with Python's % operator.
 """
 
 import math
@@ -83,3 +84,11 @@ def reference_evolve(config) -> Hypergraph:
             h.add_hyperedge(members, new_vertex=bool(new))
             slots += members
     return h.freeze()
+
+
+def reference_rows(tokens: np.ndarray, offsets: np.ndarray) -> str:
+    """The lines write_hypergraph writes: one "%d %d ..." template per edge,
+    filled with every token at once."""
+    sizes = np.diff(offsets).tolist()
+    line = {s: " ".join(["%d"] * s) + "\n" for s in set(sizes)}
+    return "".join([line[s] for s in sizes]) % tuple(tokens.tolist())

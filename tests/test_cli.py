@@ -59,7 +59,8 @@ class TestGenerate:
         out = tmp_path / "h.txt"
         main(["generate", "--steps", "10000", "--p", "0.5", "--size", "const:3",
               "--seed", "7", "--out", str(out)])
-        n = sum(1 for _ in open(out))  # edges = steps + 1
+        with open(out) as f:
+            n = sum(1 for _ in f)  # edges = steps + 1
         assert n == 10001
         from pahyper import read_hypergraph
         h = read_hypergraph(str(out))
@@ -131,6 +132,14 @@ class TestPipelines:
         assert main(["degrees", "--in", str(h), "--out", "-"]) == 0
         assert capsys.readouterr().out == "degree,count\n1,1\n4,1\n"
 
+    def test_degrees_of_non_utf8_file(self, tmp_path, capsys):
+        h = tmp_path / "h.txt"
+        h.write_bytes(b"0 1\n\xff 0\n")
+        assert main(["degrees", "--in", str(h), "--out", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 4: "
+            "invalid start byte\n")
+
     def test_fit_tail_too_small(self, tmp_path, capsys):
         hist = tmp_path / "hist.csv"
         hist.write_text("degree,count\n1,3\n2,2\n3,1\n5,1\n8,1\n")
@@ -143,6 +152,12 @@ class TestPipelines:
         hist.write_text("degree,count\n5,10\n5,3\n6,20\n")
         assert main(["fit", "--in", str(hist), "--kmin", "5"]) == 2
         assert "line 3: duplicate degree 5" in capsys.readouterr().err
+
+    def test_fit_non_positive_row(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("degree,count\n0,5\n")
+        assert main(["fit", "--in", str(hist), "--kmin", "5"]) == 2
+        assert "line 2: degree and count must be positive" in capsys.readouterr().err
 
     def test_generate_project_degrees_fit(self, tmp_path, capsys):
         h, g, hist, rep = (tmp_path / n for n in

@@ -1,6 +1,8 @@
 """Tests for serialization formats and labeled-corpus ingestion."""
 
+import contextlib
 import io as stdio
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
-                     Hypergraph, UniformInt, evolve, ingest_labeled, project,
-                     read_histogram_csv, read_hypergraph, write_ccdf_csv,
-                     write_fit_report, write_histogram_csv, write_hypergraph,
+                     Hypergraph, ObservedGraph, UniformInt, evolve,
+                     ingest_labeled, project, read_histogram_csv,
+                     read_hypergraph, write_ccdf_csv, write_fit_report,
+                     write_histogram_csv, write_hypergraph,
                      write_observed_graph)
 from pahyper.io import _parse_bulk, _parse_edge_lines
+from reference import reference_rows
 
 
 class TestHypergraphFile:
@@ -90,6 +94,24 @@ class TestHypergraphFile:
         monkeypatch.setattr("sys.stdin", stdio.StringIO("0 0 0\n"))
         assert read_hypergraph("-") == Hypergraph.initial(3)
 
+    def test_stdout_dash_redirected(self):
+        # how the benchmark worker calls the CLI
+        h = Hypergraph.from_edges([(0, 1), (2, 1, 0), (11,) + tuple(range(11))])
+        g = project(h)
+        out = stdio.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_hypergraph(h, "-")
+            write_observed_graph(g, "-")
+        assert out.getvalue() == (reference_rows(h.tokens, h.offsets)
+                                  + "".join(f"{a} {b}\n" for a, b in g.edges.tolist()))
+
+    def test_unsorted_members_read_sorted(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"2 0 1\n")
+        h = read_hypergraph(str(path))
+        assert h.hyperedges == [(0, 1, 2)]
+        assert h.tokens.tolist() == [0, 1, 2]
+
     def test_observed_graph_lines(self, tmp_path):
         g = project(Hypergraph.from_edges([(0, 1, 2)]))
         path = tmp_path / "g.txt"
@@ -148,11 +170,48 @@ def test_bulk_reader_agrees_with_line_parser(text):
 
 
 def test_bulk_parser_takes_canonical_text():
-    assert _parse_bulk("0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
+    assert _parse_bulk(b"0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
         [(0, 0, 0), (0, 1), (1, 2)])
-    assert _parse_bulk("") == Hypergraph.from_edges([])
-    for other in ("0 +1\n", "0\t1\n", "0 1\n\n", "0 2\n", "0 " + "0" * 19 + "1\n"):
+    assert _parse_bulk(b"") == Hypergraph.from_edges([])
+    for other in (b"0 +1\n", b"0\t1\n", b"0 1\n\n", b"0 2\n", b"0 " + b"0" * 19 + b"1\n"):
         assert _parse_bulk(other) is None
+
+
+# ids at every boundary of the digit count, up to the largest int64
+BOUNDARY_IDS = sorted({0, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0)})
+IDS = st.one_of(st.sampled_from(BOUNDARY_IDS), st.integers(0, 2**63 - 1),
+                st.integers(0, 120))
+EDGES = st.lists(st.lists(IDS, min_size=1, max_size=5).map(sorted), max_size=12)
+
+
+def _written(write, obj) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.txt"
+        write(obj, str(path))
+        return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGES)
+@example([])
+@example([[v] for v in BOUNDARY_IDS])
+@example([[0], [0, 9, 10], [99, 100, 999, 1000, 2**63 - 1]])
+def test_write_hypergraph_matches_reference(edges):
+    tokens = np.array([v for e in edges for v in e], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
+    h = Hypergraph(int(tokens.max(initial=-1)) + 1, tokens, offsets)
+    assert _written(write_hypergraph, h) == reference_rows(tokens, offsets).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(IDS, IDS).map(sorted), max_size=12))
+@example([])
+def test_write_observed_graph_matches_reference(pairs):
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = ObservedGraph(int(edges.max(initial=-1)) + 1, edges)
+    offsets = np.arange(0, 2 * len(pairs) + 1, 2)
+    assert (_written(write_observed_graph, g)
+            == reference_rows(edges.ravel(), offsets).encode())
 
 
 class TestIngest:
@@ -249,6 +308,67 @@ class TestHistogramCSV:
         path.write_text("degree,count\n1,two\n")
         with pytest.raises(ValueError, match="line 2"):
             read_histogram_csv(str(path))
+
+
+def _reference_histogram(text: str) -> dict[int, int]:
+    """The entries of a well-formed histogram CSV, or {} when any row is not
+    two positive integers or a degree repeats (the reader must then raise)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    counts = {}
+    for line in lines[1:]:
+        fields = line.strip().split(",")
+        try:
+            k, c = map(int, fields)
+        except ValueError:
+            return {}
+        if k < 1 or c < 1 or k in counts:
+            return {}
+        counts[k] = c
+    return counts
+
+
+CSV_FIELDS = st.one_of(st.integers(-3, 40).map(str),
+                       st.sampled_from(["", " 7", "x", "1.5", "+2", "1_0", "\u0663",
+                                        "9" * 30]))
+CSV_ROWS = st.one_of(
+    st.builds(lambda k, c: f"{k},{c}", CSV_FIELDS, CSV_FIELDS),
+    st.sampled_from(["", " ", "5", "1,2,3", ",", "#1,2", "degree,count"]))
+CSV_TEXTS = st.one_of(
+    st.builds(lambda header, rows, newline, last: newline.join([header] + rows) + last,
+              st.sampled_from(["degree,count", "degree,count ", "degree, count",
+                               "count,degree", ""]),
+              st.lists(CSV_ROWS, max_size=6), st.sampled_from(["\n", "\r\n"]),
+              st.sampled_from(["", "\n"])),
+    st.text(alphabet="degrco,unt0123-\n\r ", max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CSV_TEXTS)
+@example("degree,count\n0,5\n")
+@example("degree,count\n3,-1\n")
+@example("degree,count\n5,10\n5,3\n")
+@example("degree,count\n1,2\n\n")
+@example("")
+def test_histogram_reader_fuzz(text):
+    """Every input either reads back exactly its rows or raises ValueError
+    naming the header or a line of the input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            hist = read_histogram_csv(str(path))
+        except ValueError as e:
+            message = str(e)
+            m = re.match(r"line (\d+): ", message)
+            if m is None:
+                assert message.startswith("expected header 'degree,count'")
+            else:
+                assert 2 <= int(m.group(1)) <= len(text.splitlines())
+            return
+    assert hist.counts == _reference_histogram(text)
+    assert len(hist.counts) == len(text.splitlines()) - 1
 
 
 def test_fit_report_format(tmp_path):
