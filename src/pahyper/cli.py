@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import analysis, io
 from .generator import (Constant, EdgeSizeDistribution, GeneratorConfig,
@@ -62,9 +63,24 @@ def _parse_kmin(text: str):
     if text == "auto":
         return "auto"
     try:
-        return int(text)
+        k_min = int(text)
     except ValueError:
         raise CLIError(f"--kmin must be an integer or 'auto', got {text!r}") from None
+    _check(k_min >= 1, f"--kmin must be >= 1, got {k_min}")
+    return k_min
+
+
+def _make_config(**fields) -> GeneratorConfig:
+    """GeneratorConfig(**fields), with a rejected value reported under its flag.
+
+    GeneratorConfig's messages start with the field name, and the flag of
+    field `a_b` is `--a-b`.
+    """
+    try:
+        return GeneratorConfig(**fields)
+    except ValueError as err:
+        field, _, rest = str(err).partition(" ")
+        raise CLIError(f"--{field.replace('_', '-')} {rest}") from None
 
 
 # ----------------------------------------------------------------------
@@ -79,26 +95,19 @@ def _generate_one(config: GeneratorConfig, out: str) -> str:
 
 
 def cmd_generate(args) -> int:
-    _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
-    _check(args.steps >= 0, f"--steps must be >= 0, got {args.steps}")
-    _check(args.y0 >= 1, f"--y0 must be >= 1, got {args.y0}")
-    _check(0.0 <= args.cap_exponent < 0.5,
-           f"--cap-exponent must be in [0, 0.5), got {args.cap_exponent}")
     _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
-    size_dist = parse_size_dist(args.size)
-
-    def config_for(seed):
-        return GeneratorConfig(p=args.p, steps=args.steps, size_dist=size_dist,
-                               y0=args.y0, seed=seed, enforce_cap=args.cap,
-                               cap_exponent=args.cap_exponent)
+    config = _make_config(p=args.p, steps=args.steps,
+                          size_dist=parse_size_dist(args.size), y0=args.y0,
+                          seed=args.seed, enforce_cap=args.cap,
+                          cap_exponent=args.cap_exponent)
 
     if args.trials == 1:
-        print(_generate_one(config_for(args.seed), args.out), file=sys.stderr)
+        print(_generate_one(config, args.out), file=sys.stderr)
         return 0
 
     _check(args.out != "-", "--trials > 1 requires --out to be a file prefix")
-    jobs = [(config_for(args.seed + i), f"{args.out}.{i:03d}")
+    jobs = [(replace(config, seed=args.seed + i), f"{args.out}.{i:03d}")
             for i in range(args.trials)]
     for line in _run_all(_generate_one, jobs, args.jobs):
         print(line, file=sys.stderr)
@@ -124,9 +133,9 @@ def cmd_analytic(args) -> int:
     _check(args.p is not None, "--p is required (unless --sweep-p is given)")
     _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
     _check(args.mu > args.p, f"--mu must exceed --p, got mu={args.mu}, p={args.p}")
+    _check(args.kmax is None or args.kmax >= 1, f"--kmax must be >= 1, got {args.kmax}")
     print(f"beta={analysis.analytic_beta(args.p, args.mu):.6g}")
     if args.kmax is not None:
-        _check(args.kmax >= 1, f"--kmax must be >= 1, got {args.kmax}")
         print("k,M_k")
         for k, m in enumerate(analysis.analytic_mk(args.p, args.mu, args.kmax), start=1):
             print(f"{k},{m:.10g}")
@@ -152,8 +161,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    k_min = _parse_kmin(args.kmin)
     hist = io.read_histogram_csv(args.input)
-    report = analysis.fit_power_law(hist, _parse_kmin(args.kmin))
+    report = analysis.fit_power_law(hist, k_min)
     io.write_fit_report(report, args.out)
     if args.out != "-":
         print(f"beta_hat={report.beta_hat:#.6g} k_min={report.k_min}", file=sys.stderr)
@@ -182,10 +192,9 @@ def cmd_ingest(args) -> int:
 # compare
 
 
-def _compare_one(p: float, d: int, steps: int, seed: int, kmin, prefix: str) -> list[str]:
-    cfg = GeneratorConfig(p=p, steps=steps, size_dist=Constant(d), y0=d, seed=seed)
-    projected = analysis.project(evolve(cfg))
-    baseline = evolve_graph_baseline(p, 1, steps, seed)
+def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
+    projected = analysis.project(evolve(config))
+    baseline = evolve_graph_baseline(config.p, config.steps, config.seed)
 
     lines = []
     for tag, graph in (("hypergraph", projected), ("graph", baseline)):
@@ -194,27 +203,28 @@ def _compare_one(p: float, d: int, steps: int, seed: int, kmin, prefix: str) -> 
         report = analysis.fit_power_law(hist, kmin)
         io.write_fit_report(report, f"{prefix}.{tag}_fit.txt")
         lines.append(f"beta_hat_{tag}={report.beta_hat:#.6g}")
+    p, d = config.p, config.size_dist.d
     lines.append(f"beta_analytic_hypergraph={analysis.analytic_beta(p, d):#.6g}")
     lines.append(f"beta_analytic_graph={analysis.analytic_beta(p, 2.0):#.6g}")
     return lines
 
 
 def cmd_compare(args) -> int:
-    _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
     _check(args.d >= 2, f"--d must be >= 2, got {args.d}")
-    _check(args.steps >= 0, f"--steps must be >= 0, got {args.steps}")
     _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
     kmin = _parse_kmin(args.kmin)
+    config = _make_config(p=args.p, steps=args.steps, size_dist=Constant(args.d),
+                          y0=args.d, seed=args.seed)
 
     if args.trials == 1:
-        tasks = [(args.p, args.d, args.steps, args.seed, kmin, args.out_prefix)]
+        tasks = [(config, kmin, args.out_prefix)]
     else:
-        tasks = [(args.p, args.d, args.steps, args.seed + i, kmin,
-                  f"{args.out_prefix}.{i:03d}") for i in range(args.trials)]
+        tasks = [(replace(config, seed=args.seed + i), kmin, f"{args.out_prefix}.{i:03d}")
+                 for i in range(args.trials)]
     results = _run_all(_compare_one, tasks, args.jobs)
-    for (_, _, _, seed, _, _), lines in zip(tasks, results):
-        prefix = "" if args.trials == 1 else f"seed={seed} "
+    for (cfg, _, _), lines in zip(tasks, results):
+        prefix = "" if args.trials == 1 else f"seed={cfg.seed} "
         for line in lines:
             print(prefix + line)
     return 0

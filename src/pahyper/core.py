@@ -36,7 +36,8 @@ class Hypergraph:
 
     Invariants:
       - vertex ids are 0..num_vertices-1
-      - offsets[0] == 0, offsets is non-decreasing, offsets[-1] == len(tokens)
+      - offsets[0] == 0, offsets is strictly increasing (every edge has at
+        least one member), offsets[-1] == len(tokens)
       - every edge's slice of tokens is sorted and holds in-range ids
       - total_degree == len(tokens) == sum of edge cardinalities
 

@@ -1,5 +1,5 @@
-"""Evolution processes: preferential-attachment hypergraphs and the classic
-preferential-attachment graph used as a baseline.
+"""Evolution processes: preferential-attachment hypergraphs and, as their
+2-uniform case, the classic preferential-attachment graph used as a baseline.
 
 Each time step is one of two events.  With probability p a new vertex arrives
 together with a new hyperedge containing it plus Y_t - 1 preferentially drawn
@@ -143,14 +143,14 @@ class GeneratorConfig:
             raise ValueError(f"y0 must be >= 1, got {self.y0}")
         if not (0.0 <= self.cap_exponent < 0.5):
             raise ValueError(
-                f"cap exponent must be in [0, 0.5), got {self.cap_exponent}")
+                f"cap_exponent must be in [0, 0.5), got {self.cap_exponent}")
 
 
 def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
     """Consume the event-bit and size portions of the random stream."""
     is_vertex = rng.random(config.steps) < config.p
     sizes = config.size_dist.sample(rng, config.steps)
-    if config.enforce_cap and config.steps:
+    if config.enforce_cap:
         t = np.arange(1, config.steps + 1, dtype=np.float64)
         # tiny bump so exact powers (8**(1/3) etc.) do not floor down
         cap = np.floor(t ** config.cap_exponent + 1e-9).astype(np.int64)
@@ -159,23 +159,23 @@ def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
     return is_vertex, sizes
 
 
-def _fill_stream(rng: np.random.Generator, seed: int, widths: np.ndarray,
-                 is_vertex: np.ndarray, source_offsets) -> tuple[np.ndarray, np.ndarray]:
+def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
+                 is_vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertex ids of a token stream, and the first slot of each step.
 
-    The stream holds `seed` slots of vertex 0, then one block of widths[t]
-    slots per step t.  In a vertex-arrival step the block's slots at
-    source_offsets hold the new vertex; every other slot copies a uniform
-    draw among the slots before its block, drawn in slot order.
+    The stream holds `y0` slots of vertex 0, then one block of sizes[t]
+    slots per step t.  In a vertex-arrival step the block's first slot holds
+    the new vertex; every other slot copies a uniform draw among the slots
+    before its block, drawn in slot order.
     """
-    starts = seed + np.concatenate(([0], np.cumsum(widths)[:-1]))
-    total = seed + int(widths.sum())
-    source_slots = (starts[is_vertex][:, None] + source_offsets).ravel()
+    starts = y0 + np.cumsum(sizes) - sizes
+    total = y0 + int(sizes.sum())
+    source_slots = starts[is_vertex]
     is_draw = np.ones(total, dtype=bool)
-    is_draw[:seed] = False
+    is_draw[:y0] = False
     is_draw[source_slots] = False
     draw_pos = np.flatnonzero(is_draw)
-    step = np.repeat(np.arange(len(widths)), widths)[draw_pos - seed]
+    step = np.repeat(np.arange(len(sizes)), sizes)[draw_pos - y0]
 
     parent = np.arange(total, dtype=np.int64)
     parent[draw_pos] = rng.integers(0, starts[step])
@@ -186,18 +186,15 @@ def _fill_stream(rng: np.random.Generator, seed: int, widths: np.ndarray,
         parent = grand
 
     values = np.zeros(total, dtype=np.int64)
-    vertex_ids = np.cumsum(is_vertex)   # id of the vertex added at step t
-    values[source_slots] = np.repeat(vertex_ids[is_vertex], len(source_offsets))
+    values[source_slots] = np.arange(1, len(source_slots) + 1)
     return values[parent], starts
 
 
 def evolve(config: GeneratorConfig) -> Hypergraph:
     """Run the evolution for config.steps steps from the seed hypergraph."""
-    if config.steps == 0:
-        return Hypergraph.initial(config.y0)
     rng = np.random.default_rng(config.seed)
     is_vertex, sizes = _draw_events(config, rng)
-    tokens, starts = _fill_stream(rng, config.y0, sizes, is_vertex, [0])
+    tokens, starts = _fill_stream(rng, config.y0, sizes, is_vertex)
     offsets = np.concatenate(([0], starts, [len(tokens)]))
     sort_members(tokens, offsets)
     return Hypergraph(1 + int(is_vertex.sum()), tokens, offsets)
@@ -210,8 +207,6 @@ def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     hypergraph an equal-seed evolve() call produces.
     """
     rng = np.random.default_rng(config.seed)
-    if config.steps == 0:
-        return np.array([config.y0], dtype=np.int64)
     _, sizes = _draw_events(config, rng)
     out = np.empty(config.steps + 1, dtype=np.int64)
     out[0] = config.y0
@@ -220,32 +215,16 @@ def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     return out
 
 
-def evolve_graph_baseline(p: float, edges_per_step: int, steps: int,
-                          seed: int = 0) -> ObservedGraph:
+def evolve_graph_baseline(p: float, steps: int, seed: int = 0) -> ObservedGraph:
     """Classic preferential-attachment graph process, for comparison runs.
 
-    Starts from a single vertex with a self loop.  Each step, with
-    probability p a new vertex arrives and attaches edges_per_step edges to
-    preferentially drawn endpoints; otherwise edges_per_step edges arrive
-    with both endpoints preferential.  Endpoint draws use degrees as of the
-    end of the previous step; self loops add 2 to their vertex's degree.
-    Returns the multigraph.
+    This is the 2-uniform case of the hypergraph process, started from a
+    single vertex with a self loop.  Each step, with probability p a new
+    vertex arrives with one edge to a preferentially drawn endpoint;
+    otherwise one edge arrives with both endpoints preferential.  Endpoint
+    draws use degrees as of the end of the previous step; self loops add 2
+    to their vertex's degree.  Returns the multigraph, seed loop first.
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if edges_per_step < 1:
-        raise ValueError(f"edges_per_step must be >= 1, got {edges_per_step}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-
-    if steps == 0:
-        return ObservedGraph(num_vertices=1, edges=np.zeros((1, 2), dtype=np.int64))
-
-    rng = np.random.default_rng(seed)
-    is_vertex = rng.random(steps) < p
-    # in a vertex-arrival step the first endpoint of every edge is the newcomer
-    tokens, _ = _fill_stream(rng, 2, np.full(steps, 2 * edges_per_step), is_vertex,
-                             2 * np.arange(edges_per_step))
-    # the seed loop (0, 0) fills slots 0 and 1
-    edges = np.sort(tokens.reshape(-1, 2), axis=1)
-    return ObservedGraph(num_vertices=1 + int(is_vertex.sum()), edges=edges)
+    h = evolve(GeneratorConfig(p, steps, Constant(2), y0=2, seed=seed))
+    # in a 2-uniform hypergraph every edge is one sorted pair
+    return ObservedGraph(h.num_vertices, h.tokens.reshape(-1, 2))

@@ -41,7 +41,7 @@ def _hyper_beta(p: float, size_dist, seed: int, k_min) -> float:
 def baseline_betas():
     """Criterion 3's per-seed estimates, shared with criterion 4's pairing."""
     return [ph.fit_power_law(
-        ph.degree_histogram(ph.evolve_graph_baseline(1.0, 1, STEPS, seed=1200 + s)),
+        ph.degree_histogram(ph.evolve_graph_baseline(1.0, STEPS, seed=1200 + s)),
         20).beta_hat for s in range(10)]
 
 

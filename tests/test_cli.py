@@ -108,6 +108,12 @@ class TestAnalytic:
             assert float(value) == pytest.approx(want, rel=1e-9)
         assert float(lines[2].split(",")[1]) == pytest.approx(3 / 11, rel=1e-9)
 
+    def test_bad_kmax_prints_nothing(self, capsys):
+        assert main(["analytic", "--p", "0.5", "--mu", "3", "--kmax", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--kmax" in captured.err
+
     def test_mu_not_above_p(self, capsys):
         assert main(["analytic", "--p", "1", "--mu", "0.5"]) == 2
         assert "--mu" in capsys.readouterr().err
@@ -246,6 +252,33 @@ class TestCompare:
         assert main(["compare", "--steps", "10", "--p", "0.5", "--d", "1",
                      "--out-prefix", "x"]) == 2
         assert "--d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--steps", "10", "--p", "0.5", "--y0", "0", "--out", "OUT"], "--y0"),
+    (["generate", "--steps", "10", "--p", "0.5", "--cap-exponent", "0.6",
+      "--out", "OUT"], "--cap-exponent"),
+    (["compare", "--steps", "10", "--p", "0", "--trials", "2", "--jobs", "2",
+      "--out-prefix", "OUT"], "--p"),
+    (["compare", "--steps", "-1", "--p", "0.5", "--out-prefix", "OUT"], "--steps"),
+    (["compare", "--steps", "2000", "--p", "0.5", "--kmin", "0",
+      "--out-prefix", "OUT"], "--kmin"),
+    (["compare", "--steps", "2000", "--p", "0.5", "--kmin", "0", "--trials", "2",
+      "--out-prefix", "OUT"], "--kmin"),
+])
+def test_bad_value_names_flag_and_writes_nothing(tmp_path, capsys, argv, flag):
+    out = str(tmp_path / "out")
+    assert main([out if a == "OUT" else a for a in argv]) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_bad_kmin_writes_nothing(tmp_path, capsys):
+    hist, rep = tmp_path / "hist.csv", tmp_path / "fit.txt"
+    hist.write_text("degree,count\n1,50\n2,20\n3,9\n")
+    assert main(["fit", "--in", str(hist), "--kmin", "0", "--out", str(rep)]) == 2
+    assert "--kmin" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_unknown_command_exits_two():

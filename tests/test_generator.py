@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pahyper import (Constant, GeneratorConfig, Hypergraph, TruncatedZipf,
-                     UniformInt, evolve, evolve_graph_baseline, sum_sizes_trace)
+                     UniformInt, evolve, evolve_graph_baseline, project,
+                     sum_sizes_trace)
 from pahyper.io import write_hypergraph
 from reference import reference_evolve
 
@@ -178,34 +179,35 @@ class TestSumSizesTrace:
 
 class TestGraphBaseline:
     def test_zero_steps_seed_loop(self):
-        g = evolve_graph_baseline(1.0, 1, 0)
+        g = evolve_graph_baseline(1.0, 0)
         assert g.num_vertices == 1
         assert g.edges.tolist() == [[0, 0]]
 
     def test_p_one_tree_structure(self):
         t = 500
-        g = evolve_graph_baseline(1.0, 1, t, seed=3)
+        g = evolve_graph_baseline(1.0, t, seed=3)
         assert g.num_vertices == t + 1
         assert g.num_edges == t + 1
         assert g.degrees().sum() == 2 * g.num_edges
         for i, e in enumerate(g.edges[1:], start=1):
             assert max(e) == i
 
-    def test_multiple_edges_per_step(self):
-        g = evolve_graph_baseline(0.5, 3, 200, seed=4)
-        assert g.num_edges == 1 + 3 * 200
-        assert g.degrees().sum() == 2 * g.num_edges
-        assert all(0 <= a <= b < g.num_vertices for a, b in g.edges)
-
     def test_determinism(self):
-        a = evolve_graph_baseline(0.5, 2, 300, seed=9)
-        b = evolve_graph_baseline(0.5, 2, 300, seed=9)
+        a = evolve_graph_baseline(0.5, 300, seed=9)
+        b = evolve_graph_baseline(0.5, 300, seed=9)
         assert np.array_equal(a.edges, b.edges)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            evolve_graph_baseline(0.0, 1, 10)
+            evolve_graph_baseline(0.0, 10)
         with pytest.raises(ValueError):
-            evolve_graph_baseline(0.5, 0, 10)
-        with pytest.raises(ValueError):
-            evolve_graph_baseline(0.5, 1, -1)
+            evolve_graph_baseline(0.5, -1)
+
+    @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("steps", [0, 1, 20_000])
+    @pytest.mark.parametrize("seed", [0, 8, 1234])
+    def test_is_projected_two_uniform_process(self, p, steps, seed):
+        g = evolve_graph_baseline(p, steps, seed)
+        ref = project(evolve(GeneratorConfig(p, steps, Constant(2), y0=2, seed=seed)))
+        assert g.num_vertices == ref.num_vertices
+        assert np.array_equal(g.edges, ref.edges)
