@@ -1,10 +1,13 @@
-"""Golden sha256 digests of CLI outputs at 2*10^4 steps, seed 7.
+"""Golden sha256 digests of CLI outputs at 2*10^4 steps, seed 7, plus one
+generate run at 10^5 steps.
 
 For a fixed config and seed every output file is byte-identical; these
 digests pin that contract across rewrites of the storage and the layers
 above it.  The zipf file mixes edge sizes, so its derived outputs also check
 that edges keep their arrival order across size classes.  No benchmark
-workload runs `project --simple`; this is its only byte-level guard.
+workload runs `project --simple`; this is its only byte-level guard.  The
+10^5-step file has more rows than one write piece and spans several
+generation chunks.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ import pytest
 from pahyper.cli import main
 
 STEPS = "20000"
+LONG_STEPS = "100000"
 
 GENERATE = {
     "const3.txt": ["--size", "const:3"],
@@ -38,6 +42,8 @@ GOLDEN = {
         "ab066720f405ebcb64a78373ce474132c5854c7112e44a1bf97f3b3a52807252",
     "nocap.txt":
         "76a8e18458942be1553de1f7308f5b77245645fe6f1ddf6d99f4719250340382",
+    "zipf_long.txt":
+        "049f148d01bc17a46d7588ae2c30870fb8508b679d9fc5b1f77e8cbe411a3e3a",
     "zipf_degrees.csv":
         "f293428619813f68f6c03785d697d5b8d6f7042866ff5d7b108427db0f0f0913",
     "zipf_sizes.csv":
@@ -63,6 +69,9 @@ def outputs(tmp_path_factory):
     for name, size in GENERATE.items():
         assert main(["generate", "--steps", STEPS, "--p", "0.5", "--seed", "7",
                      *size, "--out", str(work / name)]) == 0
+    assert main(["generate", "--steps", LONG_STEPS, "--p", "0.5", "--seed", "7",
+                 "--size", "zipf:2.5:2:20",
+                 "--out", str(work / "zipf_long.txt")]) == 0
     for name, command in DERIVED.items():
         assert main([*command, "--in", str(work / "zipf.txt"),
                      "--out", str(work / name)]) == 0
