@@ -23,12 +23,42 @@ import numpy as np
 Hyperedge = tuple[int, ...]
 
 
+SORT_PIECE = 1 << 15    # edges per pass, so that a piece stays in cache
+NETWORK_MAX = 4
+
+
 def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
-    """Sort the members of every edge in place, one pass per edge size."""
+    """Sort the members of every edge in place.
+
+    Edges go SORT_PIECE at a time, one pass per edge size within a piece:
+    an odd-even transposition network of min/max over the member columns
+    for sizes up to NETWORK_MAX, np.sort for larger edges.
+    """
+    for e0 in range(0, len(offsets) - 1, SORT_PIECE):
+        bounds = offsets[e0:e0 + SORT_PIECE + 1]
+        _sort_piece(tokens[bounds[0]:bounds[-1]], bounds - bounds[0])
+
+
+def _sort_piece(tokens: np.ndarray, offsets: np.ndarray) -> None:
     sizes = np.diff(offsets)
-    for s in np.unique(sizes).tolist():
-        slots = offsets[:-1][sizes == s][:, None] + np.arange(s)
-        tokens[slots] = np.sort(tokens[slots], axis=1)
+    counts = np.bincount(sizes)
+    for s in (np.flatnonzero(counts[2:]) + 2).tolist():
+        if counts[s] == len(sizes):         # one size class: rows are a view
+            slots = None
+            rows = tokens.reshape(-1, s)
+        else:
+            slots = offsets[:-1][sizes == s][:, None] + np.arange(s)
+            rows = tokens[slots]
+        if s > NETWORK_MAX:
+            rows.sort(axis=1)
+        else:
+            for r in range(s):
+                for j in range(r % 2, s - 1, 2):
+                    low = np.minimum(rows[:, j], rows[:, j + 1])
+                    np.maximum(rows[:, j], rows[:, j + 1], out=rows[:, j + 1])
+                    rows[:, j] = low
+        if slots is not None:
+            tokens[slots] = rows
 
 
 class Hypergraph:
@@ -54,14 +84,6 @@ class Hypergraph:
 
     # ------------------------------------------------------------------
     # constructors
-
-    @classmethod
-    def initial(cls, y0: int) -> "Hypergraph":
-        """Seed hypergraph: one vertex carrying a single self-loop hyperedge
-        of cardinality y0, so deg(0) = y0."""
-        if y0 < 1:
-            raise ValueError(f"initial hyperedge cardinality must be >= 1, got {y0}")
-        return cls(1, np.zeros(y0, dtype=np.int64), np.array([0, y0], dtype=np.int64))
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[int]]) -> "Hypergraph":

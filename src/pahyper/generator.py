@@ -8,14 +8,20 @@ Draws are independent, with repetition, and always use degrees as of the end
 of the previous step.  Y_t comes from a configurable edge-size distribution.
 
 The implementation is vectorized and works on the token array of core.py.
-For a fixed seed it first materializes the whole event/size/draw-index
-stream with numpy, then resolves the drawn vertex values in one pass (each
-draw references an earlier token slot, so the slots form a forest that
-pointer doubling collapses in O(log depth) sweeps).  The result is the token
-array itself, its edge offsets and a per-size-class sort of the members; no
-per-edge Python object is built.  Random numbers are consumed array-at-a-time
-in a fixed order (event bits, edge sizes, member draws), so identical configs
-give bit-identical results.
+For a fixed seed it first draws every event bit and edge size, then fills
+the token array in arrival-ordered chunks of CHUNK_STEPS steps.  Each chunk
+draws its slot indices; since every draw references a slot before its own
+step's block, a draw that lands before the chunk is a direct lookup in the
+finished prefix (the back-pointer resolution of Sanders & Schulz, IPL 2016),
+and draws inside the chunk form a forest that pointer doubling collapses in
+O(log depth) sweeps over the chunk alone.  The chunk's arrays stay in cache,
+and no array of the stream's full length is built besides the tokens and
+the per-step starts.  Members are sorted once every chunk is filled, since
+later draws index the slots in arrival order.  No per-edge Python object is
+built.  Random numbers are consumed in a fixed order (event bits, edge
+sizes, member draws in slot order), and splitting the member draws into
+chunks does not change them, so identical configs give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -146,17 +152,35 @@ class GeneratorConfig:
                 f"cap_exponent must be in [0, 0.5), got {self.cap_exponent}")
 
 
+def _capped_prefix(steps: int, exponent: float, top: int) -> np.ndarray:
+    """floor(t**exponent) for t = 1..n, where n is the first power of two at
+    which it reaches top, or steps.  The cap never decreases, so it cannot
+    bind after step n."""
+    n = min(1, steps)
+    while True:
+        t = np.arange(1, n + 1, dtype=np.float64)
+        # tiny bump so exact powers (8**(1/3) etc.) do not floor down
+        cap = np.floor(t ** exponent + 1e-9).astype(np.int64)
+        if n == steps or cap[-1] >= top:
+            return cap
+        n = min(2 * n, steps)
+
+
 def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
     """Consume the event-bit and size portions of the random stream."""
     is_vertex = rng.random(config.steps) < config.p
     sizes = config.size_dist.sample(rng, config.steps)
     if config.enforce_cap:
-        t = np.arange(1, config.steps + 1, dtype=np.float64)
-        # tiny bump so exact powers (8**(1/3) etc.) do not floor down
-        cap = np.floor(t ** config.cap_exponent + 1e-9).astype(np.int64)
+        cap = _capped_prefix(config.steps, config.cap_exponent,
+                             int(sizes.max(initial=2)))
         np.maximum(cap, 2, out=cap)
-        sizes = np.clip(sizes, 2, cap)
+        sizes = np.maximum(sizes, 2)
+        head = sizes[:len(cap)]
+        np.minimum(head, cap, out=head)
     return is_vertex, sizes
+
+
+CHUNK_STEPS = 1 << 15
 
 
 def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
@@ -167,27 +191,42 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
     slots per step t.  In a vertex-arrival step the block's first slot holds
     the new vertex; every other slot copies a uniform draw among the slots
     before its block, drawn in slot order.
+
+    Steps are filled CHUNK_STEPS at a time.  A draw that lands before the
+    chunk reads its finished slot; the chunk's other draws form a forest
+    whose roots are its source slots and those finished reads, and pointer
+    doubling collapses it.
     """
     starts = y0 + np.cumsum(sizes) - sizes
-    total = y0 + int(sizes.sum())
-    source_slots = starts[is_vertex]
-    is_draw = np.ones(total, dtype=bool)
-    is_draw[:y0] = False
-    is_draw[source_slots] = False
-    draw_pos = np.flatnonzero(is_draw)
-    step = np.repeat(np.arange(len(sizes)), sizes)[draw_pos - y0]
+    tokens = np.zeros(y0 + int(sizes.sum()), dtype=np.int64)
+    next_id = 1
+    for t0 in range(0, len(sizes), CHUNK_STEPS):
+        block_starts = starts[t0:t0 + CHUNK_STEPS]
+        block_sizes = sizes[t0:t0 + CHUNK_STEPS]
+        base = block_starts[0]
+        n = int(block_sizes.sum())
+        sources = block_starts[is_vertex[t0:t0 + CHUNK_STEPS]] - base
+        is_draw = np.ones(n, dtype=bool)
+        is_draw[sources] = False
+        draw_pos = np.flatnonzero(is_draw)
+        drawn = rng.integers(0, np.repeat(block_starts, block_sizes)[is_draw])
 
-    parent = np.arange(total, dtype=np.int64)
-    parent[draw_pos] = rng.integers(0, starts[step])
-    while True:
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            break
-        parent = grand
-
-    values = np.zeros(total, dtype=np.int64)
-    values[source_slots] = np.arange(1, len(source_slots) + 1)
-    return values[parent], starts
+        # a draw before the chunk is a root holding its finished value; a
+        # draw inside points to its slot (whose tokens entry is not yet set)
+        local = drawn - base
+        parent = np.arange(n)
+        parent[draw_pos] = np.where(local >= 0, local, draw_pos)
+        values = np.empty(n, dtype=np.int64)
+        values[draw_pos] = tokens[drawn]
+        values[sources] = np.arange(next_id, next_id + len(sources))
+        next_id += len(sources)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        tokens[base:base + n] = values[parent]
+    return tokens, starts
 
 
 def evolve(config: GeneratorConfig) -> Hypergraph:

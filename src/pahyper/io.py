@@ -15,12 +15,13 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
 
 Hypergraph and graph files go through one numpy codec over bytes, with no
 Python int or str per id.  The writer formats every id from a table of digit
-pairs and writes the file in binary; '-' decodes that ASCII and goes through
-sys.stdout's text layer.  The reader takes the file's bytes: data of only
-ASCII digits, spaces and newlines is parsed in one numpy pass; anything else
-is decoded as text mode would (UTF-8, universal newlines) and handed to the
-line parser, which is the one source of error messages.  Stdin is read as
-text.
+pairs and writes the rows in pieces of ROW_PIECE edges, each written in
+binary as soon as it is formatted, so the text of the whole file never
+exists at once; '-' decodes each piece's ASCII and goes through sys.stdout's
+text layer.  The reader takes the file's bytes: data of only ASCII digits,
+spaces and newlines is parsed in one numpy pass; anything else is decoded as
+text mode would (UTF-8, universal newlines) and handed to the line parser,
+which is the one source of error messages.  Stdin is read as text.
 """
 
 from __future__ import annotations
@@ -99,26 +100,36 @@ class VertexLabelMap:
 # hypergraph files
 
 WRITE_CHUNK = 1 << 20
+ROW_PIECE = 1 << 16
 
 
 def _write_text(destination: str, text: str) -> None:
+    with _open_write(destination) as f:
+        _write_pieces(f, text)
+
+
+def _write_pieces(f, text: str) -> None:
     # In pieces: when a pipe's reader leaves during one large write, the
     # text layer drops the short write silently, and only a later write
     # raises BrokenPipeError.
-    with _open_write(destination) as f:
-        for i in range(0, len(text), WRITE_CHUNK):
-            f.write(text[i:i + WRITE_CHUNK])
+    for i in range(0, len(text), WRITE_CHUNK):
+        f.write(text[i:i + WRITE_CHUNK])
 
 
-def _write_bytes(destination: str, data: bytes) -> None:
-    """Write ASCII data; '-' goes through sys.stdout's text layer."""
-    if destination == "-":
-        _write_text(destination, data.decode("ascii"))
-        return
-    with open(destination, "wb") as f:
-        view = memoryview(data)
-        for i in range(0, len(view), WRITE_CHUNK):
-            f.write(view[i:i + WRITE_CHUNK])
+def _write_rows(destination: str, tokens: np.ndarray,
+                offsets: np.ndarray) -> None:
+    """Write the lines of _encode_rows ROW_PIECE edges at a time; '-' goes
+    through sys.stdout's text layer."""
+    text = destination == "-"
+    with _open_write(destination) if text else open(destination, "wb") as f:
+        for e0 in range(0, len(offsets) - 1, ROW_PIECE):
+            bounds = offsets[e0:e0 + ROW_PIECE + 1]
+            data = _encode_rows(tokens[bounds[0]:bounds[-1]],
+                                bounds - bounds[0])
+            if text:
+                _write_pieces(f, data.decode("ascii"))
+            else:
+                f.write(data)
 
 
 def _pair_table() -> np.ndarray:
@@ -159,13 +170,13 @@ def _encode_rows(tokens: np.ndarray, offsets: np.ndarray) -> bytes:
 
 
 def write_hypergraph(h: Hypergraph, destination: str) -> None:
-    _write_bytes(destination, _encode_rows(h.tokens, h.offsets))
+    _write_rows(destination, h.tokens, h.offsets)
 
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
     offsets = np.arange(0, 2 * g.num_edges + 1, 2)
-    _write_bytes(destination, _encode_rows(g.edges.ravel(), offsets))
+    _write_rows(destination, g.edges.ravel(), offsets)
 
 
 def _parse_edge_lines(lines) -> list[Hyperedge]:

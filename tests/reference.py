@@ -23,8 +23,10 @@ class EdgeList:
 
     @classmethod
     def initial(cls, y0: int) -> "EdgeList":
+        """Seed hypergraph: one vertex carrying a single self-loop hyperedge
+        of cardinality y0, so deg(0) = y0."""
         h = cls(1)
-        h.hyperedges.append((0,) * y0)
+        h.add_hyperedge((0,) * y0)
         return h
 
     def add_hyperedge(self, members, new_vertex: bool = False) -> None:

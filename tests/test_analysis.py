@@ -23,7 +23,7 @@ class TestDegreeHistogram:
         assert hist.counts == {1: 2}
 
     def test_initial_hypergraph(self):
-        assert degree_histogram(Hypergraph.initial(3)).counts == {3: 1}
+        assert degree_histogram(EdgeList.initial(3).freeze()).counts == {3: 1}
 
     def test_two_degree_one_vertices(self):
         hist = DegreeHistogram.from_degrees([1, 1])
@@ -190,7 +190,7 @@ class TestEdgeSizeHistogram:
         assert edge_size_histogram(h).counts == {3: 41}
 
     def test_initial_only(self):
-        assert edge_size_histogram(Hypergraph.initial(2)).counts == {2: 1}
+        assert edge_size_histogram(EdgeList.initial(2).freeze()).counts == {2: 1}
 
 
 class TestFitPowerLaw:

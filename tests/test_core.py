@@ -5,33 +5,38 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pahyper import Constant, GeneratorConfig, Hypergraph, UniformInt, evolve
+from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
 from reference import EdgeList
 
 
 class TestInitial:
+    """The reference seed hypergraph that zero-step evolve() must equal."""
+
     def test_y0_three(self):
-        h = Hypergraph.initial(3)
+        h = EdgeList.initial(3).freeze()
         assert h.num_vertices == 1
         assert h.hyperedges == [(0, 0, 0)]
         assert h.degrees().tolist() == [3]
         assert h.total_degree == 3
 
     def test_y0_one(self):
-        h = Hypergraph.initial(1)
+        h = EdgeList.initial(1).freeze()
         assert h.degrees().tolist() == [1]
         assert h.total_degree == 1
 
     def test_y0_two(self):
-        h = Hypergraph.initial(2)
+        h = EdgeList.initial(2).freeze()
         assert h.degrees().tolist() == [2]
         assert h.total_degree == 2
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            Hypergraph.initial(0)
+            EdgeList.initial(0)
 
 
 class TestAddHyperedge:
@@ -104,9 +109,39 @@ class TestFromEdges:
             Hypergraph.from_edges([(0,), (10 ** 30,)])
 
 
+def _sorted_per_edge(edges):
+    tokens = np.array([v for e in edges for v in e], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
+    sort_members(tokens, offsets)
+    return tokens.tolist(), [v for e in edges for v in sorted(e)]
+
+
+IDS = st.integers(0, 5) | st.integers(0, 2 ** 63 - 1)
+MIXED_EDGES = st.lists(st.lists(IDS, min_size=1, max_size=8), max_size=40)
+ONE_SIZE_EDGES = st.integers(1, 8).flatmap(
+    lambda s: st.lists(st.lists(IDS, min_size=s, max_size=s), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MIXED_EDGES | ONE_SIZE_EDGES)
+def test_sort_members_matches_sorted(edges):
+    got, want = _sorted_per_edge(edges)
+    assert got == want
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 8), (3, 3), (NETWORK_MAX + 1,) * 2])
+def test_sort_members_across_pieces(lo, hi):
+    rng = np.random.default_rng(hi)
+    sizes = rng.integers(lo, hi + 1, size=2 * SORT_PIECE + 5)
+    flat = rng.integers(0, 50, size=int(sizes.sum()))
+    edges = [e.tolist() for e in np.split(flat, np.cumsum(sizes)[:-1])]
+    got, want = _sorted_per_edge(edges)
+    assert got == want
+
+
 class TestSamplePreferential:
     def test_single_vertex_always_drawn(self):
-        h = Hypergraph.initial(5)
+        h = EdgeList.initial(5).freeze()
         rng = np.random.default_rng(1)
         assert (h.sample_preferential(rng, size=50) == 0).all()
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pahyper import (Constant, GeneratorConfig, Hypergraph, TruncatedZipf,
-                     UniformInt, evolve, evolve_graph_baseline, project,
-                     sum_sizes_trace)
+from pahyper import (Constant, EdgeSizeDistribution, GeneratorConfig,
+                     Hypergraph, TruncatedZipf, UniformInt, evolve,
+                     evolve_graph_baseline, project, sum_sizes_trace)
+from pahyper.generator import CHUNK_STEPS, _draw_events
 from pahyper.io import write_hypergraph
-from reference import reference_evolve
+from reference import EdgeList, reference_evolve
 
 
 class TestSizeDistributions:
@@ -74,7 +75,7 @@ class TestConfigValidation:
 class TestEvolve:
     def test_zero_steps_identity(self):
         h = evolve(GeneratorConfig(p=0.5, steps=0, size_dist=Constant(3), y0=4))
-        assert h == Hypergraph.initial(4)
+        assert h == EdgeList.initial(4).freeze()
 
     def test_p_one_constant_two_structure(self):
         # every step adds one vertex and one 2-member edge
@@ -159,6 +160,40 @@ def test_evolve_matches_step_by_step_reference(p, steps, size_dist, y0, cap, see
     cfg = GeneratorConfig(p=p, steps=steps, size_dist=size_dist, y0=y0,
                           seed=seed, enforce_cap=cap)
     assert evolve(cfg) == reference_evolve(cfg)
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0])
+@pytest.mark.parametrize("size_dist", [Constant(3), UniformInt(2, 6),
+                                       TruncatedZipf(2.5, 2, 20)], ids=repr)
+def test_evolve_matches_reference_across_chunks(p, size_dist):
+    cfg = GeneratorConfig(p=p, steps=70_000, size_dist=size_dist, seed=23)
+    assert cfg.steps > 2 * CHUNK_STEPS
+    assert evolve(cfg) == reference_evolve(cfg)
+
+
+class Cached(EdgeSizeDistribution):
+    """Hands out one array it keeps, as a caching distribution might."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def sample(self, rng, n):
+        return self.sizes[:n]
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.1, 1 / 3, 0.49])
+@pytest.mark.parametrize("size_dist", [Constant(2), Constant(3), UniformInt(2, 12),
+                                       TruncatedZipf(2.5, 2, 40)], ids=repr)
+def test_cap_clamps_like_the_whole_array(exponent, size_dist):
+    steps = 70_000
+    raw = size_dist.sample(np.random.default_rng(4), steps)
+    cfg = GeneratorConfig(p=0.5, steps=steps, size_dist=Cached(raw.copy()),
+                          cap_exponent=exponent)
+    _, sizes = _draw_events(cfg, np.random.default_rng(0))
+    t = np.arange(1, steps + 1, dtype=np.float64)
+    cap = np.maximum(np.floor(t ** exponent + 1e-9).astype(np.int64), 2)
+    assert np.array_equal(sizes, np.clip(raw, 2, cap))
+    assert np.array_equal(cfg.size_dist.sizes, raw)     # the sample is not written
 
 
 class TestSumSizesTrace:

@@ -18,13 +18,13 @@ from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      write_histogram_csv, write_hypergraph,
                      write_observed_graph)
 from pahyper.io import _parse_bulk, _parse_edge_lines
-from reference import reference_rows
+from reference import EdgeList, reference_rows
 
 
 class TestHypergraphFile:
     def test_initial_body(self, tmp_path):
         path = tmp_path / "h.txt"
-        write_hypergraph(Hypergraph.initial(3), str(path))
+        write_hypergraph(EdgeList.initial(3).freeze(), str(path))
         assert path.read_text() == "0 0 0\n"
 
     def test_two_edges(self, tmp_path):
@@ -92,7 +92,7 @@ class TestHypergraphFile:
 
     def test_stdin_dash(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", stdio.StringIO("0 0 0\n"))
-        assert read_hypergraph("-") == Hypergraph.initial(3)
+        assert read_hypergraph("-") == EdgeList.initial(3).freeze()
 
     def test_stdout_dash_redirected(self):
         # how the benchmark worker calls the CLI
