@@ -1,5 +1,7 @@
 """Degree statistics, clique-expansion projection, power-law fitting, and the
-analytic degree-distribution oracles.
+analytic degree-distribution oracles.  A histogram is two int64 arrays, the
+present values in ascending order and their counts, and every statistic of
+it is a numpy expression over them.
 
 The fitting side follows the standard discrete maximum-likelihood recipe:
 for a tail cutoff k_min the exponent maximizes the zeta-normalized
@@ -42,41 +44,43 @@ __all__ = [
 MIN_TAIL = 10  # refuse power-law fits on smaller tails
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeHistogram:
     """Counts of items per positive integer value (degree or edge size).
 
-    Zero values are never stored: an isolated vertex does not appear.
+    Two int64 arrays: values strictly ascending from >= 1, and counts[i] >= 1
+    items of value values[i].  An isolated vertex (value 0) does not appear.
     """
 
-    counts: dict[int, int]
+    values: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        for k, c in self.counts.items():
-            if k < 1 or c < 1:
-                raise ValueError(f"invalid histogram entry {k}: {c}")
+        if (self.values.shape != self.counts.shape
+                or (np.diff(self.values, prepend=0) < 1).any() or (self.counts < 1).any()):
+            raise ValueError("histogram needs ascending values >= 1 and counts >= 1")
 
     @classmethod
     def from_degrees(cls, degrees) -> "DegreeHistogram":
-        degrees = np.asarray(degrees)
-        values, counts = np.unique(degrees[degrees > 0], return_counts=True)
-        return cls(dict(zip(values.tolist(), counts.tolist())))
+        counts = np.bincount(degrees)
+        values = np.flatnonzero(counts[1:]) + 1
+        return cls(values, counts[values])
 
     @property
     def total_vertices(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @property
     def total_degree(self) -> int:
-        return sum(k * c for k, c in self.counts.items())
+        return int(self.values @ self.counts)
 
     def restrict(self, min_value: int) -> "DegreeHistogram":
         """Sub-histogram over values >= min_value."""
-        return DegreeHistogram({k: c for k, c in self.counts.items()
-                                if k >= min_value})
+        i = np.searchsorted(self.values, min_value)
+        return DegreeHistogram(self.values[i:], self.counts[i:])
 
     def items_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
+        return list(zip(self.values.tolist(), self.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
     counts = sizes * (sizes - 1) // 2
     first = np.concatenate(([0], np.cumsum(counts)))   # first pair of each edge
     edges = np.empty((int(first[-1]), 2), dtype=np.int64)
-    for s in np.unique(sizes[sizes > 1]).tolist():
+    for s in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
         idx = np.flatnonzero(sizes == s)
         a, b = np.triu_indices(s, 1)    # members sorted, so pairs are too
         starts = h.offsets[idx][:, None]
@@ -160,7 +164,8 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
     if simple:
         n = h.num_vertices
         a, b = edges[edges[:, 0] != edges[:, 1]].T
-        keys = np.unique(a * n + b)
+        keys = np.sort(a * n + b)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         edges = np.column_stack((keys // n, keys % n))
     return ObservedGraph(num_vertices=h.num_vertices, edges=edges, simple=simple)
 
@@ -168,28 +173,24 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
 def ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:
     """Tail probabilities P[deg >= k] for k from the smallest to the largest
     present value (dense integer range); non-increasing, starts at 1.0."""
-    if not hist.counts:
+    if not len(hist.values):
         raise ValueError("empty histogram")
-    total = hist.total_vertices
-    lo = min(hist.counts)
-    hi = max(hist.counts)
-    out = []
-    remaining = total
-    for k in range(lo, hi + 1):
-        out.append((k, remaining / total))
-        remaining -= hist.counts.get(k, 0)
-    return out
+    lo, hi = int(hist.values[0]), int(hist.values[-1])
+    dense = np.zeros(hi - lo + 1, dtype=np.int64)
+    dense[hist.values - lo] = hist.counts
+    remaining = np.cumsum(dense[::-1])[::-1]     # items of value >= k
+    return list(zip(range(lo, hi + 1), (remaining / hist.total_vertices).tolist()))
 
 
 # ----------------------------------------------------------------------
 # power-law fitting
 
 
-def _tail_stats(ks: np.ndarray, cs: np.ndarray, k_min: int):
+def _tail_stats(hist: DegreeHistogram, k_min: int):
     """Tail arrays at cutoff k_min: (values, counts, n, sum of c*ln k)."""
-    mask = ks >= k_min
-    tk = ks[mask]
-    tc = cs[mask]
+    mask = hist.values >= k_min
+    tk = hist.values[mask]
+    tc = hist.counts[mask]
     n = int(tc.sum())
     return tk, tc, n, float((tc * np.log(tk)).sum())
 
@@ -232,24 +233,21 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     ValueError when fewer than 10 items survive the cutoff or when the tail
     is a single repeated value (exponent undefined).
     """
-    if not hist.counts:
+    if not len(hist.values):
         raise ValueError("empty histogram")
-    items = hist.items_sorted()
-    ks = np.array([k for k, _ in items], dtype=np.int64)
-    cs = np.array([c for _, c in items], dtype=np.int64)
 
     if k_min == "auto":
         best: FitReport | None = None
-        for cut in ks:
-            tk, tc, n, sum_log = _tail_stats(ks, cs, int(cut))
+        for cut in hist.values.tolist():
+            tk, tc, n, sum_log = _tail_stats(hist, cut)
             if n < MIN_TAIL:
                 break  # tails only shrink as the cutoff grows
             if len(tk) < 2:
                 continue
-            beta = _mle_beta(int(cut), n, sum_log)
-            stat = _ks_stat(tk, tc, n, int(cut), beta)
+            beta = _mle_beta(cut, n, sum_log)
+            stat = _ks_stat(tk, tc, n, cut, beta)
             if best is None or stat < best.ks_stat:
-                best = FitReport(beta, int(cut), n, stat)
+                best = FitReport(beta, cut, n, stat)
         if best is None:
             raise ValueError("tail too small: no cutoff leaves >= 10 items")
         return best
@@ -257,7 +255,7 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     k_min = int(k_min)
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
-    tk, tc, n, sum_log = _tail_stats(ks, cs, k_min)
+    tk, tc, n, sum_log = _tail_stats(hist, k_min)
     if n < MIN_TAIL:
         raise ValueError(f"tail too small: {n} items with value >= {k_min}")
     if len(tk) < 2:
@@ -273,12 +271,10 @@ def fit_loglog(hist: DegreeHistogram, k_min: int = 1) -> float:
     straight-line-on-a-log-log-plot reading; it is statistically biased and
     provided for comparison with the MLE, not for acceptance checks.
     """
-    pts = [(k, c) for k, c in hist.items_sorted() if k >= k_min]
-    if len(pts) < 2:
+    tail = hist.restrict(k_min)
+    if len(tail.values) < 2:
         raise ValueError("need at least two distinct values to fit a line")
-    logk = np.log([k for k, _ in pts])
-    logc = np.log([c for _, c in pts])
-    slope = np.polyfit(logk, logc, 1)[0]
+    slope = np.polyfit(np.log(tail.values), np.log(tail.counts), 1)[0]
     return float(-slope)
 
 
@@ -331,6 +327,8 @@ def sample_power_law(beta: float, k_min: int, size: int,
         raise ValueError(f"beta must exceed 1, got {beta}")
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
+    if table_max < k_min:
+        raise ValueError(f"table_max must be >= k_min, got {table_max} < {k_min}")
     k = np.arange(k_min, table_max + 1, dtype=np.float64)
     w = k ** -beta
     total = w.sum() + zeta(beta, table_max + 1)

@@ -299,7 +299,8 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
         header = f.readline().strip()
         if header != "degree,count":
             raise ValueError(f"expected header 'degree,count', got {header!r}")
-        counts: dict[int, int] = {}
+        rows: list[tuple[int, int]] = []
+        seen: set[int] = set()
         for lineno, raw in enumerate(f, start=2):
             line = raw.strip()
             if not line:
@@ -309,13 +310,15 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
                 k, c = int(k_str), int(c_str)
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed row {line!r}") from None
-            if k < 1 or c < 1:
+            if not (0 < k < 2**63 and 0 < c < 2**63):
                 raise ValueError(f"line {lineno}: degree and count must be "
-                                 f"positive, got {line!r}")
-            if k in counts:
+                                 f"positive and fit int64, got {line!r}")
+            if k in seen:
                 raise ValueError(f"line {lineno}: duplicate degree {k}")
-            counts[k] = c
-    return DegreeHistogram(counts)
+            seen.add(k)
+            rows.append((k, c))
+    values, counts = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2).T.copy()
+    return DegreeHistogram(values, counts)
 
 
 def write_ccdf_csv(pairs: list[tuple[int, float]], destination: str) -> None:

@@ -2,14 +2,16 @@
 
 EdgeList is a growing list-of-tuples hypergraph with per-edge validation;
 reference_evolve runs the evolution process one step at a time on it;
-reference_rows formats the hypergraph line format with Python's % operator.
+reference_rows formats the hypergraph line format with Python's % operator;
+histogram builds a DegreeHistogram from a {value: count} dict and
+reference_ccdf walks its tail one value at a time.
 """
 
 import math
 
 import numpy as np
 
-from pahyper import Hypergraph
+from pahyper import DegreeHistogram, Hypergraph
 
 
 class EdgeList:
@@ -94,3 +96,24 @@ def reference_rows(tokens: np.ndarray, offsets: np.ndarray) -> str:
     sizes = np.diff(offsets).tolist()
     line = {s: " ".join(["%d"] * s) + "\n" for s in set(sizes)}
     return "".join([line[s] for s in sizes]) % tuple(tokens.tolist())
+
+
+def histogram(counts: dict[int, int]) -> DegreeHistogram:
+    """The DegreeHistogram of a {value: count} dict, keys in any order."""
+    items = sorted(counts.items())
+    return DegreeHistogram(np.array([k for k, _ in items], dtype=np.int64),
+                           np.array([c for _, c in items], dtype=np.int64))
+
+
+def reference_ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:
+    """ccdf(hist), one value of the dense degree range at a time."""
+    counts = dict(hist.items_sorted())
+    if not counts:
+        raise ValueError("empty histogram")
+    total = sum(counts.values())
+    out = []
+    remaining = total
+    for k in range(min(counts), max(counts) + 1):
+        out.append((k, remaining / total))
+        remaining -= counts.get(k, 0)
+    return out

@@ -1,33 +1,37 @@
 """Tests for histograms, projection, analytic oracles, and power-law fitting."""
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pahyper import (DegreeHistogram, FitReport, Hypergraph, analytic_beta,
                      analytic_mk, ccdf, degree_histogram, edge_size_histogram,
                      fit_loglog, fit_power_law, project, sample_power_law)
-from reference import EdgeList
+from reference import EdgeList, histogram, reference_ccdf
 
 
 class TestDegreeHistogram:
     def test_from_degrees(self):
         hist = DegreeHistogram.from_degrees([2, 3, 3])
-        assert hist.counts == {2: 1, 3: 2}
+        assert dict(hist.items_sorted()) == {2: 1, 3: 2}
         assert hist.total_vertices == 3
         assert hist.total_degree == 8
 
     def test_zero_degrees_dropped(self):
         hist = DegreeHistogram.from_degrees([0, 1, 1, 0])
-        assert hist.counts == {1: 2}
+        assert dict(hist.items_sorted()) == {1: 2}
 
     def test_initial_hypergraph(self):
-        assert degree_histogram(EdgeList.initial(3).freeze()).counts == {3: 1}
+        hist = degree_histogram(EdgeList.initial(3).freeze())
+        assert dict(hist.items_sorted()) == {3: 1}
 
     def test_two_degree_one_vertices(self):
         hist = DegreeHistogram.from_degrees([1, 1])
-        assert hist.counts == {1: 2}
+        assert dict(hist.items_sorted()) == {1: 2}
 
     def test_identities_on_generated(self):
         from pahyper import GeneratorConfig, UniformInt, evolve
@@ -38,29 +42,41 @@ class TestDegreeHistogram:
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):
-            DegreeHistogram({0: 3})
+            histogram({0: 3})
         with pytest.raises(ValueError):
-            DegreeHistogram({2: 0})
+            histogram({2: 0})
+        with pytest.raises(ValueError):
+            DegreeHistogram(np.array([3, 2]), np.array([1, 1]))
+        with pytest.raises(ValueError):
+            DegreeHistogram(np.array([2, 2]), np.array([1, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=80))
+    def test_from_degrees_matches_counter(self, degrees):
+        hist = DegreeHistogram.from_degrees(np.array(degrees, dtype=np.int64))
+        assert dict(hist.items_sorted()) == {
+            k: c for k, c in Counter(degrees).items() if k > 0}
+        assert hist.values.dtype == hist.counts.dtype == np.int64
 
     def test_restrict(self):
-        hist = DegreeHistogram({2: 1, 3: 4, 7: 2})
-        assert hist.restrict(3).counts == {3: 4, 7: 2}
+        hist = histogram({2: 1, 3: 4, 7: 2})
+        assert dict(hist.restrict(3).items_sorted()) == {3: 4, 7: 2}
 
 
 class TestCCDF:
     def test_gap_histogram(self):
-        assert ccdf(DegreeHistogram({1: 2, 3: 2})) == [(1, 1.0), (2, 0.5), (3, 0.5)]
+        assert ccdf(histogram({1: 2, 3: 2})) == [(1, 1.0), (2, 0.5), (3, 0.5)]
 
     def test_single_value(self):
-        assert ccdf(DegreeHistogram({5: 10})) == [(5, 1.0)]
+        assert ccdf(histogram({5: 10})) == [(5, 1.0)]
 
     def test_uniform_four(self):
-        assert ccdf(DegreeHistogram({1: 1, 2: 1, 3: 1, 4: 1})) == [
+        assert ccdf(histogram({1: 1, 2: 1, 3: 1, 4: 1})) == [
             (1, 1.0), (2, 0.75), (3, 0.5), (4, 0.25)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ccdf(DegreeHistogram({}))
+            ccdf(histogram({}))
 
     def test_monotone_and_normalized(self):
         hist = DegreeHistogram.from_degrees(np.random.default_rng(3).integers(1, 40, 500))
@@ -68,6 +84,16 @@ class TestCCDF:
         probs = [p for _, p in pairs]
         assert probs[0] == 1.0
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(1, 300), st.integers(1, 10**9),
+                           min_size=1, max_size=40))
+    @example({7: 10**9})
+    @example({1: 10**9 - 1, 300: 10**9, 2: 1})
+    def test_matches_reference(self, counts):
+        # gaps, a single value, and counts up to 10^9
+        hist = histogram(counts)
+        assert ccdf(hist) == reference_ccdf(hist)
 
 
 class TestProjection:
@@ -181,16 +207,17 @@ class TestAnalyticMk:
 class TestEdgeSizeHistogram:
     def test_mixed(self):
         h = Hypergraph.from_edges([(0, 0, 0), (1, 0)])
-        assert edge_size_histogram(h).counts == {3: 1, 2: 1}
+        assert dict(edge_size_histogram(h).items_sorted()) == {3: 1, 2: 1}
 
     def test_d_uniform(self):
         from pahyper import Constant, GeneratorConfig, evolve
         h = evolve(GeneratorConfig(p=0.5, steps=40, size_dist=Constant(3), y0=3,
                                    seed=2, enforce_cap=False))
-        assert edge_size_histogram(h).counts == {3: 41}
+        assert dict(edge_size_histogram(h).items_sorted()) == {3: 41}
 
     def test_initial_only(self):
-        assert edge_size_histogram(EdgeList.initial(2).freeze()).counts == {2: 1}
+        hist = edge_size_histogram(EdgeList.initial(2).freeze())
+        assert dict(hist.items_sorted()) == {2: 1}
 
 
 class TestFitPowerLaw:
@@ -204,21 +231,21 @@ class TestFitPowerLaw:
 
     def test_all_equal_rejected(self):
         with pytest.raises(ValueError, match="all equal"):
-            fit_power_law(DegreeHistogram({4: 100}), 4)
+            fit_power_law(histogram({4: 100}), 4)
 
     def test_tail_too_small(self):
         with pytest.raises(ValueError, match="tail too small"):
-            fit_power_law(DegreeHistogram({1: 50, 2: 4, 3: 5}), 2)
+            fit_power_law(histogram({1: 50, 2: 4, 3: 5}), 2)
 
     def test_empty_histogram(self):
         with pytest.raises(ValueError):
-            fit_power_law(DegreeHistogram({}), 5)
+            fit_power_law(histogram({}), 5)
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(22)
         sample = sample_power_law(2.8, 3, 5_000, rng)
         hist = DegreeHistogram.from_degrees(sample)
-        doubled = DegreeHistogram({k: 2 * c for k, c in hist.counts.items()})
+        doubled = histogram({k: 2 * c for k, c in hist.items_sorted()})
         a = fit_power_law(hist, 3)
         b = fit_power_law(doubled, 3)
         assert a.beta_hat == pytest.approx(b.beta_hat, abs=1e-9)
@@ -237,7 +264,7 @@ class TestFitPowerLaw:
 
     def test_auto_requires_viable_cutoff(self):
         with pytest.raises(ValueError, match="tail too small"):
-            fit_power_law(DegreeHistogram({3: 4, 5: 4}), "auto")
+            fit_power_law(histogram({3: 4, 5: 4}), "auto")
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):
@@ -251,7 +278,7 @@ class TestFitPowerLaw:
 def test_fit_loglog_on_exact_counts():
     # counts proportional to k^-3 give slope exactly -3
     counts = {k: int(round(1e9 * k ** -3.0)) for k in range(1, 60)}
-    assert fit_loglog(DegreeHistogram(counts)) == pytest.approx(3.0, abs=0.01)
+    assert fit_loglog(histogram(counts)) == pytest.approx(3.0, abs=0.01)
 
 
 class TestSamplePowerLaw:
@@ -272,3 +299,11 @@ class TestSamplePowerLaw:
             sample_power_law(1.0, 3, 10, rng)
         with pytest.raises(ValueError):
             sample_power_law(2.5, 0, 10, rng)
+
+    def test_table_below_k_min_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="table_max"):
+            sample_power_law(2.5, 10, 5, rng, table_max=5)
+        with pytest.raises(ValueError, match="table_max"):
+            sample_power_law(2.5, 5, 3, rng, table_max=4)
+        assert sample_power_law(2.5, 5, 3, rng, table_max=5).tolist() == [5, 5, 5]

@@ -165,6 +165,15 @@ class TestPipelines:
         assert main(["fit", "--in", str(hist), "--kmin", "5"]) == 2
         assert "line 2: degree and count must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["99999999999999999999,5", "2,99999999999999999999"])
+    def test_fit_row_past_int64(self, tmp_path, capsys, row):
+        hist = tmp_path / "hist.csv"
+        hist.write_text(f"degree,count\n1,5\n{row}\n")
+        assert main(["fit", "--in", str(hist), "--kmin", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: degree and count must be positive and fit int64, "
+            f"got {row!r}\n")
+
     def test_generate_project_degrees_fit(self, tmp_path, capsys):
         h, g, hist, rep = (tmp_path / n for n in
                            ("h.txt", "g.txt", "hist.csv", "fit.txt"))
