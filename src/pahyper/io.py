@@ -19,9 +19,11 @@ pairs and writes the rows in pieces of ROW_PIECE edges, each written in
 binary as soon as it is formatted, so the text of the whole file never
 exists at once; '-' decodes each piece's ASCII and goes through sys.stdout's
 text layer.  The reader takes the file's bytes: data of only ASCII digits,
-spaces and newlines is parsed in one numpy pass; anything else is decoded as
-text mode would (UTF-8, universal newlines) and handed to the line parser,
-which is the one source of error messages.  Stdin is read as text.
+spaces and newlines is parsed by numpy in newline-aligned pieces of about
+READ_PIECE bytes, so that it needs the bytes, the output arrays and memory
+in proportion to one piece; anything else is decoded as text mode would
+(UTF-8, universal newlines) and handed to the line parser, which is the one
+source of error messages.  Stdin is read as text.
 """
 
 from __future__ import annotations
@@ -201,35 +203,77 @@ def _parse_edge_lines(lines) -> list[Hyperedge]:
 
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64
+READ_PIECE = 1 << 20    # bytes per piece of the bulk parser, then to a newline
 
 
-def _parse_bulk(data: bytes) -> Hypergraph | None:
-    """Parse data made only of ASCII digits, spaces and newlines, at least
-    one id per line, at most MAX_BULK_DIGITS digits per id and ids covering
-    0..max, in one numpy pass; None for any other data."""
-    if data.translate(None, b"0123456789 \n"):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    digit = np.zeros(len(buf) + 2, dtype=bool)
-    np.greater(buf, ord(" "), out=digit[1:-1])
+def _pieces(data: bytes):
+    """(start, end) of consecutive pieces of data, each of at least
+    READ_PIECE bytes up to and including a newline, or the rest of data."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + READ_PIECE - 1) + 1 or len(data)
+        yield start, end
+        start = end
+
+
+def _piece_line_ends(piece: np.ndarray) -> np.ndarray | None:
+    """The number of ids up to the end of each line of a piece of bulk
+    data; None if an id has more than MAX_BULK_DIGITS digits or a line has
+    no id."""
+    digit = np.zeros(len(piece) + 2, dtype=bool)
+    np.greater(piece, ord(" "), out=digit[1:-1])
     # an id starts where the digit mask turns on and ends where it turns off
     bounds = np.flatnonzero(digit[1:] != digit[:-1])
     starts = bounds[0::2]
     if len(starts) and (bounds[1::2] - starts).max() > MAX_BULK_DIGITS:
         return None
-    line_ends = np.flatnonzero(buf == ord("\n"))
-    if data and not data.endswith(b"\n"):
-        line_ends = np.append(line_ends, len(buf))
+    line_ends = np.flatnonzero(piece == ord("\n"))
+    if piece[-1] != ord("\n"):
+        line_ends = np.append(line_ends, len(piece))
     ends_in_ids = np.searchsorted(starts, line_ends)
     if not np.diff(ends_in_ids, prepend=0).all():
         return None                             # a blank line
-    tokens = np.fromstring(data, dtype=np.int64, sep=" ")
+    return ends_in_ids
+
+
+def _parse_bulk(data: bytes) -> Hypergraph | None:
+    """Parse data made only of ASCII digits, spaces and newlines, at least
+    one id per line, at most MAX_BULK_DIGITS digits per id and ids covering
+    0..max, with numpy; None for any other data.
+
+    The data goes in newline-aligned pieces of about READ_PIECE bytes (see
+    _pieces), twice: the first pass checks each piece and fills the edge
+    offsets, the second parses each piece's ids into its slice of one token
+    array.  Beside data and the output arrays, the parser holds a few arrays
+    the size of one piece and, for the final checks, a count per vertex and
+    a flag per token.
+    """
+    if data.translate(None, b"0123456789 \n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    num_lines = data.count(b"\n")
+    if data and not data.endswith(b"\n"):
+        num_lines += 1                          # a last line with no newline
+    offsets = np.zeros(num_lines + 1, dtype=np.int64)
+    pieces = list(_pieces(data))
+    line = 0
+    for start, end in pieces:
+        ends_in_ids = _piece_line_ends(buf[start:end])
+        if ends_in_ids is None:
+            return None
+        offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + offsets[line]
+        line += len(ends_in_ids)
+    tokens = np.empty(offsets[-1], dtype=np.int64)
+    filled = 0
+    for start, end in pieces:
+        ids = np.fromstring(data[start:end], dtype=np.int64, sep=" ")
+        tokens[filled:filled + len(ids)] = ids
+        filled += len(ids)
     if len(tokens) and tokens.max() >= len(tokens):
         return None                             # ids cannot be contiguous
     seen = np.bincount(tokens)
     if not seen.all():
         return None                             # an id gap
-    offsets = np.concatenate(([0], ends_in_ids))
     descents = tokens[1:] < tokens[:-1]
     descents[offsets[1:-1] - 1] = False         # a new edge may start lower
     if descents.any():
@@ -301,6 +345,7 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
             raise ValueError(f"expected header 'degree,count', got {header!r}")
         rows: list[tuple[int, int]] = []
         seen: set[int] = set()
+        total = 0
         for lineno, raw in enumerate(f, start=2):
             line = raw.strip()
             if not line:
@@ -315,6 +360,10 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
                                  f"positive and fit int64, got {line!r}")
             if k in seen:
                 raise ValueError(f"line {lineno}: duplicate degree {k}")
+            total += c
+            if total >= 2**63:
+                raise ValueError(f"line {lineno}: count total {total} "
+                                 f"does not fit int64")
             seen.add(k)
             rows.append((k, c))
     values, counts = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2).T.copy()

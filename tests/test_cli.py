@@ -174,6 +174,13 @@ class TestPipelines:
             f"error: line 3: degree and count must be positive and fit int64, "
             f"got {row!r}\n")
 
+    def test_fit_count_total_past_int64(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("degree,count\n1,9223372036854775807\n2,5\n3,5\n")
+        assert main(["fit", "--in", str(hist), "--kmin", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: count total 9223372036854775812 does not fit int64\n")
+
     def test_generate_project_degrees_fit(self, tmp_path, capsys):
         h, g, hist, rep = (tmp_path / n for n in
                            ("h.txt", "g.txt", "hist.csv", "fit.txt"))

@@ -4,7 +4,9 @@ import contextlib
 import io as stdio
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pahyper import (Constant, FitReport, GeneratorConfig,
-                     Hypergraph, ObservedGraph, UniformInt, evolve,
+                     Hypergraph, ObservedGraph, TruncatedZipf, UniformInt, evolve,
                      ingest_labeled, project, read_histogram_csv,
                      read_hypergraph, write_ccdf_csv, write_fit_report,
                      write_histogram_csv, write_hypergraph,
                      write_observed_graph)
+from pahyper import io
 from pahyper.io import _parse_bulk, _parse_edge_lines
 from reference import EdgeList, histogram, reference_rows
 
@@ -162,11 +165,70 @@ def test_bulk_reader_agrees_with_line_parser(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.txt"
         path.write_bytes(text.encode("utf-8"))
-        bulk = _outcome(lambda: read_hypergraph(str(path)))
         with open(path, encoding="utf-8") as f:
             lines = _outcome(lambda: Hypergraph.from_edges(_parse_edge_lines(f)))
-    assert type(bulk) is type(lines)
-    assert bulk == lines
+        # the default piece, then pieces of one line or a few lines
+        for piece in (io.READ_PIECE, 1, 7):
+            with mock.patch.object(io, "READ_PIECE", piece):
+                bulk = _outcome(lambda: read_hypergraph(str(path)))
+            assert type(bulk) is type(lines)
+            assert bulk == lines
+
+
+BODY = b"0 1 2\n2 0 1\n" * 100     # 1,200 bytes the bulk parser takes
+
+
+@pytest.mark.parametrize("tail, bulk_takes", [
+    (b"1 2\n\n0 1\n", False),                  # the only blank line
+    (b"0 " + b"0" * 18 + b"1\n", False),        # the only 19-digit id
+    (b"4 4\n", False),                          # the only id gap
+    (b"2 1 0\n", True),                         # the only unsorted edge
+    (b"2 0 1", True),                           # no final newline
+])
+def test_last_piece_is_checked(tmp_path, tail, bulk_takes):
+    data = BODY + tail
+    path = tmp_path / "h.txt"
+    path.write_bytes(data)
+    lines = _outcome(lambda: Hypergraph.from_edges(
+        _parse_edge_lines(stdio.StringIO(data.decode()))))
+    for piece in (64, len(BODY) - 8, len(BODY)):
+        with mock.patch.object(io, "READ_PIECE", piece):
+            pieces = list(io._pieces(data))
+            assert len(pieces) > 1 and pieces[-1][0] <= len(BODY)
+            bulk = _parse_bulk(data)
+            assert (bulk is not None) == bulk_takes
+            if bulk_takes:
+                assert bulk == lines
+            assert _outcome(lambda: read_hypergraph(str(path))) == lines
+
+
+def test_pieces_of_a_generated_file(tmp_path):
+    cfg = GeneratorConfig(p=0.5, steps=70_000, size_dist=TruncatedZipf(2.5, 2, 20),
+                          seed=5)
+    h = evolve(cfg)
+    path = tmp_path / "h.txt"
+    write_hypergraph(h, str(path))
+    default = read_hypergraph(str(path))
+    assert default == h
+    for piece in (1, 7, 4096):
+        with mock.patch.object(io, "READ_PIECE", piece):
+            assert read_hypergraph(str(path)) == default
+
+
+def test_bulk_parser_memory(tmp_path):
+    """The parser holds about one piece beside its output arrays, not
+    arrays the length of the data."""
+    cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    path = tmp_path / "h.txt"
+    write_hypergraph(evolve(cfg), str(path))
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        h = _parse_bulk(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (h.tokens.nbytes + h.offsets.nbytes)
 
 
 def test_bulk_parser_takes_canonical_text():
@@ -312,8 +374,8 @@ class TestHistogramCSV:
 
 def _reference_histogram(text: str) -> dict[int, int]:
     """The entries of a well-formed histogram CSV, or {} when any row is not
-    two positive integers that fit int64 or a degree repeats (the reader must
-    then raise)."""
+    two positive integers that fit int64, a degree repeats or the counts sum
+    past int64 (the reader must then raise)."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -327,6 +389,8 @@ def _reference_histogram(text: str) -> dict[int, int]:
         if not (1 <= k < 2**63 and 1 <= c < 2**63) or k in counts:
             return {}
         counts[k] = c
+        if sum(counts.values()) >= 2**63:
+            return {}
     return counts
 
 
@@ -355,6 +419,7 @@ CSV_TEXTS = st.one_of(
 @example("degree,count\n1,5\n99999999999999999999,5\n")
 @example("degree,count\n1,5\n2,99999999999999999999\n")
 @example("degree,count\n9223372036854775807,9223372036854775807\n")
+@example("degree,count\n1,9223372036854775807\n2,5\n3,5\n")
 def test_histogram_reader_fuzz(text):
     """Every input either reads back exactly its rows or raises ValueError
     naming the header or a line of the input."""
