@@ -210,7 +210,7 @@ def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
-    _check(args.d >= 2, f"--d must be >= 2, got {args.d}")
+    _check(2 <= args.d < 2**63, f"--d must be in [2, 2**63), got {args.d}")
     _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
     kmin = _parse_kmin(args.kmin)

@@ -61,6 +61,24 @@ def _sort_piece(tokens: np.ndarray, offsets: np.ndarray) -> None:
             tokens[slots] = rows
 
 
+def checked(tokens: np.ndarray, offsets: np.ndarray) -> "Hypergraph":
+    """The Hypergraph of tokens and offsets, members sorted in place.
+
+    Trusts that every id is >= 0 and every edge has a member; raises
+    ValueError naming the smallest missing id unless the ids cover 0..max.
+    """
+    n = len(tokens)
+    # ids past n are an error; clipped, they cannot size the count array
+    seen = np.bincount(np.minimum(tokens, n) if n and tokens.max() >= n else tokens)
+    if not seen.all():
+        raise ValueError(f"vertex id gap: id {seen.argmin()} never appears")
+    descents = tokens[1:] < tokens[:-1]
+    descents[offsets[1:-1] - 1] = False         # a new edge may start lower
+    if descents.any():
+        sort_members(tokens, offsets)
+    return Hypergraph(len(seen), tokens, offsets)
+
+
 class Hypergraph:
     """Multiset hypergraph over dense integer vertex ids.
 
@@ -71,7 +89,7 @@ class Hypergraph:
       - every edge's slice of tokens is sorted and holds in-range ids
       - total_degree == len(tokens) == sum of edge cardinalities
 
-    The constructor trusts its arguments; from_edges validates.
+    The constructor trusts its arguments; from_edges and checked() validate.
     """
 
     __slots__ = ("num_vertices", "tokens", "offsets")
@@ -87,24 +105,26 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        """Build from an edge sequence; ids must cover 0..max contiguously."""
-        rows: list[list[int]] = []
+        """Build from an edge sequence, members in any order.
+
+        The first empty edge, or edge with a negative id (named by its
+        smallest member), raises ValueError; then checked() requires the
+        ids to cover 0..max.
+        """
+        flat: list[int] = []
+        sizes = [0]
         for e in edges:
-            members = sorted(int(v) for v in e)
+            members = [int(v) for v in e]
             if not members:
                 raise ValueError("empty hyperedge")
-            if members[0] < 0:
-                raise ValueError(f"invalid vertex id {members[0]}")
-            rows.append(members)
-        flat = [v for row in rows for v in row]
-        seen = set(flat)
-        # the smallest missing id, if any, is below the number of distinct ids
-        missing = next((i for i in range(len(seen)) if i not in seen), None)
-        if missing is not None:
-            raise ValueError(f"vertex id gap: id {missing} never appears")
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=offsets[1:])
-        return cls(len(seen), np.array(flat, dtype=np.int64), offsets)
+            if min(members) < 0:
+                raise ValueError(f"invalid vertex id {min(members)}")
+            flat += members
+            sizes.append(len(members))
+        if max(flat, default=0) >= 2**63:   # never covered, so still a gap
+            flat = [min(v, 2**63 - 1) for v in flat]
+        return checked(np.array(flat, dtype=np.int64),
+                       np.cumsum(sizes, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # queries

@@ -62,8 +62,8 @@ class Constant(EdgeSizeDistribution):
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"constant edge size must be >= 2, got {self.d}")
+        if not 2 <= self.d < 2**63:
+            raise ValueError(f"constant edge size must be in [2, 2**63), got {self.d}")
 
     def sample(self, rng, n):
         return np.full(n, self.d, dtype=np.int64)
@@ -82,8 +82,8 @@ class UniformInt(EdgeSizeDistribution):
     def __post_init__(self):
         if self.lo < 2:
             raise ValueError(f"edge sizes must be >= 2, got lo={self.lo}")
-        if self.lo > self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
+        if not self.lo <= self.hi < 2**63 - 1:     # hi + 1 fits int64
+            raise ValueError(f"need lo <= hi < 2**63 - 1, got [{self.lo}, {self.hi}]")
 
     def sample(self, rng, n):
         return rng.integers(self.lo, self.hi + 1, size=n, dtype=np.int64)
@@ -101,12 +101,14 @@ class TruncatedZipf(EdgeSizeDistribution):
     hi: int
 
     def __post_init__(self):
-        if self.exponent <= 1.0:
-            raise ValueError(f"zipf exponent must be > 1, got {self.exponent}")
         if self.lo < 2:
             raise ValueError(f"edge sizes must be >= 2, got lo={self.lo}")
-        if self.lo > self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
+        if not self.lo <= self.hi < 2**63 - 1:     # hi + 1 fits int64
+            raise ValueError(f"need lo <= hi < 2**63 - 1, got [{self.lo}, {self.hi}]")
+        # nan fails the first test; the largest weight must not underflow
+        if not (self.exponent > 1.0 and self.lo ** -self.exponent > 0.0):
+            raise ValueError(f"zipf exponent must be > 1 with lo**-exponent > 0, "
+                             f"got {self.exponent}")
 
     def _weights(self):
         k = np.arange(self.lo, self.hi + 1, dtype=np.float64)
@@ -145,8 +147,8 @@ class GeneratorConfig:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.y0 < 1:
-            raise ValueError(f"y0 must be >= 1, got {self.y0}")
+        if not 1 <= self.y0 < 2**63:
+            raise ValueError(f"y0 must be in [1, 2**63), got {self.y0}")
         if not (0.0 <= self.cap_exponent < 0.5):
             raise ValueError(
                 f"cap_exponent must be in [0, 0.5), got {self.cap_exponent}")

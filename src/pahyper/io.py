@@ -15,15 +15,15 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
 
 Hypergraph and graph files go through one numpy codec over bytes, with no
 Python int or str per id.  The writer formats every id from a table of digit
-pairs and writes the rows in pieces of ROW_PIECE edges, each written in
-binary as soon as it is formatted, so the text of the whole file never
-exists at once; '-' decodes each piece's ASCII and goes through sys.stdout's
-text layer.  The reader takes the file's bytes: data of only ASCII digits,
-spaces and newlines is parsed by numpy in newline-aligned pieces of about
-READ_PIECE bytes, so that it needs the bytes, the output arrays and memory
-in proportion to one piece; anything else is decoded as text mode would
-(UTF-8, universal newlines) and handed to the line parser, which is the one
-source of error messages.  Stdin is read as text.
+pairs and emits the rows in pieces of ROW_PIECE edges, so the text of the
+whole file never exists at once; every output goes as UTF-8 bytes through
+one function, to a file in binary or to '-' through sys.stdout's text layer.
+The reader takes the bytes of the file, or of stdin for '-': data of only
+ASCII digits, spaces and newlines is parsed by numpy in newline-aligned
+pieces of about READ_PIECE bytes, so that it needs the bytes, the output
+arrays and memory in proportion to one piece; anything else is decoded as
+text mode would (UTF-8, universal newlines) and goes to the line parser.
+Both paths end in core.checked, the one check that ids cover 0..max.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from io import BytesIO, StringIO, TextIOWrapper
 import numpy as np
 
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hyperedge, Hypergraph, sort_members
+from .core import Hypergraph, checked
 
 __all__ = [
     "VertexLabelMap",
@@ -57,15 +57,6 @@ def _open_read(path: str):
         yield sys.stdin
     else:
         with open(path, "r", encoding="utf-8") as f:
-            yield f
-
-
-@contextmanager
-def _open_write(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as f:
             yield f
 
 
@@ -105,33 +96,28 @@ WRITE_CHUNK = 1 << 20
 ROW_PIECE = 1 << 16
 
 
-def _write_text(destination: str, text: str) -> None:
-    with _open_write(destination) as f:
-        _write_pieces(f, text)
-
-
-def _write_pieces(f, text: str) -> None:
-    # In pieces: when a pipe's reader leaves during one large write, the
-    # text layer drops the short write silently, and only a later write
-    # raises BrokenPipeError.
-    for i in range(0, len(text), WRITE_CHUNK):
-        f.write(text[i:i + WRITE_CHUNK])
-
-
-def _write_rows(destination: str, tokens: np.ndarray,
-                offsets: np.ndarray) -> None:
-    """Write the lines of _encode_rows ROW_PIECE edges at a time; '-' goes
-    through sys.stdout's text layer."""
-    text = destination == "-"
-    with _open_write(destination) if text else open(destination, "wb") as f:
-        for e0 in range(0, len(offsets) - 1, ROW_PIECE):
-            bounds = offsets[e0:e0 + ROW_PIECE + 1]
-            data = _encode_rows(tokens[bounds[0]:bounds[-1]],
-                                bounds - bounds[0])
-            if text:
-                _write_pieces(f, data.decode("ascii"))
-            else:
+def _write(destination: str, pieces) -> None:
+    """Write an iterable of UTF-8 bytes to a file, or through sys.stdout's
+    text layer for '-'."""
+    if destination == "-":
+        for data in pieces:
+            text = data.decode()
+            # In slices: when a pipe's reader leaves during one large write,
+            # the text layer drops the short write silently, and only a
+            # later write raises BrokenPipeError.
+            for i in range(0, len(text), WRITE_CHUNK):
+                sys.stdout.write(text[i:i + WRITE_CHUNK])
+    else:
+        with open(destination, "wb") as f:
+            for data in pieces:
                 f.write(data)
+
+
+def _row_pieces(tokens: np.ndarray, offsets: np.ndarray):
+    """The lines of _encode_rows, ROW_PIECE edges at a time."""
+    for e0 in range(0, len(offsets) - 1, ROW_PIECE):
+        bounds = offsets[e0:e0 + ROW_PIECE + 1]
+        yield _encode_rows(tokens[bounds[0]:bounds[-1]], bounds - bounds[0])
 
 
 def _pair_table() -> np.ndarray:
@@ -172,17 +158,17 @@ def _encode_rows(tokens: np.ndarray, offsets: np.ndarray) -> bytes:
 
 
 def write_hypergraph(h: Hypergraph, destination: str) -> None:
-    _write_rows(destination, h.tokens, h.offsets)
+    _write(destination, _row_pieces(h.tokens, h.offsets))
 
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
     offsets = np.arange(0, 2 * g.num_edges + 1, 2)
-    _write_rows(destination, g.edges.ravel(), offsets)
+    _write(destination, _row_pieces(g.edges.ravel(), offsets))
 
 
-def _parse_edge_lines(lines) -> list[Hyperedge]:
-    edges: list[Hyperedge] = []
+def _parse_edge_lines(lines) -> list[list[int]]:
+    edges: list[list[int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
@@ -198,7 +184,7 @@ def _parse_edge_lines(lines) -> list[Hyperedge]:
             if v < 0:
                 raise ValueError(f"line {lineno}: negative vertex id {v}")
             members.append(v)
-        edges.append(tuple(sorted(members)))
+        edges.append(members)
     return edges
 
 
@@ -238,15 +224,16 @@ def _piece_line_ends(piece: np.ndarray) -> np.ndarray | None:
 
 def _parse_bulk(data: bytes) -> Hypergraph | None:
     """Parse data made only of ASCII digits, spaces and newlines, at least
-    one id per line, at most MAX_BULK_DIGITS digits per id and ids covering
-    0..max, with numpy; None for any other data.
+    one id per line and at most MAX_BULK_DIGITS digits per id, with numpy;
+    None for any other data.  The result goes through core.checked, so ids
+    that do not cover 0..max raise its ValueError.
 
     The data goes in newline-aligned pieces of about READ_PIECE bytes (see
     _pieces), twice: the first pass checks each piece and fills the edge
     offsets, the second parses each piece's ids into its slice of one token
     array.  Beside data and the output arrays, the parser holds a few arrays
-    the size of one piece and, for the final checks, a count per vertex and
-    a flag per token.
+    the size of one piece and, in the final check, a count per vertex and a
+    flag per token.
     """
     if data.translate(None, b"0123456789 \n"):
         return None
@@ -269,35 +256,24 @@ def _parse_bulk(data: bytes) -> Hypergraph | None:
         ids = np.fromstring(data[start:end], dtype=np.int64, sep=" ")
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
-    if len(tokens) and tokens.max() >= len(tokens):
-        return None                             # ids cannot be contiguous
-    seen = np.bincount(tokens)
-    if not seen.all():
-        return None                             # an id gap
-    descents = tokens[1:] < tokens[:-1]
-    descents[offsets[1:-1] - 1] = False         # a new edge may start lower
-    if descents.any():
-        sort_members(tokens, offsets)
-    return Hypergraph(len(seen), tokens, offsets)
+    return checked(tokens, offsets)
 
 
 def read_hypergraph(source: str) -> Hypergraph:
     """Inverse of write_hypergraph; read(write(h)) == h.
 
-    A file is read as bytes.  Data the bulk parser does not take is decoded
-    as text mode would decode it and goes through the line parser, which is
-    the one source of error messages.
+    A file, or stdin for '-', is read as bytes.  Data the bulk parser does
+    not take is decoded as text mode would decode a file (UTF-8, universal
+    newlines) and goes through the line parser.
     """
     if source == "-":
-        text = sys.stdin.read()
-        h = _parse_bulk(text.encode("ascii")) if text.isascii() else None
+        data = sys.stdin.buffer.read()
     else:
         with open(source, "rb") as f:
             data = f.read()
-        h = _parse_bulk(data)
-        if h is None:
-            text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
+    h = _parse_bulk(data)
     if h is None:
+        text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
         h = Hypergraph.from_edges(_parse_edge_lines(StringIO(text)))
     return h
 
@@ -326,7 +302,7 @@ def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, Verte
 
 def write_label_map(labels: VertexLabelMap, destination: str) -> None:
     rows = (f"{vid},{label}\n" for vid, label in enumerate(labels.labels()))
-    _write_text(destination, "id,label\n" + "".join(rows))
+    _write(destination, [("id,label\n" + "".join(rows)).encode()])
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +311,7 @@ def write_label_map(labels: VertexLabelMap, destination: str) -> None:
 
 def write_histogram_csv(hist: DegreeHistogram, destination: str) -> None:
     rows = (f"{k},{c}\n" for k, c in hist.items_sorted())
-    _write_text(destination, "degree,count\n" + "".join(rows))
+    _write(destination, [("degree,count\n" + "".join(rows)).encode()])
 
 
 def read_histogram_csv(source: str) -> DegreeHistogram:
@@ -372,11 +348,11 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
 
 def write_ccdf_csv(pairs: list[tuple[int, float]], destination: str) -> None:
     rows = (f"{k},{prob:.10g}\n" for k, prob in pairs)
-    _write_text(destination, "degree,ccdf\n" + "".join(rows))
+    _write(destination, [("degree,ccdf\n" + "".join(rows)).encode()])
 
 
 def write_fit_report(report: FitReport, destination: str) -> None:
-    _write_text(destination, f"beta_hat={report.beta_hat:#.6g}\n"
-                             f"k_min={report.k_min}\n"
-                             f"n_tail={report.n_tail}\n"
-                             f"ks_stat={report.ks_stat:#.6g}\n")
+    _write(destination, [f"beta_hat={report.beta_hat:#.6g}\n"
+                         f"k_min={report.k_min}\n"
+                         f"n_tail={report.n_tail}\n"
+                         f"ks_stat={report.ks_stat:#.6g}\n".encode()])

@@ -2,6 +2,7 @@
 
 EdgeList is a growing list-of-tuples hypergraph with per-edge validation;
 reference_evolve runs the evolution process one step at a time on it;
+reference_from_edges checks an edge list with a set of its ids;
 reference_rows formats the hypergraph line format with Python's % operator;
 histogram builds a DegreeHistogram from a {value: count} dict and
 reference_ccdf walks its tail one value at a time.
@@ -88,6 +89,28 @@ def reference_evolve(config) -> Hypergraph:
             h.add_hyperedge(members, new_vertex=bool(new))
             slots += members
     return h.freeze()
+
+
+def reference_from_edges(edges) -> Hypergraph:
+    """Hypergraph.from_edges with a per-edge sort, a set of the ids and a
+    search for the smallest id the set lacks."""
+    rows: list[list[int]] = []
+    for e in edges:
+        members = sorted(int(v) for v in e)
+        if not members:
+            raise ValueError("empty hyperedge")
+        if members[0] < 0:
+            raise ValueError(f"invalid vertex id {members[0]}")
+        rows.append(members)
+    flat = [v for row in rows for v in row]
+    seen = set(flat)
+    # the smallest missing id, if any, is below the number of distinct ids
+    missing = next((i for i in range(len(seen)) if i not in seen), None)
+    if missing is not None:
+        raise ValueError(f"vertex id gap: id {missing} never appears")
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    return Hypergraph(len(seen), np.array(flat, dtype=np.int64), offsets)
 
 
 def reference_rows(tokens: np.ndarray, offsets: np.ndarray) -> str:

@@ -289,6 +289,30 @@ def test_bad_value_names_flag_and_writes_nothing(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+TOO_BIG = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--size", f"const:{TOO_BIG}"], "--size"),
+    (["generate", "--size", f"uniform:2:{TOO_BIG}"], "--size"),
+    (["generate", "--size", f"zipf:2.5:2:{TOO_BIG}"], "--size"),
+    (["generate", "--size", "zipf:nan:2:5"], "--size"),
+    (["generate", "--size", "zipf:inf:2:5"], "--size"),
+    (["generate", "--size", "zipf:1e308:2:5"], "--size"),
+    (["generate", "--y0", TOO_BIG], "--y0"),
+    (["compare", "--d", TOO_BIG], "--d"),
+])
+def test_oversized_value_is_one_error_line(tmp_path, capsys, argv, flag):
+    """Values past int64, or a zipf exponent whose weights are NaN, are
+    rejected before any work, with one line naming the flag."""
+    out = str(tmp_path / "out")
+    target = ["--out-prefix", out] if argv[0] == "compare" else ["--out", out]
+    assert main(argv + ["--steps", "10", "--p", "0.5"] + target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_bad_kmin_writes_nothing(tmp_path, capsys):
     hist, rep = tmp_path / "hist.csv", tmp_path / "fit.txt"
     hist.write_text("degree,count\n1,50\n2,20\n3,9\n")
@@ -301,6 +325,28 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _run_cli(args, stdin=b""):
+    """(exit code, stdout, stderr) of `python -m pahyper.cli *args`."""
+    src = str(Path(pahyper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "pahyper.cli", *args], input=stdin,
+                          capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("data", [
+    b"0 0 0\n0 1 2\n2 1\n",
+    b"# comment\r\n0 1\r\n1 0 1\r\n",
+    b"0 1\n\xff 0\n",
+], ids=["canonical", "crlf-and-comment", "not-utf8"])
+def test_degrees_of_stdin_as_of_file(tmp_path, data):
+    path = tmp_path / "h.txt"
+    path.write_bytes(data)
+    assert (_run_cli(["degrees", "--in", "-"], stdin=data)
+            == _run_cli(["degrees", "--in", str(path)]))
 
 
 def test_closed_stdout_exits_quietly():

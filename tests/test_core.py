@@ -5,13 +5,13 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from pahyper import Constant, GeneratorConfig, Hypergraph, UniformInt, evolve
 from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
-from reference import EdgeList
+from reference import EdgeList, reference_from_edges
 
 
 class TestInitial:
@@ -107,6 +107,32 @@ class TestFromEdges:
     def test_id_beyond_int64_is_a_gap(self):
         with pytest.raises(ValueError, match="id 1 never appears"):
             Hypergraph.from_edges([(0,), (10 ** 30,)])
+
+
+def _from_edges_outcome(build, edges):
+    try:
+        h = build(edges)
+    except ValueError as e:
+        return f"error: {e}"
+    return h.num_vertices, h.tokens.tolist(), h.offsets.tolist()
+
+
+FROM_EDGES_IDS = st.sampled_from([-7, -1, *range(7), 2**63 - 1, 2**63, 10**30])
+# the second list draws valid members only, so that many lists are accepted
+FROM_EDGES = (st.lists(st.lists(FROM_EDGES_IDS, max_size=5), max_size=8)
+              | st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FROM_EDGES)
+@example([])
+@example([[0], [10**30]])
+@example([[2, 0, 1], [1, 1]])
+@example([[0, 1], [3, -1, -7], []])
+@example([[0], [], [-1]])
+def test_from_edges_matches_reference(edges):
+    assert (_from_edges_outcome(Hypergraph.from_edges, edges)
+            == _from_edges_outcome(reference_from_edges, edges))
 
 
 def _sorted_per_edge(edges):

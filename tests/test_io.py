@@ -94,7 +94,7 @@ class TestHypergraphFile:
         assert h.hyperedges == [(0, 1), (0, 1, 1)]
 
     def test_stdin_dash(self, monkeypatch):
-        monkeypatch.setattr("sys.stdin", stdio.StringIO("0 0 0\n"))
+        monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(b"0 0 0\n")))
         assert read_hypergraph("-") == EdgeList.initial(3).freeze()
 
     def test_stdout_dash_redirected(self):
@@ -181,7 +181,7 @@ BODY = b"0 1 2\n2 0 1\n" * 100     # 1,200 bytes the bulk parser takes
 @pytest.mark.parametrize("tail, bulk_takes", [
     (b"1 2\n\n0 1\n", False),                  # the only blank line
     (b"0 " + b"0" * 18 + b"1\n", False),        # the only 19-digit id
-    (b"4 4\n", False),                          # the only id gap
+    (b"4 4\n", True),                           # the only id gap: raised
     (b"2 1 0\n", True),                         # the only unsorted edge
     (b"2 0 1", True),                           # no final newline
 ])
@@ -195,7 +195,7 @@ def test_last_piece_is_checked(tmp_path, tail, bulk_takes):
         with mock.patch.object(io, "READ_PIECE", piece):
             pieces = list(io._pieces(data))
             assert len(pieces) > 1 and pieces[-1][0] <= len(BODY)
-            bulk = _parse_bulk(data)
+            bulk = _outcome(lambda: _parse_bulk(data))
             assert (bulk is not None) == bulk_takes
             if bulk_takes:
                 assert bulk == lines
@@ -231,12 +231,42 @@ def test_bulk_parser_memory(tmp_path):
     assert peak <= 2.5 * (h.tokens.nbytes + h.offsets.nbytes)
 
 
+def test_stdin_read_memory(monkeypatch, tmp_path):
+    """Stdin is read as bytes, as a file is, with no text copy of it."""
+    cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    path = tmp_path / "h.txt"
+    write_hypergraph(evolve(cfg), str(path))
+    data = path.read_bytes()
+    monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(data)))
+    tracemalloc.start()
+    try:
+        h = read_hypergraph("-")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - len(data) <= 2.0 * (h.tokens.nbytes + h.offsets.nbytes)
+
+
 def test_bulk_parser_takes_canonical_text():
     assert _parse_bulk(b"0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
         [(0, 0, 0), (0, 1), (1, 2)])
     assert _parse_bulk(b"") == Hypergraph.from_edges([])
-    for other in (b"0 +1\n", b"0\t1\n", b"0 1\n\n", b"0 2\n", b"0 " + b"0" * 19 + b"1\n"):
+    for other in (b"0 +1\n", b"0\t1\n", b"0 1\n\n", b"0 " + b"0" * 19 + b"1\n"):
         assert _parse_bulk(other) is None
+    assert _outcome(lambda: _parse_bulk(b"0 2\n")) == _outcome(
+        lambda: Hypergraph.from_edges(_parse_edge_lines(["0 2\n"])))
+
+
+def test_gap_in_last_line_raises_without_line_parser(tmp_path):
+    h = evolve(GeneratorConfig(p=0.5, steps=20_000, size_dist=Constant(3), seed=3))
+    path = tmp_path / "h.txt"
+    write_hypergraph(h, str(path))
+    with open(path, "a") as f:
+        f.write(f"0 {h.num_vertices + 1}\n")
+    with mock.patch.object(io, "_parse_edge_lines", side_effect=AssertionError):
+        with pytest.raises(ValueError) as err:
+            read_hypergraph(str(path))
+    assert str(err.value) == f"vertex id gap: id {h.num_vertices} never appears"
 
 
 # ids at every boundary of the digit count, up to the largest int64
