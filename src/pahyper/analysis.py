@@ -1,7 +1,8 @@
 """Degree statistics, clique-expansion projection, power-law fitting, and the
 analytic degree-distribution oracles.  A histogram is two int64 arrays, the
 present values in ascending order and their counts, and every statistic of
-it is a numpy expression over them.
+it is a numpy expression over them.  The clique expansion fills its edge
+array per size class of cache-sized pieces of edges (core.size_classes).
 
 The fitting side follows the standard discrete maximum-likelihood recipe:
 for a tail cutoff k_min the exponent maximizes the zeta-normalized
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
-from .core import Hypergraph
+from .core import Hypergraph, size_classes
 
 __all__ = [
     "DegreeHistogram",
@@ -149,18 +150,24 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
     within a hyperedge in the order of itertools.combinations.  With
     simple=True duplicate pairs are collapsed and self loops dropped across
     the whole graph, and the edges come sorted.
+
+    Pairs are copied into the (m, 2) edge array per size class of a piece of
+    edges (core.size_classes), between views where the piece has one size.
     """
-    sizes = np.diff(h.offsets)
-    counts = sizes * (sizes - 1) // 2
-    first = np.concatenate(([0], np.cumsum(counts)))   # first pair of each edge
+    first = np.diff(h.offsets, prepend=0)   # 0, then the size c of each edge
+    np.cumsum(first * (first - 1) // 2, out=first)  # first pair of each edge, then m
     edges = np.empty((int(first[-1]), 2), dtype=np.int64)
-    for s in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
-        idx = np.flatnonzero(sizes == s)
-        a, b = np.triu_indices(s, 1)    # members sorted, so pairs are too
-        starts = h.offsets[idx][:, None]
-        rows = first[idx][:, None] + np.arange(len(a))
-        edges[rows, 0] = h.tokens[starts + a]
-        edges[rows, 1] = h.tokens[starts + b]
+    for e0, which, _, rows in size_classes(h.tokens, h.offsets):
+        a, b = np.triu_indices(rows.shape[1], 1)    # members sorted, so pairs are too
+        if which is None:       # pair k of each edge is cells[:, k]
+            cells = edges[first[e0]:first[e0 + len(rows)]].reshape(len(rows), len(a), 2)
+            for k, (i, j) in enumerate(zip(a, b)):
+                cells[:, k, 0] = rows[:, i]
+                cells[:, k, 1] = rows[:, j]
+        else:
+            dest = first[e0 + which][:, None] + np.arange(len(a))
+            edges[dest, 0] = rows[:, a]
+            edges[dest, 1] = rows[:, b]
     if simple:
         n = h.num_vertices
         a, b = edges[edges[:, 0] != edges[:, 1]].T

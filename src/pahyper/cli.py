@@ -3,7 +3,8 @@
 Subcommands wire generation, projection, analysis, and ingestion into
 reproducible pipelines; all data outputs are plain text (see io module),
 '-' means stdin/stdout, and diagnostics go to stderr.  Exit codes: 0 on
-success, 2 for usage or validation problems, 1 for I/O failures, and
+success, 2 for usage or validation problems, 1 for I/O failures and
+resource failures (an array too large for memory), and
 EXIT_CLOSED_STDOUT (141, as for a process ended by SIGPIPE) without any
 message when the reader of stdout has gone, as in `pahyper generate ... |
 head -1`.
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
             # keep the interpreter's flush at exit from failing again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except OSError as err:
+    except (OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -27,28 +27,32 @@ SORT_PIECE = 1 << 15    # edges per pass, so that a piece stays in cache
 NETWORK_MAX = 4
 
 
-def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
-    """Sort the members of every edge in place.
-
-    Edges go SORT_PIECE at a time, one pass per edge size within a piece:
-    an odd-even transposition network of min/max over the member columns
-    for sizes up to NETWORK_MAX, np.sort for larger edges.
-    """
+def size_classes(tokens: np.ndarray, offsets: np.ndarray):
+    """(e0, which, slots, rows) per size s >= 2 of each piece of SORT_PIECE
+    edges, in order: rows holds the members of the piece's edges of size s,
+    e0 is its first edge.  If all have size s, rows is a view of tokens and
+    which and slots are None; else which holds their indices in the piece,
+    slots their token positions and rows is the copy tokens[slots]."""
     for e0 in range(0, len(offsets) - 1, SORT_PIECE):
         bounds = offsets[e0:e0 + SORT_PIECE + 1]
-        _sort_piece(tokens[bounds[0]:bounds[-1]], bounds - bounds[0])
+        sizes = np.diff(bounds)
+        counts = np.bincount(sizes)
+        for s in (np.flatnonzero(counts[2:]) + 2).tolist():
+            if counts[s] == len(sizes):
+                yield e0, None, None, tokens[bounds[0]:bounds[-1]].reshape(-1, s)
+            else:
+                which = np.flatnonzero(sizes == s)
+                slots = bounds[which][:, None] + np.arange(s)
+                yield e0, which, slots, tokens[slots]
 
 
-def _sort_piece(tokens: np.ndarray, offsets: np.ndarray) -> None:
-    sizes = np.diff(offsets)
-    counts = np.bincount(sizes)
-    for s in (np.flatnonzero(counts[2:]) + 2).tolist():
-        if counts[s] == len(sizes):         # one size class: rows are a view
-            slots = None
-            rows = tokens.reshape(-1, s)
-        else:
-            slots = offsets[:-1][sizes == s][:, None] + np.arange(s)
-            rows = tokens[slots]
+def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
+    """Sort the members of every edge in place, per size class of a piece
+    (size_classes): an odd-even transposition network of min/max over the
+    member columns for sizes up to NETWORK_MAX, np.sort for larger edges.
+    """
+    for _, _, slots, rows in size_classes(tokens, offsets):
+        s = rows.shape[1]
         if s > NETWORK_MAX:
             rows.sort(axis=1)
         else:

@@ -145,8 +145,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not 0 <= self.steps < 2**63:
+            raise ValueError(f"steps must be in [0, 2**63), got {self.steps}")
         if not 1 <= self.y0 < 2**63:
             raise ValueError(f"y0 must be in [1, 2**63), got {self.y0}")
         if not (0.0 <= self.cap_exponent < 0.5):
@@ -199,8 +199,13 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
     whose roots are its source slots and those finished reads, and pointer
     doubling collapses it.
     """
+    # an int64 sum of the sizes could wrap past 2**63 - 1: add in Python then
+    wraps = y0 + int(sizes.max(initial=0)) * len(sizes) >= 2**63
+    total = y0 + (sum(sizes.tolist()) if wraps else int(sizes.sum()))
+    if total >= 2**63:
+        raise ValueError(f"token count {total} does not fit int64")
     starts = y0 + np.cumsum(sizes) - sizes
-    tokens = np.zeros(y0 + int(sizes.sum()), dtype=np.int64)
+    tokens = np.zeros(total, dtype=np.int64)
     next_id = 1
     for t0 in range(0, len(sizes), CHUNK_STEPS):
         block_starts = starts[t0:t0 + CHUNK_STEPS]
@@ -232,7 +237,9 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
 
 
 def evolve(config: GeneratorConfig) -> Hypergraph:
-    """Run the evolution for config.steps steps from the seed hypergraph."""
+    """Run the evolution for config.steps steps from the seed hypergraph.
+
+    Raises ValueError when the token count does not fit int64."""
     rng = np.random.default_rng(config.seed)
     is_vertex, sizes = _draw_events(config, rng)
     tokens, starts = _fill_stream(rng, config.y0, sizes, is_vertex)

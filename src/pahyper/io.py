@@ -347,7 +347,10 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
 
 
 def write_ccdf_csv(pairs: list[tuple[int, float]], destination: str) -> None:
-    rows = (f"{k},{prob:.10g}\n" for k, prob in pairs)
+    # a dense degree range repeats each probability, so each distinct one is
+    # formatted once; zero each time, since 0.0 == -0.0 but they print apart
+    text = {prob: f"{prob:.10g}" for prob in {prob for _, prob in pairs if prob}}
+    rows = [f"{k},{text[prob] if prob else f'{prob:.10g}'}\n" for k, prob in pairs]
     _write(destination, [("degree,ccdf\n" + "".join(rows)).encode()])
 
 

@@ -4,8 +4,9 @@ EdgeList is a growing list-of-tuples hypergraph with per-edge validation;
 reference_evolve runs the evolution process one step at a time on it;
 reference_from_edges checks an edge list with a set of its ids;
 reference_rows formats the hypergraph line format with Python's % operator;
-histogram builds a DegreeHistogram from a {value: count} dict and
-reference_ccdf walks its tail one value at a time.
+histogram builds a DegreeHistogram from a {value: count} dict,
+reference_ccdf walks its tail one value at a time and reference_ccdf_csv
+formats every row of a CCDF with an f-string.
 """
 
 import math
@@ -140,3 +141,9 @@ def reference_ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:
         out.append((k, remaining / total))
         remaining -= counts.get(k, 0)
     return out
+
+
+def reference_ccdf_csv(pairs) -> bytes:
+    """The bytes write_ccdf_csv writes: one f-string per row."""
+    rows = (f"{k},{prob:.10g}\n" for k, prob in pairs)
+    return ("degree,ccdf\n" + "".join(rows)).encode()

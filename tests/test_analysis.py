@@ -1,16 +1,20 @@
 """Tests for histograms, projection, analytic oracles, and power-law fitting."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pahyper import (DegreeHistogram, FitReport, Hypergraph, analytic_beta,
-                     analytic_mk, ccdf, degree_histogram, edge_size_histogram,
-                     fit_loglog, fit_power_law, project, sample_power_law)
+from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
+                     Hypergraph, TruncatedZipf, analytic_beta, analytic_mk, ccdf,
+                     degree_histogram, edge_size_histogram, evolve, fit_loglog,
+                     fit_power_law, project, sample_power_law)
+from pahyper import core
 from reference import EdgeList, histogram, reference_ccdf
 
 
@@ -150,6 +154,56 @@ class TestProjection:
         h = Hypergraph.from_edges([(0, 1, 2), (0, 1, 2)])
         g = project(h)
         assert g.average_degree() == pytest.approx(2 * 6 / 3)
+
+
+def _assert_pairs_by_combinations(h):
+    """project(h) in pieces of 1, 7 and SORT_PIECE edges against
+    itertools.combinations over each edge, multigraph and simple."""
+    pairs = [p for e in h.hyperedges for p in combinations(e, 2)]
+    simple = sorted({(a, b) for a, b in pairs if a != b})
+    for piece in (1, 7, core.SORT_PIECE):
+        with mock.patch.object(core, "SORT_PIECE", piece):
+            g, s = project(h), project(h, simple=True)
+        assert g.edges.shape == (len(pairs), 2) and s.edges.shape == (len(simple), 2)
+        assert list(map(tuple, g.edges.tolist())) == pairs
+        assert list(map(tuple, s.edges.tolist())) == simple
+
+
+MEMBERS = st.lists(st.integers(0, 6), min_size=1, max_size=6)
+ONE_SIZE = st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(0, 6), min_size=c, max_size=c), max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(MEMBERS, max_size=30) | ONE_SIZE)
+@example([])                            # no edges
+@example([[0], [1], [2]])               # no pairs
+@example([[0, 1, 2]] * 7 + [[2]] + [[1, 2, 3]] * 7)
+def test_project_matches_combinations(edges):
+    """One-size pieces (views), mixed pieces (gather) and size-1 edges."""
+    tokens = np.array([v for e in edges for v in sorted(e)], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
+    num_vertices = int(tokens.max(initial=-1)) + 1
+    _assert_pairs_by_combinations(Hypergraph(num_vertices, tokens, offsets))
+
+
+@pytest.mark.parametrize("size_dist", [Constant(3), TruncatedZipf(2.5, 2, 8)])
+def test_project_of_capped_head(size_dist):
+    # the cap holds steps 1-26 at size 2, so pieces of 7 edges end inside it
+    _assert_pairs_by_combinations(evolve(GeneratorConfig(1.0, 300, size_dist, seed=4)))
+
+
+def test_project_memory():
+    """Beside its edges, project holds a pair offset per edge and arrays the
+    size of one piece, not pair-length temporaries."""
+    h = evolve(GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7))
+    tracemalloc.start()
+    try:
+        g = project(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * g.edges.nbytes
 
 
 class TestAnalyticBeta:

@@ -301,15 +301,34 @@ TOO_BIG = "99999999999999999999"
     (["generate", "--size", "zipf:1e308:2:5"], "--size"),
     (["generate", "--y0", TOO_BIG], "--y0"),
     (["compare", "--d", TOO_BIG], "--d"),
+    (["generate", "--steps", TOO_BIG], "--steps"),
+    (["generate", "--size", f"const:{2**63 - 1}", "--no-cap"], "token count"),
+    (["compare", "--d", str(2**63 - 1)], "token count"),
 ])
 def test_oversized_value_is_one_error_line(tmp_path, capsys, argv, flag):
     """Values past int64, or a zipf exponent whose weights are NaN, are
-    rejected before any work, with one line naming the flag."""
+    rejected before any work, with one line naming the flag; sizes whose
+    sum passes int64 with one line naming the token count."""
     out = str(tmp_path / "out")
     target = ["--out-prefix", out] if argv[0] == "compare" else ["--out", out]
-    assert main(argv + ["--steps", "10", "--p", "0.5"] + target) == 2
+    steps = [] if "--steps" in argv else ["--steps", "10"]
+    assert main(argv + steps + ["--p", "0.5"] + target) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--y0", "1000000000000000"],
+    ["compare", "--d", "1000000000000000", "--out-prefix", "OUT"],
+])
+def test_array_past_memory_is_one_error_line(tmp_path, args):
+    """An array too large to allocate exits 1 with one line, no traceback."""
+    args = [str(tmp_path / "out") if a == "OUT" else a for a in args]
+    code, out, err = _run_cli(args + ["--steps", "1", "--p", "0.5"])
+    assert code == 1 and out == b""
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1
+    assert b"Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -14,14 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pahyper import (Constant, FitReport, GeneratorConfig,
-                     Hypergraph, ObservedGraph, TruncatedZipf, UniformInt, evolve,
-                     ingest_labeled, project, read_histogram_csv,
+                     Hypergraph, ObservedGraph, TruncatedZipf, UniformInt, ccdf,
+                     evolve, ingest_labeled, project, read_histogram_csv,
                      read_hypergraph, write_ccdf_csv, write_fit_report,
                      write_histogram_csv, write_hypergraph,
                      write_observed_graph)
 from pahyper import io
 from pahyper.io import _parse_bulk, _parse_edge_lines
-from reference import EdgeList, histogram, reference_rows
+from reference import EdgeList, histogram, reference_ccdf_csv, reference_rows
 
 
 class TestHypergraphFile:
@@ -481,3 +481,20 @@ def test_ccdf_csv(tmp_path):
     path = tmp_path / "c.csv"
     write_ccdf_csv([(1, 1.0), (2, 0.25)], str(path))
     assert path.read_text() == "degree,ccdf\n1,1\n2,0.25\n"
+
+
+# a few values, so that rows repeat them, beside any float
+PROBS = st.sampled_from([0.0, -0.0, 1.0, 0.25, 1 / 3, 5e-324, float("nan"),
+                         float("inf"), -1.5]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 10**12), PROBS), max_size=60))
+@example([(1, 0.0), (2, -0.0), (3, 0.0), (4, -0.0)])
+@example([(1, float("nan")), (2, float("nan")), (3, 1.0), (4, 1)])
+@example(ccdf(histogram({1: 5, 9: 3, 40: 1})))
+def test_ccdf_writer_matches_reference(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        write_ccdf_csv(pairs, str(path))
+        assert path.read_bytes() == reference_ccdf_csv(pairs)

@@ -9,10 +9,11 @@ invariant the tracer checks.
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from pahyper import cli
+from pahyper import cli, core
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
@@ -55,3 +56,17 @@ def test_generate_degrees_fit(tmp_path, traced, capsys):
                            "core.Hypergraph.degrees", "analysis.degree_histogram",
                            "io.write_histogram_csv", "io.read_histogram_csv",
                            "analysis.fit_power_law", "io.write_fit_report"])
+
+
+def test_generate_project(tmp_path, traced, capsys):
+    # pieces of 16 edges: the first two mix the capped head of size-2 edges
+    # with size 3, the other 124 have one size
+    h, g = str(tmp_path / "h.txt"), str(tmp_path / "g.txt")
+    assert cli.main(["generate", "--steps", "2000", "--p", "0.5", "--size", "const:3",
+                     "--seed", "7", "--out", h]) == 0
+    with mock.patch.object(core, "SORT_PIECE", 16):
+        assert cli.main(["project", "--in", h, "--out", g]) == 0
+    assert traced.failures == []
+    assert_called(traced, ["io.read_hypergraph", "analysis.project",
+                           "io.write_observed_graph"])
+    assert traced.counts["analysis.project.pairs"] > 0
