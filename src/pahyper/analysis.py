@@ -9,7 +9,9 @@ for a tail cutoff k_min the exponent maximizes the zeta-normalized
 likelihood, and the goodness of fit is the Kolmogorov-Smirnov distance
 between the empirical tail CDF and the fitted one.  k_min can be fixed or
 chosen automatically by scanning the present degrees for the smallest KS
-distance.
+distance.  The exponents of all candidate cutoffs come from one lane-wise
+bounded Brent search over numpy arrays, each lane taking the same steps as
+scipy's fminbound would on its own, so scipy.optimize is not imported.
 
 The analytic side provides the limiting exponent beta = 2 + p/(mu - p) of
 the evolution process and the exact limiting fractions M_k of degree-k
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from .core import Hypergraph, size_classes
@@ -202,18 +203,80 @@ def _tail_stats(hist: DegreeHistogram, k_min: int):
     return tk, tc, n, float((tc * np.log(tk)).sum())
 
 
-def _mle_beta(k_min: int, n: int, sum_log: float) -> float:
-    """Exponent maximizing the discrete power-law likelihood on the tail.
+def _mle_betas(k_min, n, sum_log) -> np.ndarray:
+    """Exponents maximizing the discrete power-law likelihood, one per tail.
 
-    Minimizes n*ln(zeta(beta, k_min)) + beta*sum_log, which is convex in
-    beta, so a bounded scalar search finds the global optimum.
+    Lane i minimizes n[i]*ln(zeta(beta, k_min[i])) + beta*sum_log[i], which
+    is convex in beta, on [1 + 1e-6, 25] by Brent's bounded search.  Every
+    lane takes the floating-point steps of fminbound (scipy's bounded
+    minimize_scalar, xatol 1e-9, at most 500 evaluations): the same golden
+    or parabolic choice, the same points x, w, v and the same stop, so each
+    result equals that call bit for bit.  All lanes step together as arrays,
+    and a lane leaves the active set once it has converged.
     """
-    res = minimize_scalar(
-        lambda b: n * np.log(zeta(b, k_min)) + b * sum_log,
-        bounds=(1.0 + 1e-6, 25.0), method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return float(res.x)
+    kk, nn, sl = (np.asarray(v, dtype=np.float64) for v in (k_min, n, sum_log))
+    out = np.empty(len(kk))
+    idx = np.arange(len(out))
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    sqrt_eps = np.sqrt(2.2e-16)
+    lo, hi = 1.0 + 1e-6, 25.0
+    a, b = np.full(len(out), lo), np.full(len(out), hi)
+    xf = np.full(len(out), lo + golden_mean * (hi - lo))   # x, the best point
+    nfc, fulc = xf, xf                                     # w and v
+    e = rat = np.zeros(len(out))
+
+    def objective(x):
+        return nn * np.log(zeta(x, kk)) + x * sl
+
+    fx = fnfc = ffulc = objective(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + 1e-9 / 3.0
+        tol2 = 2.0 * tol1
+        done = ~(np.abs(xf - xm) > (tol2 - 0.5 * (b - a))) | (num >= 500)
+        if done.any():
+            out[idx[done]] = xf[done]
+            idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2, kk, nn, sl = (
+                v[~done] for v in (idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
+                                   e, rat, xm, tol1, tol2, kk, nn, sl))
+        if not len(idx):
+            return out
+
+        # parabola through x, w, v; taken where it lands inside the bracket
+        # and moves less than half the step before last
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        para = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                & (p > q * (a - xf)) & (p < q * (b - xf)))
+        step = (p + 0.0) / np.where(para, q, 1.0)       # + 0.0 as fminbound: no -0.0
+        x = xf + step
+        near = ((x - a) < tol2) | ((b - x) < tol2)     # too close to the bracket
+        d = xm - xf
+        step = np.where(near, tol1 * (np.sign(d) + (d == 0)), step)
+        gold = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(para, rat, gold)
+        rat = np.where(para, step, golden_mean * gold)
+
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = objective(x)
+        num += 1
+
+        better = fu <= fx
+        a = np.where(better, np.where(x >= xf, xf, a), np.where(x < xf, x, a))
+        b = np.where(better, np.where(x >= xf, b, xf), np.where(x < xf, b, x))
+        shift = better | (fu <= fnfc) | (nfc == xf)     # v <- w
+        to_v = ~shift & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc = np.where(shift, nfc, np.where(to_v, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(to_v, fu, ffulc))
+        nfc = np.where(better, xf, np.where(shift, x, nfc))
+        fnfc = np.where(better, fx, np.where(shift, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
 
 
 def _ks_stat(tk: np.ndarray, tc: np.ndarray, n: int, k_min: int, beta: float) -> float:
@@ -236,39 +299,44 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     """Discrete MLE power-law fit of the histogram tail.
 
     k_min is the smallest value included in the fit; pass "auto" to scan the
-    present values and keep the cutoff minimizing the KS distance.  Raises
-    ValueError when fewer than 10 items survive the cutoff or when the tail
-    is a single repeated value (exponent undefined).
+    present values and keep the cutoff minimizing the KS distance (the first
+    such cutoff on a tie).  Raises ValueError when fewer than 10 items
+    survive the cutoff or when the tail is a single repeated value (exponent
+    undefined).
     """
     if not len(hist.values):
         raise ValueError("empty histogram")
+    all_equal = "degrees in tail are all equal; exponent undefined"
 
     if k_min == "auto":
-        best: FitReport | None = None
+        lanes = []      # (cutoff, n, sum_log) of each tail to fit
         for cut in hist.values.tolist():
-            tk, tc, n, sum_log = _tail_stats(hist, cut)
+            tk, _, n, sum_log = _tail_stats(hist, cut)
             if n < MIN_TAIL:
                 break  # tails only shrink as the cutoff grows
-            if len(tk) < 2:
-                continue
-            beta = _mle_beta(cut, n, sum_log)
-            stat = _ks_stat(tk, tc, n, cut, beta)
-            if best is None or stat < best.ks_stat:
-                best = FitReport(beta, cut, n, stat)
-        if best is None:
-            raise ValueError("tail too small: no cutoff leaves >= 10 items")
-        return best
+            if len(tk) > 1:
+                lanes.append((cut, n, sum_log))
+        if not lanes:   # the first cutoff keeps every item
+            raise ValueError(all_equal if hist.total_vertices >= MIN_TAIL else
+                             f"tail too small: no cutoff leaves >= {MIN_TAIL} items")
+    else:
+        k_min = int(k_min)
+        if k_min < 1:
+            raise ValueError(f"k_min must be >= 1, got {k_min}")
+        tk, _, n, sum_log = _tail_stats(hist, k_min)
+        if n < MIN_TAIL:
+            raise ValueError(f"tail too small: {n} items with value >= {k_min}")
+        if len(tk) < 2:
+            raise ValueError(all_equal)
+        lanes = [(k_min, n, sum_log)]
 
-    k_min = int(k_min)
-    if k_min < 1:
-        raise ValueError(f"k_min must be >= 1, got {k_min}")
-    tk, tc, n, sum_log = _tail_stats(hist, k_min)
-    if n < MIN_TAIL:
-        raise ValueError(f"tail too small: {n} items with value >= {k_min}")
-    if len(tk) < 2:
-        raise ValueError("degrees in tail are all equal; exponent undefined")
-    beta = _mle_beta(k_min, n, sum_log)
-    return FitReport(beta, k_min, n, _ks_stat(tk, tc, n, k_min, beta))
+    best: FitReport | None = None
+    for (cut, n, _), beta in zip(lanes, _mle_betas(*zip(*lanes)).tolist()):
+        i = np.searchsorted(hist.values, cut)       # the tail is a suffix
+        stat = _ks_stat(hist.values[i:], hist.counts[i:], n, cut, beta)
+        if best is None or stat < best.ks_stat:
+            best = FitReport(beta, cut, n, stat)
+    return best
 
 
 def fit_loglog(hist: DegreeHistogram, k_min: int = 1) -> float:

@@ -185,6 +185,16 @@ def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
 CHUNK_STEPS = 1 << 15
 
 
+def _token_count(y0: int, sizes: np.ndarray) -> int:
+    """y0 + sum(sizes), the stream length; raises ValueError past int64."""
+    # an int64 sum of the sizes could wrap past 2**63 - 1: add in Python then
+    wraps = y0 + int(sizes.max(initial=0)) * len(sizes) >= 2**63
+    total = y0 + (sum(sizes.tolist()) if wraps else int(sizes.sum()))
+    if total >= 2**63:
+        raise ValueError(f"token count {total} does not fit int64")
+    return total
+
+
 def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
                  is_vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertex ids of a token stream, and the first slot of each step.
@@ -199,11 +209,7 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
     whose roots are its source slots and those finished reads, and pointer
     doubling collapses it.
     """
-    # an int64 sum of the sizes could wrap past 2**63 - 1: add in Python then
-    wraps = y0 + int(sizes.max(initial=0)) * len(sizes) >= 2**63
-    total = y0 + (sum(sizes.tolist()) if wraps else int(sizes.sum()))
-    if total >= 2**63:
-        raise ValueError(f"token count {total} does not fit int64")
+    total = _token_count(y0, sizes)
     starts = y0 + np.cumsum(sizes) - sizes
     tokens = np.zeros(total, dtype=np.int64)
     next_id = 1
@@ -252,10 +258,12 @@ def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     """Total degree S_t after each step of one run, starting at S_0 = y0.
 
     Uses the same random stream prefix as evolve(), so the trace matches the
-    hypergraph an equal-seed evolve() call produces.
+    hypergraph an equal-seed evolve() call produces.  Raises ValueError when
+    the token count does not fit int64, as evolve() does.
     """
     rng = np.random.default_rng(config.seed)
     _, sizes = _draw_events(config, rng)
+    _token_count(config.y0, sizes)      # the last S_t; every S_t fits if it does
     out = np.empty(config.steps + 1, dtype=np.int64)
     out[0] = config.y0
     np.cumsum(sizes, out=out[1:])

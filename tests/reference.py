@@ -6,14 +6,19 @@ reference_from_edges checks an edge list with a set of its ids;
 reference_rows formats the hypergraph line format with Python's % operator;
 histogram builds a DegreeHistogram from a {value: count} dict,
 reference_ccdf walks its tail one value at a time and reference_ccdf_csv
-formats every row of a CCDF with an f-string.
+formats every row of a CCDF with an f-string; reference_mle_beta runs
+scipy's bounded minimize_scalar on one tail and reference_fit_power_law
+fits one cutoff at a time with it.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.special import zeta
 
-from pahyper import DegreeHistogram, Hypergraph
+from pahyper import DegreeHistogram, FitReport, Hypergraph
+from pahyper.analysis import MIN_TAIL, _ks_stat, _tail_stats
 
 
 class EdgeList:
@@ -147,3 +152,48 @@ def reference_ccdf_csv(pairs) -> bytes:
     """The bytes write_ccdf_csv writes: one f-string per row."""
     rows = (f"{k},{prob:.10g}\n" for k, prob in pairs)
     return ("degree,ccdf\n" + "".join(rows)).encode()
+
+
+def reference_mle_beta(k_min: int, n: int, sum_log: float) -> float:
+    """The discrete power-law MLE exponent of one tail, by scipy's bounded
+    Brent search (fminbound) on n*ln(zeta(beta, k_min)) + beta*sum_log."""
+    res = minimize_scalar(
+        lambda b: n * np.log(zeta(b, k_min)) + b * sum_log,
+        bounds=(1.0 + 1e-6, 25.0), method="bounded",
+        options={"xatol": 1e-9},
+    )
+    return float(res.x)
+
+
+def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
+    """fit_power_law with one reference_mle_beta call per cutoff, keeping
+    the first cutoff of smallest KS distance in "auto" mode."""
+    if not len(hist.values):
+        raise ValueError("empty histogram")
+    all_equal = "degrees in tail are all equal; exponent undefined"
+    if k_min == "auto":
+        best = None
+        for cut in hist.values.tolist():
+            tk, tc, n, sum_log = _tail_stats(hist, cut)
+            if n < MIN_TAIL:
+                break
+            if len(tk) < 2:
+                continue
+            beta = reference_mle_beta(cut, n, sum_log)
+            stat = _ks_stat(tk, tc, n, cut, beta)
+            if best is None or stat < best.ks_stat:
+                best = FitReport(beta, cut, n, stat)
+        if best is None:
+            raise ValueError(all_equal if hist.total_vertices >= MIN_TAIL else
+                             f"tail too small: no cutoff leaves >= {MIN_TAIL} items")
+        return best
+    k_min = int(k_min)
+    if k_min < 1:
+        raise ValueError(f"k_min must be >= 1, got {k_min}")
+    tk, tc, n, sum_log = _tail_stats(hist, k_min)
+    if n < MIN_TAIL:
+        raise ValueError(f"tail too small: {n} items with value >= {k_min}")
+    if len(tk) < 2:
+        raise ValueError(all_equal)
+    beta = reference_mle_beta(k_min, n, sum_log)
+    return FitReport(beta, k_min, n, _ks_stat(tk, tc, n, k_min, beta))

@@ -14,8 +14,10 @@ from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      Hypergraph, TruncatedZipf, analytic_beta, analytic_mk, ccdf,
                      degree_histogram, edge_size_histogram, evolve, fit_loglog,
                      fit_power_law, project, sample_power_law)
-from pahyper import core
-from reference import EdgeList, histogram, reference_ccdf
+from pahyper import analysis, core
+from pahyper.analysis import MIN_TAIL, _mle_betas, _tail_stats
+from reference import (EdgeList, histogram, reference_ccdf, reference_fit_power_law,
+                       reference_mle_beta)
 
 
 class TestDegreeHistogram:
@@ -320,6 +322,18 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="tail too small"):
             fit_power_law(histogram({3: 4, 5: 4}), "auto")
 
+    def test_auto_single_value_tail_is_all_equal(self):
+        # the one cutoff keeps 100 items, so the tail is not too small
+        with pytest.raises(ValueError, match="^degrees in tail are all equal"):
+            fit_power_law(histogram({5: 100}), "auto")
+        with pytest.raises(ValueError, match="^degrees in tail are all equal"):
+            fit_power_law(histogram({5: 100}), 5)
+
+    def test_auto_keeps_first_cutoff_on_ks_tie(self):
+        hist = histogram({1: 30, 2: 20, 3: 10, 4: 10})
+        with mock.patch.object(analysis, "_ks_stat", return_value=0.25):
+            assert fit_power_law(hist, "auto").k_min == 1
+
     def test_report_invariants(self):
         with pytest.raises(ValueError):
             FitReport(beta_hat=0.9, k_min=2, n_tail=100, ks_stat=0.1)
@@ -327,6 +341,56 @@ class TestFitPowerLaw:
             FitReport(beta_hat=2.0, k_min=2, n_tail=5, ks_stat=0.1)
         with pytest.raises(ValueError):
             FitReport(beta_hat=2.0, k_min=2, n_tail=100, ks_stat=1.5)
+
+
+def _lanes(counts: dict[int, int]):
+    """(k_min, n, sum_log) of every tail of a {value: count} histogram that
+    holds two or more values."""
+    hist = histogram(counts)
+    lanes = [_tail_stats(hist, cut) for cut in hist.values.tolist()]
+    return [(cut, n, s) for cut, (tk, _, n, s) in zip(hist.values.tolist(), lanes)
+            if len(tk) > 1]
+
+
+TAILS = st.dictionaries(st.integers(1, 10**6), st.integers(1, 10**6),
+                        min_size=2, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TAILS.map(_lanes))
+@example([(2, 100, 100 * np.log(2)),            # all at k_min: optimum at 25
+          (999_983, 10, 10 * np.log(999_983)),
+          (1, 10, 1e9)])                         # optimum at 1 + 1e-6
+@example(_lanes({2: 9, 3: 1}))                  # n = MIN_TAIL
+@example(_lanes({2: 999, 3: 1}))    # two parabolic steps land within tol2 of a bound
+@example(_lanes({999_983: 7, 10**6 + 3: 2, 5 * 10**6: 1}))       # k_min near 10^6
+def test_mle_betas_equal_scipy_bounded_search(lanes):
+    """Each lane of the batched search is the scalar fminbound, bit for bit."""
+    k_min, n, sum_log = zip(*lanes)
+    got = _mle_betas(k_min, n, sum_log).tolist()
+    assert got == [reference_mle_beta(*lane) for lane in lanes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.5, 4.0), st.integers(1, 12), st.integers(MIN_TAIL - 2, 3_000),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(2.5, 1, MIN_TAIL, 1, 0)
+def test_fit_power_law_equals_per_cutoff_reference(beta, k_min, size, spacing, seed):
+    """Auto and fixed fits of sampled histograms, on the lattice deg*(d-1)
+    of a projected graph when spacing = d - 1 > 1, match the per-cutoff
+    scipy search: the same FitReport or the same error."""
+    sample = sample_power_law(beta, k_min, size, np.random.default_rng(seed),
+                              table_max=10**4)
+    hist = DegreeHistogram.from_degrees(sample * spacing)
+    for cut in ("auto", 1, 2, 5, 20):
+        try:
+            want = reference_fit_power_law(hist, cut)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                fit_power_law(hist, cut)
+            assert str(got.value) == str(err)
+        else:
+            assert fit_power_law(hist, cut) == want
 
 
 def test_fit_loglog_on_exact_counts():

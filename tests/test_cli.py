@@ -153,6 +153,14 @@ class TestPipelines:
         assert rc == 2
         assert "tail too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kmin", ["5", "auto"])
+    def test_fit_single_value_tail(self, tmp_path, capsys, kmin):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("degree,count\n5,100\n")
+        assert main(["fit", "--in", str(hist), "--kmin", kmin]) == 2
+        assert capsys.readouterr().err == (
+            "error: degrees in tail are all equal; exponent undefined\n")
+
     def test_fit_duplicate_degree_row(self, tmp_path, capsys):
         hist = tmp_path / "hist.csv"
         hist.write_text("degree,count\n5,10\n5,3\n6,20\n")
@@ -354,6 +362,16 @@ def _run_cli(args, stdin=b""):
     proc = subprocess.run([sys.executable, "-m", "pahyper.cli", *args], input=stdin,
                           capture_output=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """The fit's bounded search is numpy code, so importing the CLI does not
+    load scipy.optimize (a large share of every process's start-up)."""
+    src = str(Path(pahyper.__file__).resolve().parents[1])
+    probe = "import sys, pahyper.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert out.stdout == b"False\n"
 
 
 @pytest.mark.parametrize("data", [

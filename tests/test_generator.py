@@ -211,6 +211,15 @@ class TestSumSizesTrace:
         cfg = GeneratorConfig(p=0.4, steps=300, size_dist=UniformInt(2, 5), seed=31)
         assert int(sum_sizes_trace(cfg)[-1]) == evolve(cfg).total_degree
 
+    def test_token_count_past_int64_raises_like_evolve(self):
+        cfg = GeneratorConfig(1.0, 3, Constant(2**63 - 1), enforce_cap=False)
+        messages = []
+        for run in (sum_sizes_trace, evolve):
+            with pytest.raises(ValueError, match="does not fit int64") as err:
+                run(cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
 
 class TestGraphBaseline:
     def test_zero_steps_seed_loop(self):
