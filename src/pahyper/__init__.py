@@ -3,21 +3,19 @@ degree-distribution analysis."""
 
 from .analysis import (DegreeHistogram, FitReport, ObservedGraph, analytic_beta,
                        analytic_mk, ccdf, degree_histogram, edge_size_histogram,
-                       fit_loglog, fit_power_law, project, sample_power_law)
-from .core import Hyperedge, Hypergraph
+                       fit_power_law, project, sample_power_law)
+from .core import Hypergraph
 from .generator import (Constant, EdgeSizeDistribution, GeneratorConfig,
                         TruncatedZipf, UniformInt, evolve, evolve_graph_baseline,
                         sum_sizes_trace)
-from .io import (VertexLabelMap, ingest_labeled, read_histogram_csv,
-                 read_hypergraph, write_ccdf_csv, write_fit_report,
-                 write_histogram_csv, write_hypergraph, write_label_map,
-                 write_observed_graph)
+from .io import (ingest_labeled, read_histogram_csv, read_hypergraph,
+                 write_ccdf_csv, write_fit_report, write_histogram_csv,
+                 write_hypergraph, write_label_map, write_observed_graph)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Hypergraph",
-    "Hyperedge",
     "EdgeSizeDistribution",
     "Constant",
     "UniformInt",
@@ -34,11 +32,9 @@ __all__ = [
     "project",
     "ccdf",
     "fit_power_law",
-    "fit_loglog",
     "analytic_beta",
     "analytic_mk",
     "sample_power_law",
-    "VertexLabelMap",
     "read_hypergraph",
     "write_hypergraph",
     "write_observed_graph",

@@ -37,7 +37,6 @@ __all__ = [
     "project",
     "ccdf",
     "fit_power_law",
-    "fit_loglog",
     "analytic_beta",
     "analytic_mk",
     "sample_power_law",
@@ -71,10 +70,6 @@ class DegreeHistogram:
     @property
     def total_vertices(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def total_degree(self) -> int:
-        return int(self.values @ self.counts)
 
     def restrict(self, min_value: int) -> "DegreeHistogram":
         """Sub-histogram over values >= min_value."""
@@ -112,7 +107,6 @@ class ObservedGraph:
 
     num_vertices: int
     edges: np.ndarray
-    simple: bool = False
 
     @property
     def num_edges(self) -> int:
@@ -121,11 +115,6 @@ class ObservedGraph:
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees; a self loop contributes 2 to its endpoint."""
         return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
-
-    def average_degree(self) -> float:
-        if self.num_vertices == 0:
-            return 0.0
-        return 2.0 * self.num_edges / self.num_vertices
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +164,7 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
         keys = np.sort(a * n + b)
         keys = keys[np.diff(keys, prepend=-1) != 0]
         edges = np.column_stack((keys // n, keys % n))
-    return ObservedGraph(num_vertices=h.num_vertices, edges=edges, simple=simple)
+    return ObservedGraph(num_vertices=h.num_vertices, edges=edges)
 
 
 def ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:
@@ -339,20 +328,6 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     return best
 
 
-def fit_loglog(hist: DegreeHistogram, k_min: int = 1) -> float:
-    """Least-squares slope fit of ln(count) against ln(k) on the tail.
-
-    Returns the implied exponent (negated slope).  This mirrors the usual
-    straight-line-on-a-log-log-plot reading; it is statistically biased and
-    provided for comparison with the MLE, not for acceptance checks.
-    """
-    tail = hist.restrict(k_min)
-    if len(tail.values) < 2:
-        raise ValueError("need at least two distinct values to fit a line")
-    slope = np.polyfit(np.log(tail.values), np.log(tail.counts), 1)[0]
-    return float(-slope)
-
-
 # ----------------------------------------------------------------------
 # analytic oracles
 
@@ -361,8 +336,8 @@ def analytic_beta(p: float, mu: float) -> float:
     """Limiting power-law exponent 2 + p/(mu - p) of the evolution process."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
-    if mu <= p:
-        raise ValueError(f"exponent undefined: need mu > p, got mu={mu}, p={p}")
+    if not p < mu < np.inf:
+        raise ValueError(f"exponent undefined: need p < mu < inf, got mu={mu}, p={p}")
     return 2.0 + p / (mu - p)
 
 
@@ -373,8 +348,8 @@ def analytic_mk(p: float, mu: float, k_max: int) -> np.ndarray:
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
-    if mu <= p:
-        raise ValueError(f"recurrence undefined: need mu > p, got mu={mu}, p={p}")
+    if not p < mu < np.inf:
+        raise ValueError(f"recurrence undefined: need p < mu < inf, got mu={mu}, p={p}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     out = np.empty(k_max, dtype=np.float64)

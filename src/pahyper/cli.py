@@ -13,6 +13,7 @@ head -1`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -122,7 +123,8 @@ def cmd_generate(args) -> int:
 def cmd_analytic(args) -> int:
     if args.sweep_p is not None:
         _check(args.sweep_p >= 1, f"--sweep-p must be >= 1, got {args.sweep_p}")
-        _check(args.mu > 1.0, f"--mu must exceed 1 to sweep p over (0, 1], got {args.mu}")
+        _check(1.0 < args.mu < math.inf,
+               f"--mu must be in (1, inf) to sweep p over (0, 1], got {args.mu}")
         n = args.sweep_p
         for i in range(1, n + 1):
             p = i / n
@@ -133,13 +135,16 @@ def cmd_analytic(args) -> int:
 
     _check(args.p is not None, "--p is required (unless --sweep-p is given)")
     _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
-    _check(args.mu > args.p, f"--mu must exceed --p, got mu={args.mu}, p={args.p}")
-    _check(args.kmax is None or args.kmax >= 1, f"--kmax must be >= 1, got {args.kmax}")
-    print(f"beta={analysis.analytic_beta(args.p, args.mu):.6g}")
+    _check(args.p < args.mu < math.inf,
+           f"--mu must be in (p, inf), got mu={args.mu}, p={args.p}")
+    _check(args.kmax is None or 1 <= args.kmax < 2**63,
+           f"--kmax must be in [1, 2**63), got {args.kmax}")
+    # every line before the first print, so a failure prints nothing
+    lines = [f"beta={analysis.analytic_beta(args.p, args.mu):.6g}"]
     if args.kmax is not None:
-        print("k,M_k")
-        for k, m in enumerate(analysis.analytic_mk(args.p, args.mu, args.kmax), start=1):
-            print(f"{k},{m:.10g}")
+        mk = analysis.analytic_mk(args.p, args.mu, args.kmax)
+        lines += ["k,M_k"] + [f"{k},{m:.10g}" for k, m in enumerate(mk, start=1)]
+    print("\n".join(lines))
     return 0
 
 
@@ -204,8 +209,8 @@ def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
         report = analysis.fit_power_law(hist, kmin)
         io.write_fit_report(report, f"{prefix}.{tag}_fit.txt")
         lines.append(f"beta_hat_{tag}={report.beta_hat:#.6g}")
-    p, d = config.p, config.size_dist.d
-    lines.append(f"beta_analytic_hypergraph={analysis.analytic_beta(p, d):#.6g}")
+    p, mu = config.p, config.size_dist.mean()
+    lines.append(f"beta_analytic_hypergraph={analysis.analytic_beta(p, mu):#.6g}")
     lines.append(f"beta_analytic_graph={analysis.analytic_beta(p, 2.0):#.6g}")
     return lines
 

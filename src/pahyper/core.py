@@ -19,10 +19,6 @@ from itertools import pairwise
 
 import numpy as np
 
-# A hyperedge is an unordered multiset of vertex ids, canonically sorted.
-Hyperedge = tuple[int, ...]
-
-
 SORT_PIECE = 1 << 15    # edges per pass, so that a piece stays in cache
 NETWORK_MAX = 4
 
@@ -134,7 +130,7 @@ class Hypergraph:
     # queries
 
     @property
-    def hyperedges(self) -> list[Hyperedge]:
+    def hyperedges(self) -> list[tuple[int, ...]]:
         """The edges as sorted tuples in arrival order, built on each access."""
         flat = self.tokens.tolist()
         return [tuple(flat[a:b]) for a, b in pairwise(self.offsets.tolist())]
@@ -148,24 +144,9 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.offsets) - 1
 
-    def rank(self) -> int:
-        """Maximum hyperedge cardinality (0 for an edge-free hypergraph)."""
-        return int(np.diff(self.offsets).max(initial=0))
-
     def degrees(self) -> np.ndarray:
         """Per-vertex occurrence degrees, indexed by vertex id."""
         return np.bincount(self.tokens, minlength=self.num_vertices)
-
-    def incident_edge_counts(self) -> np.ndarray:
-        """Number of distinct hyperedges containing each vertex.
-
-        Secondary statistic: unlike degrees(), repeated occurrences within
-        one edge count once.
-        """
-        first = np.ones(len(self.tokens), dtype=bool)
-        first[1:] = self.tokens[1:] != self.tokens[:-1]
-        first[self.offsets[:-1]] = True    # members are sorted within an edge
-        return np.bincount(self.tokens[first], minlength=self.num_vertices)
 
     def sample_preferential(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw size vertices, each with probability deg(v) / total_degree."""

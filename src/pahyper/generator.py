@@ -149,6 +149,8 @@ class GeneratorConfig:
             raise ValueError(f"steps must be in [0, 2**63), got {self.steps}")
         if not 1 <= self.y0 < 2**63:
             raise ValueError(f"y0 must be in [1, 2**63), got {self.y0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.cap_exponent < 0.5):
             raise ValueError(
                 f"cap_exponent must be in [0, 0.5), got {self.cap_exponent}")

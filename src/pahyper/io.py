@@ -38,7 +38,6 @@ from .analysis import DegreeHistogram, FitReport, ObservedGraph
 from .core import Hypergraph, checked
 
 __all__ = [
-    "VertexLabelMap",
     "read_hypergraph",
     "write_hypergraph",
     "write_observed_graph",
@@ -58,35 +57,6 @@ def _open_read(path: str):
     else:
         with open(path, "r", encoding="utf-8") as f:
             yield f
-
-
-class VertexLabelMap:
-    """Bijection between string labels and dense integer ids (0..n-1)."""
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._labels: list[str] = []
-
-    def add(self, label: str) -> int:
-        """Return the id for label, assigning the next id on first sight."""
-        vid = self._ids.get(label)
-        if vid is None:
-            vid = len(self._labels)
-            self._ids[label] = vid
-            self._labels.append(label)
-        return vid
-
-    def id_for(self, label: str) -> int:
-        return self._ids[label]
-
-    def label_for(self, vid: int) -> str:
-        return self._labels[vid]
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def labels(self) -> list[str]:
-        return list(self._labels)
 
 
 # ----------------------------------------------------------------------
@@ -278,13 +248,14 @@ def read_hypergraph(source: str) -> Hypergraph:
     return h
 
 
-def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, VertexLabelMap]:
+def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:
     """Build a hypergraph from delimiter-separated label records.
 
     One record per line, one hyperedge per record; labels get dense ids in
-    first-seen order.  Singleton records are kept (cardinality-1 edges).
+    first-seen order, and labels[i] is the label of id i.  Singleton
+    records are kept (cardinality-1 edges).
     """
-    label_map = VertexLabelMap()
+    ids: dict[str, int] = {}
     edges: list[list[int]] = []
     with _open_read(source) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -294,14 +265,14 @@ def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, Verte
             labels = [tok.strip() for tok in line.split(delimiter)]
             if any(not lab for lab in labels):
                 raise ValueError(f"line {lineno}: empty label in record")
-            edges.append([label_map.add(lab) for lab in labels])
+            edges.append([ids.setdefault(lab, len(ids)) for lab in labels])
     if not edges:
         raise ValueError("empty input: no records")
-    return Hypergraph.from_edges(edges), label_map
+    return Hypergraph.from_edges(edges), list(ids)
 
 
-def write_label_map(labels: VertexLabelMap, destination: str) -> None:
-    rows = (f"{vid},{label}\n" for vid, label in enumerate(labels.labels()))
+def write_label_map(labels: list[str], destination: str) -> None:
+    rows = (f"{vid},{label}\n" for vid, label in enumerate(labels))
     _write(destination, [("id,label\n" + "".join(rows)).encode()])
 
 

@@ -12,6 +12,8 @@ from pahyper import analytic_mk
 from pahyper.cli import EXIT_CLOSED_STDOUT, main, parse_size_dist
 from pahyper.generator import Constant, TruncatedZipf, UniformInt
 
+TOO_BIG = "99999999999999999999"
+
 
 class TestSizeSpec:
     def test_const(self):
@@ -109,14 +111,16 @@ class TestAnalytic:
         assert float(lines[2].split(",")[1]) == pytest.approx(3 / 11, rel=1e-9)
 
     def test_bad_kmax_prints_nothing(self, capsys):
-        assert main(["analytic", "--p", "0.5", "--mu", "3", "--kmax", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--kmax" in captured.err
+        for kmax in ("0", TOO_BIG):
+            assert main(["analytic", "--p", "0.5", "--mu", "3", "--kmax", kmax]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--kmax" in captured.err
 
     def test_mu_not_above_p(self, capsys):
-        assert main(["analytic", "--p", "1", "--mu", "0.5"]) == 2
-        assert "--mu" in capsys.readouterr().err
+        for mu in ("0.5", "inf"):
+            assert main(["analytic", "--p", "1", "--mu", mu]) == 2
+            assert "--mu" in capsys.readouterr().err
 
     def test_sweep(self, capsys):
         assert main(["analytic", "--mu", "3", "--sweep-p", "5"]) == 0
@@ -289,15 +293,15 @@ class TestCompare:
       "--out-prefix", "OUT"], "--kmin"),
     (["compare", "--steps", "2000", "--p", "0.5", "--kmin", "0", "--trials", "2",
       "--out-prefix", "OUT"], "--kmin"),
+    (["generate", "--steps", "10", "--p", "0.5", "--seed", "-1", "--out", "OUT"], "--seed"),
+    (["compare", "--steps", "10", "--p", "0.5", "--seed", "-1", "--trials", "2",
+      "--jobs", "2", "--out-prefix", "OUT"], "--seed"),
 ])
 def test_bad_value_names_flag_and_writes_nothing(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "out")
     assert main([out if a == "OUT" else a for a in argv]) == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-TOO_BIG = "99999999999999999999"
 
 
 @pytest.mark.parametrize("argv, flag", [

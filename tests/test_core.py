@@ -206,9 +206,6 @@ class TestDegreeAccounting:
             brute = Counter(chain.from_iterable(h.hyperedges))
             tokens = Counter(h.tokens.tolist())
             assert brute == tokens
-            incident = Counter(chain.from_iterable(set(e) for e in h.hyperedges))
-            assert h.incident_edge_counts().tolist() == [
-                incident.get(v, 0) for v in range(h.num_vertices)]
             deg = h.degrees()
             for v in range(h.num_vertices):
                 assert deg[v] == brute.get(v, 0)
@@ -217,18 +214,6 @@ class TestDegreeAccounting:
         h = evolve(GeneratorConfig(p=0.6, steps=500, size_dist=UniformInt(2, 4), seed=9))
         assert h.total_degree == sum(len(e) for e in h.hyperedges)
         assert h.degrees().sum() == h.total_degree
-
-    def test_incident_edge_counts(self):
-        h = Hypergraph.from_edges([(0, 0, 1), (0, 1), (1,)])
-        # occurrence degrees differ from incident-edge counts under repetition
-        assert h.degrees().tolist() == [3, 3]
-        assert h.incident_edge_counts().tolist() == [2, 3]
-
-
-def test_rank():
-    h = Hypergraph.from_edges([(0, 1), (0, 1, 1, 1)])
-    assert h.rank() == 4
-    assert EdgeList(2).freeze().rank() == 0
 
 
 def test_structural_equality():

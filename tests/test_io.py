@@ -17,7 +17,7 @@ from pahyper import (Constant, FitReport, GeneratorConfig,
                      Hypergraph, ObservedGraph, TruncatedZipf, UniformInt, ccdf,
                      evolve, ingest_labeled, project, read_histogram_csv,
                      read_hypergraph, write_ccdf_csv, write_fit_report,
-                     write_histogram_csv, write_hypergraph,
+                     write_histogram_csv, write_hypergraph, write_label_map,
                      write_observed_graph)
 from pahyper import io
 from pahyper.io import _parse_bulk, _parse_edge_lines
@@ -313,8 +313,8 @@ class TestIngest:
         h, labels = ingest_labeled(str(path))
         assert h.num_vertices == 4
         assert h.hyperedges == [(0, 1), (0, 2, 3)]
-        assert labels.label_for(0) == "a"
-        assert labels.id_for("d") == 3
+        assert labels[0] == "a"
+        assert labels.index("d") == 3
         assert len(labels) == 4
 
     def test_singleton_record(self, tmp_path):
@@ -333,7 +333,7 @@ class TestIngest:
         path = tmp_path / "records.txt"
         path.write_text("  Ann ; bob\nbob;ANN\n")
         h, labels = ingest_labeled(str(path))
-        assert labels.labels() == ["Ann", "bob", "ANN"]
+        assert labels == ["Ann", "bob", "ANN"]
         assert h.hyperedges == [(0, 1), (1, 2)]
 
     def test_empty_record(self, tmp_path):
@@ -370,6 +370,35 @@ class TestIngest:
         # isomorphic profiles: same degree and edge-size multisets
         assert sorted(h1.degrees().tolist()) == sorted(h2.degrees().tolist())
         assert sorted(map(len, h1.hyperedges)) == sorted(map(len, h2.hyperedges))
+
+
+LABELS = st.text(alphabet="ab AB0._", min_size=1, max_size=4).map(str.strip).filter(bool)
+PAD = st.text(alphabet=" \t", max_size=2)
+# records drawn from a small pool, so that labels repeat within and across them
+RECORDS = st.lists(LABELS, min_size=1, max_size=6, unique=True).flatmap(
+    lambda pool: st.lists(st.lists(st.tuples(PAD, st.sampled_from(pool), PAD),
+                                   min_size=1, max_size=5), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(RECORDS)
+def test_ingest_labels_round_trip(records):
+    """The labels are the distinct trimmed labels in first-seen order, each
+    edge maps back through them to its record, and the label file lists
+    them in id order."""
+    text = "".join(";".join(a + lab + b for a, lab, b in rec) + "\n" for rec in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.txt"
+        path.write_bytes(text.encode())
+        h, labels = ingest_labeled(str(path))
+    seen = [lab for rec in records for _, lab, _ in rec]
+    assert len(set(labels)) == len(labels)
+    assert labels == sorted(set(seen), key=seen.index)
+    assert h.num_edges == len(records)
+    for edge, rec in zip(h.hyperedges, records):
+        assert sorted(labels[v] for v in edge) == sorted(lab for _, lab, _ in rec)
+    rows = "".join(f"{i},{lab}\n" for i, lab in enumerate(labels))
+    assert _written(write_label_map, labels) == f"id,label\n{rows}".encode()
 
 
 class TestHistogramCSV:
