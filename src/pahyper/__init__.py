@@ -3,7 +3,7 @@ degree-distribution analysis."""
 
 from .analysis import (DegreeHistogram, FitReport, ObservedGraph, analytic_beta,
                        analytic_mk, ccdf, degree_histogram, edge_size_histogram,
-                       fit_power_law, project, sample_power_law)
+                       fit_power_law, project, projected_degrees, sample_power_law)
 from .core import Hypergraph
 from .generator import (Constant, EdgeSizeDistribution, GeneratorConfig,
                         TruncatedZipf, UniformInt, evolve, evolve_graph_baseline,
@@ -30,6 +30,7 @@ __all__ = [
     "degree_histogram",
     "edge_size_histogram",
     "project",
+    "projected_degrees",
     "ccdf",
     "fit_power_law",
     "analytic_beta",

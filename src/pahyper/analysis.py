@@ -35,6 +35,7 @@ __all__ = [
     "degree_histogram",
     "edge_size_histogram",
     "project",
+    "projected_degrees",
     "ccdf",
     "fit_power_law",
     "analytic_beta",
@@ -165,6 +166,16 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         edges = np.column_stack((keys // n, keys % n))
     return ObservedGraph(num_vertices=h.num_vertices, edges=edges)
+
+
+def projected_degrees(h: Hypergraph) -> np.ndarray:
+    """project(h).degrees() without the pair array: each occurrence of v in
+    an edge of size c adds c - 1 (so a self loop adds 2), per size class of
+    a piece of edges (core.size_classes)."""
+    deg = np.zeros(h.num_vertices, dtype=np.int64)
+    for _, _, _, rows in size_classes(h.tokens, h.offsets):
+        np.add.at(deg, rows.ravel(), rows.shape[1] - 1)
+    return deg
 
 
 def ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
-                     Hypergraph, TruncatedZipf, analytic_beta, analytic_mk, ccdf,
-                     degree_histogram, edge_size_histogram, evolve, fit_power_law,
-                     project, sample_power_law)
+                     Hypergraph, TruncatedZipf, UniformInt, analytic_beta, analytic_mk,
+                     ccdf, degree_histogram, edge_size_histogram, evolve, fit_power_law,
+                     project, projected_degrees, sample_power_law)
 from pahyper import analysis, core
 from pahyper.analysis import MIN_TAIL, _mle_betas, _tail_stats
 from reference import (EdgeList, histogram, reference_ccdf, reference_fit_power_law,
@@ -187,6 +187,35 @@ def test_project_matches_combinations(edges):
 def test_project_of_capped_head(size_dist):
     # the cap holds steps 1-26 at size 2, so pieces of 7 edges end inside it
     _assert_pairs_by_combinations(evolve(GeneratorConfig(1.0, 300, size_dist, seed=4)))
+
+
+def _assert_projected_degrees(h):
+    """projected_degrees(h) equals project(h).degrees() in dtype and value,
+    in pieces of 4 and 16 edges (mixing sizes) and of SORT_PIECE edges."""
+    for piece in (4, 16, core.SORT_PIECE):
+        with mock.patch.object(core, "SORT_PIECE", piece):
+            got, want = projected_degrees(h), project(h).degrees()
+        assert got.dtype == want.dtype and len(got) == len(want) == h.num_vertices
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(MEMBERS, max_size=30) | ONE_SIZE)
+@example([])                            # no edges
+@example([[0], [1], [2]])               # size-1 edges add nothing
+@example([[0, 0], [0, 0, 0, 1]] * 5)    # self loops add 2 per pair
+def test_projected_degrees_match_project(edges):
+    ids = sorted({v for e in edges for v in e})     # dense ids for from_edges
+    _assert_projected_degrees(Hypergraph.from_edges([[ids.index(v) for v in e]
+                                                     for e in edges]))
+
+
+@pytest.mark.parametrize("size_dist", [Constant(3), UniformInt(2, 6),
+                                       TruncatedZipf(2.5, 2, 20)],
+                         ids=["const:3", "uniform:2:6", "zipf:2.5:2:20"])
+def test_projected_degrees_of_evolve(size_dist):
+    # capped, so const:3 starts with edges of size 2
+    _assert_projected_degrees(evolve(GeneratorConfig(0.5, 10_000, size_dist, seed=5)))
 
 
 def test_project_memory():

@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import pahyper
-from pahyper import analytic_mk
+from pahyper import GeneratorConfig, analytic_mk, cli, evolve
 from pahyper.cli import EXIT_CLOSED_STDOUT, main, parse_size_dist
 from pahyper.generator import Constant, TruncatedZipf, UniformInt
 
@@ -275,6 +276,19 @@ class TestCompare:
         hyper = next(l for l in out.splitlines() if l.startswith("beta_analytic_hypergraph"))
         graph = next(l for l in out.splitlines() if l.startswith("beta_analytic_graph"))
         assert hyper.split("=")[1] == graph.split("=")[1]
+
+    def test_peak_memory(self, tmp_path):
+        """compare keeps degrees, not the projection's pair array, so its
+        traced peak stays a small multiple of the hypergraph's tokens."""
+        config = GeneratorConfig(p=1.0, steps=200_000, size_dist=Constant(3), y0=3, seed=7)
+        token_bytes = evolve(config).tokens.nbytes
+        tracemalloc.start()
+        try:
+            cli._compare_one(config, "auto", str(tmp_path / "cmp"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * token_bytes
 
     def test_d_below_two_rejected(self, capsys):
         assert main(["compare", "--steps", "10", "--p", "0.5", "--d", "1",

@@ -38,10 +38,12 @@ def test_compare_auto_kmin(tmp_path, traced, capsys):
                      "--kmin", "auto", "--out-prefix", str(tmp_path / "cmp")]) == 0
     assert traced.failures == []
     assert_called(traced, ["generator.evolve", "generator.evolve_graph_baseline",
-                           "analysis.project", "analysis.ObservedGraph.degrees",
+                           "analysis.ObservedGraph.degrees",
                            "analysis.degree_histogram", "analysis.ccdf",
                            "analysis.fit_power_law", "io.write_ccdf_csv",
                            "io.write_fit_report"])
+    # the hypergraph side takes projected_degrees, so no pair array is built
+    assert traced.counts["analysis.project.calls"] == 0
     assert traced.counts["analysis.fit_power_law.cutoffs"] > 2
 
 
