@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .core import Hypergraph, size_classes
+from .core import Hypergraph, count_ids, size_classes
 
 __all__ = [
     "DegreeHistogram",
@@ -103,7 +103,7 @@ class FitReport:
 class ObservedGraph:
     """Multigraph (or simplified graph) of unordered vertex-id pairs.
 
-    edges is an (m, 2) int64 array; each row holds a pair with a <= b.
+    edges is an (m, 2) array of ids; each row holds a pair with a <= b.
     """
 
     num_vertices: int
@@ -115,7 +115,7 @@ class ObservedGraph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees; a self loop contributes 2 to its endpoint."""
-        return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
+        return count_ids(self.edges.ravel(), self.num_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +145,9 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
     Pairs are copied into the (m, 2) edge array per size class of a piece of
     edges (core.size_classes), between views where the piece has one size.
     """
-    first = np.diff(h.offsets, prepend=0)   # 0, then the size c of each edge
+    first = np.diff(h.offsets, prepend=0).astype(np.int64)  # 0, each size c; int64 for c*c
     np.cumsum(first * (first - 1) // 2, out=first)  # first pair of each edge, then m
-    edges = np.empty((int(first[-1]), 2), dtype=np.int64)
+    edges = np.empty((int(first[-1]), 2), dtype=h.tokens.dtype)
     for e0, which, _, rows in size_classes(h.tokens, h.offsets):
         a, b = np.triu_indices(rows.shape[1], 1)    # members sorted, so pairs are too
         if which is None:       # pair k of each edge is cells[:, k]
@@ -162,9 +162,10 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
     if simple:
         n = h.num_vertices
         a, b = edges[edges[:, 0] != edges[:, 1]].T
-        keys = np.sort(a * n + b)
+        keys = np.sort(a.astype(np.int64) * n + b)     # n * n can pass int32
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        edges = np.column_stack((keys // n, keys % n))
+        edges = np.empty((len(keys), 2), dtype=h.tokens.dtype)
+        np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     return ObservedGraph(num_vertices=h.num_vertices, edges=edges)
 
 

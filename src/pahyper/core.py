@@ -1,11 +1,13 @@
 """Hypergraph data model: a flat token array plus edge offsets.
 
-A hypergraph is stored as two int64 arrays.  `tokens` lists every vertex
-occurrence, edge after edge in arrival order, with the members of each edge
-sorted; edge i is tokens[offsets[i]:offsets[i + 1]].  The token array is the
-repeated-token list of Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005):
-vertex v appears deg(v) times, so drawing a vertex with probability
-proportional to its degree is a single uniform index draw.
+A hypergraph is stored as two index arrays, int32 while their values fit
+and int64 above (index_dtype; count_ids counts ids without widening them).
+`tokens` lists every vertex occurrence, edge after edge in arrival order,
+with the members of each edge sorted; edge i is
+tokens[offsets[i]:offsets[i + 1]].  The token array is the repeated-token
+list of Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005): vertex v appears
+deg(v) times, so drawing a vertex with probability proportional to its
+degree is a single uniform index draw.
 
 Degrees count occurrences: a vertex appearing twice in one hyperedge gains
 degree 2, and a self loop contributes 1 per occurrence.  Consequently the sum
@@ -21,6 +23,19 @@ import numpy as np
 
 SORT_PIECE = 1 << 15    # edges per pass, so that a piece stays in cache
 NETWORK_MAX = 4
+INDEX_LIMIT = 2**31     # values below it fit int32
+
+
+def index_dtype(top: int) -> type:
+    """The dtype of an array of ids or positions whose largest value is top."""
+    return np.int32 if top < INDEX_LIMIT else np.int64
+
+
+def count_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """Occurrences of each id 0..n-1, int64, with no int64 copy of the ids."""
+    counts = np.zeros(n, dtype=np.int64)
+    np.add.at(counts, ids, 1)
+    return counts
 
 
 def size_classes(tokens: np.ndarray, offsets: np.ndarray):
@@ -68,8 +83,9 @@ def checked(tokens: np.ndarray, offsets: np.ndarray) -> "Hypergraph":
     ValueError naming the smallest missing id unless the ids cover 0..max.
     """
     n = len(tokens)
+    top = int(tokens.max()) if n else -1
     # ids past n are an error; clipped, they cannot size the count array
-    seen = np.bincount(np.minimum(tokens, n) if n and tokens.max() >= n else tokens)
+    seen = count_ids(np.minimum(tokens, n) if top >= n else tokens, min(top, n) + 1)
     if not seen.all():
         raise ValueError(f"vertex id gap: id {seen.argmin()} never appears")
     descents = tokens[1:] < tokens[:-1]
@@ -123,8 +139,8 @@ class Hypergraph:
             sizes.append(len(members))
         if max(flat, default=0) >= 2**63:   # never covered, so still a gap
             flat = [min(v, 2**63 - 1) for v in flat]
-        return checked(np.array(flat, dtype=np.int64),
-                       np.cumsum(sizes, dtype=np.int64))
+        dtype = index_dtype(max(max(flat, default=0), len(flat)))
+        return checked(np.array(flat, dtype=dtype), np.cumsum(sizes, dtype=dtype))
 
     # ------------------------------------------------------------------
     # queries
@@ -146,7 +162,7 @@ class Hypergraph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex occurrence degrees, indexed by vertex id."""
-        return np.bincount(self.tokens, minlength=self.num_vertices)
+        return count_ids(self.tokens, self.num_vertices)
 
     def sample_preferential(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw size vertices, each with probability deg(v) / total_degree."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ObservedGraph
-from .core import Hypergraph, sort_members
+from .core import Hypergraph, index_dtype, sort_members
 
 __all__ = [
     "EdgeSizeDistribution",
@@ -199,7 +199,7 @@ def _token_count(y0: int, sizes: np.ndarray) -> int:
 
 def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
                  is_vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex ids of a token stream, and the first slot of each step.
+    """Vertex ids of a token stream and its edge offsets, of index_dtype.
 
     The stream holds `y0` slots of vertex 0, then one block of sizes[t]
     slots per step t.  In a vertex-arrival step the block's first slot holds
@@ -212,8 +212,11 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
     doubling collapses it.
     """
     total = _token_count(y0, sizes)
-    starts = y0 + np.cumsum(sizes) - sizes
-    tokens = np.zeros(total, dtype=np.int64)
+    offsets = np.zeros(len(sizes) + 2, dtype=index_dtype(total))
+    np.cumsum(sizes, dtype=offsets.dtype, out=offsets[2:])  # no int64 temporary
+    offsets[1:] += y0
+    starts = offsets[1:-1]      # the first slot of each step
+    tokens = np.zeros(total, dtype=offsets.dtype)
     next_id = 1
     for t0 in range(0, len(sizes), CHUNK_STEPS):
         block_starts = starts[t0:t0 + CHUNK_STEPS]
@@ -231,7 +234,7 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
         local = drawn - base
         parent = np.arange(n)
         parent[draw_pos] = np.where(local >= 0, local, draw_pos)
-        values = np.empty(n, dtype=np.int64)
+        values = np.empty(n, dtype=tokens.dtype)
         values[draw_pos] = tokens[drawn]
         values[sources] = np.arange(next_id, next_id + len(sources))
         next_id += len(sources)
@@ -241,7 +244,7 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
                 break
             parent = grand
         tokens[base:base + n] = values[parent]
-    return tokens, starts
+    return tokens, offsets
 
 
 def evolve(config: GeneratorConfig) -> Hypergraph:
@@ -250,8 +253,7 @@ def evolve(config: GeneratorConfig) -> Hypergraph:
     Raises ValueError when the token count does not fit int64."""
     rng = np.random.default_rng(config.seed)
     is_vertex, sizes = _draw_events(config, rng)
-    tokens, starts = _fill_stream(rng, config.y0, sizes, is_vertex)
-    offsets = np.concatenate(([0], starts, [len(tokens)]))
+    tokens, offsets = _fill_stream(rng, config.y0, sizes, is_vertex)
     sort_members(tokens, offsets)
     return Hypergraph(1 + int(is_vertex.sum()), tokens, offsets)
 

@@ -35,7 +35,7 @@ from io import BytesIO, StringIO, TextIOWrapper
 import numpy as np
 
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hypergraph, checked
+from .core import Hypergraph, checked, index_dtype
 
 __all__ = [
     "read_hypergraph",
@@ -172,24 +172,25 @@ def _pieces(data: bytes):
         start = end
 
 
-def _piece_line_ends(piece: np.ndarray) -> np.ndarray | None:
+def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
     """The number of ids up to the end of each line of a piece of bulk
-    data; None if an id has more than MAX_BULK_DIGITS digits or a line has
-    no id."""
+    data, or None if an id has more than MAX_BULK_DIGITS digits or a line
+    has no id; and the most digits of an id in the piece."""
     digit = np.zeros(len(piece) + 2, dtype=bool)
     np.greater(piece, ord(" "), out=digit[1:-1])
     # an id starts where the digit mask turns on and ends where it turns off
     bounds = np.flatnonzero(digit[1:] != digit[:-1])
     starts = bounds[0::2]
-    if len(starts) and (bounds[1::2] - starts).max() > MAX_BULK_DIGITS:
-        return None
+    digits = int((bounds[1::2] - starts).max(initial=0))
+    if digits > MAX_BULK_DIGITS:
+        return None, digits
     line_ends = np.flatnonzero(piece == ord("\n"))
     if piece[-1] != ord("\n"):
         line_ends = np.append(line_ends, len(piece))
     ends_in_ids = np.searchsorted(starts, line_ends)
     if not np.diff(ends_in_ids, prepend=0).all():
-        return None                             # a blank line
-    return ends_in_ids
+        return None, digits                     # a blank line
+    return ends_in_ids, digits
 
 
 def _parse_bulk(data: bytes) -> Hypergraph | None:
@@ -211,19 +212,19 @@ def _parse_bulk(data: bytes) -> Hypergraph | None:
     num_lines = data.count(b"\n")
     if data and not data.endswith(b"\n"):
         num_lines += 1                          # a last line with no newline
-    offsets = np.zeros(num_lines + 1, dtype=np.int64)
+    offsets = np.zeros(num_lines + 1, dtype=index_dtype(len(data)))
     pieces = list(_pieces(data))
-    line = 0
+    line = digits = 0
     for start, end in pieces:
-        ends_in_ids = _piece_line_ends(buf[start:end])
+        ends_in_ids, width = _piece_line_ends(buf[start:end])
         if ends_in_ids is None:
             return None
         offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + offsets[line]
-        line += len(ends_in_ids)
-    tokens = np.empty(offsets[-1], dtype=np.int64)
+        line, digits = line + len(ends_in_ids), max(digits, width)
+    tokens = np.empty(offsets[-1], dtype=index_dtype(10**digits - 1))
     filled = 0
     for start, end in pieces:
-        ids = np.fromstring(data[start:end], dtype=np.int64, sep=" ")
+        ids = np.fromstring(data[start:end], dtype=tokens.dtype, sep=" ")
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
     return checked(tokens, offsets)

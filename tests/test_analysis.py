@@ -220,7 +220,8 @@ def test_projected_degrees_of_evolve(size_dist):
 
 def test_project_memory():
     """Beside its edges, project holds a pair offset per edge and arrays the
-    size of one piece, not pair-length temporaries."""
+    size of one piece, not pair-length temporaries.  The bound is in bytes
+    per pair: int64 pairs alone are 16."""
     h = evolve(GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7))
     tracemalloc.start()
     try:
@@ -228,7 +229,35 @@ def test_project_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * g.edges.nbytes
+    assert peak <= 18 * g.num_edges
+
+
+def test_simple_projection_key_passes_int32():
+    """With int32 ids and over 46,341 vertices, a * n + b passes 2**31."""
+    n = 50_000
+    edges = [[v] for v in range(n)] + [[n - 1, 0, n - 2], [n - 2, n - 1, n - 1], [3, n - 1]]
+    g = project(Hypergraph.from_edges(edges), simple=True)
+    pairs = {(a, b) for e in edges for a, b in combinations(sorted(e), 2) if a != b}
+    assert g.edges.dtype == np.int32
+    assert g.edges.tolist() == [list(pair) for pair in sorted(pairs)]
+
+
+@pytest.mark.parametrize("build", [lambda h: h, project], ids=["Hypergraph", "ObservedGraph"])
+def test_degrees_make_no_int64_copy_of_int32_ids(build):
+    """Counting int32 ids needs the int64 counts, not an int64 copy of the
+    ids as np.bincount makes."""
+    structure = build(evolve(GeneratorConfig(p=0.5, steps=200_000,
+                                             size_dist=Constant(3), seed=7)))
+    ids = structure.tokens if isinstance(structure, Hypergraph) else structure.edges
+    assert ids.dtype == np.int32
+    tracemalloc.start()
+    try:
+        degrees = structure.degrees()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degrees.dtype == np.int64
+    assert peak < degrees.nbytes + ids.nbytes
 
 
 class TestAnalyticBeta:

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pahyper import Constant, GeneratorConfig, Hypergraph, UniformInt, evolve
+from pahyper import (Constant, GeneratorConfig, Hypergraph, UniformInt, evolve,
+                     evolve_graph_baseline, project, read_hypergraph, write_hypergraph)
+from pahyper import core
 from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
 from reference import EdgeList, reference_from_edges
 
@@ -221,3 +223,24 @@ def test_structural_equality():
     b = Hypergraph.from_edges([(1, 0), (2, 1)])
     assert a == b
     assert a != Hypergraph.from_edges([(1, 0), (2, 1), (0,)])
+
+
+def test_int64_index_arrays_equal_int32(monkeypatch, tmp_path):
+    """Past core.INDEX_LIMIT, evolve, the reader, from_edges and the graph
+    side hold int64 arrays with the values of their int32 results."""
+    path = tmp_path / "h.txt"
+
+    def index_arrays():
+        h = evolve(GeneratorConfig(p=0.5, steps=5_000, size_dist=UniformInt(2, 6), seed=3))
+        write_hypergraph(h, str(path))
+        read = read_hypergraph(str(path))
+        built = Hypergraph.from_edges(h.hyperedges)
+        return [h.tokens, h.offsets, read.tokens, read.offsets, built.tokens,
+                built.offsets, project(h).edges, project(h, simple=True).edges,
+                evolve_graph_baseline(0.5, 5_000, seed=3).edges]
+
+    narrow = index_arrays()
+    monkeypatch.setattr(core, "INDEX_LIMIT", 0)
+    for a, b in zip(narrow, index_arrays(), strict=True):
+        assert (a.dtype, b.dtype) == (np.int32, np.int64)
+        assert np.array_equal(a, b)

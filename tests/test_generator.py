@@ -1,5 +1,7 @@
 """Tests for the evolution processes and edge-size distributions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,3 +257,16 @@ class TestGraphBaseline:
         ref = project(evolve(GeneratorConfig(p, steps, Constant(2), y0=2, seed=seed)))
         assert g.num_vertices == ref.num_vertices
         assert np.array_equal(g.edges, ref.edges)
+
+
+def test_evolve_memory():
+    """Under 2**31 tokens, evolve holds int32 tokens and offsets beside its
+    per-step and per-chunk arrays; the bound is in bytes per token."""
+    config = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    tracemalloc.start()
+    try:
+        h = evolve(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * h.total_degree

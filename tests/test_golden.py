@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+from pahyper import core
 from pahyper.cli import main
 
 STEPS = "20000"
@@ -63,9 +64,7 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden")
+def _write_outputs(work):
     for name, size in GENERATE.items():
         assert main(["generate", "--steps", STEPS, "--p", "0.5", "--seed", "7",
                      *size, "--out", str(work / name)]) == 0
@@ -77,6 +76,12 @@ def outputs(tmp_path_factory):
                      "--out", str(work / name)]) == 0
     assert main(["compare", "--steps", STEPS, "--p", "1", "--d", "3",
                  "--seed", "7", "--out-prefix", str(work / "cmp")]) == 0
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    _write_outputs(work)
     return work
 
 
@@ -84,3 +89,11 @@ def outputs(tmp_path_factory):
 def test_output_digest(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+def test_outputs_on_the_int64_path(outputs, tmp_path, monkeypatch):
+    """Every index array int64, as past core.INDEX_LIMIT: the same bytes."""
+    monkeypatch.setattr(core, "INDEX_LIMIT", 0)
+    _write_outputs(tmp_path)
+    for name in GOLDEN:
+        assert (tmp_path / name).read_bytes() == (outputs / name).read_bytes(), name

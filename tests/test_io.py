@@ -217,7 +217,7 @@ def test_pieces_of_a_generated_file(tmp_path):
 
 def test_bulk_parser_memory(tmp_path):
     """The parser holds about one piece beside its output arrays, not
-    arrays the length of the data."""
+    arrays the length of the data; ids and offsets at 8 bytes each."""
     cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
     path = tmp_path / "h.txt"
     write_hypergraph(evolve(cfg), str(path))
@@ -228,11 +228,12 @@ def test_bulk_parser_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * (h.tokens.nbytes + h.offsets.nbytes)
+    assert peak <= 1.6 * 8 * (len(h.tokens) + len(h.offsets))
 
 
 def test_stdin_read_memory(monkeypatch, tmp_path):
-    """Stdin is read as bytes, as a file is, with no text copy of it."""
+    """Stdin is read as bytes, as a file is, with no text copy of it; ids
+    and offsets at 8 bytes each."""
     cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
     path = tmp_path / "h.txt"
     write_hypergraph(evolve(cfg), str(path))
@@ -244,7 +245,15 @@ def test_stdin_read_memory(monkeypatch, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - len(data) <= 2.0 * (h.tokens.nbytes + h.offsets.nbytes)
+    assert peak - len(data) <= 1.2 * 8 * (len(h.tokens) + len(h.offsets))
+
+
+@pytest.mark.parametrize("top, dtype", [(999_999_999, np.int32), (9_999_999_999, np.int64)])
+def test_bulk_parser_token_dtype_follows_the_longest_id(top, dtype):
+    # the dtype is set before core.checked, which would report the gap below top
+    with mock.patch.object(io, "checked", lambda tokens, offsets: tokens):
+        tokens = _parse_bulk(f"0 1\n{top}\n".encode())
+    assert tokens.dtype == dtype and tokens.tolist() == [0, 1, top]
 
 
 def test_bulk_parser_takes_canonical_text():
