@@ -15,8 +15,11 @@ step's block, a draw that lands before the chunk is a direct lookup in the
 finished prefix (the back-pointer resolution of Sanders & Schulz, IPL 2016),
 and draws inside the chunk form a forest that pointer doubling collapses in
 O(log depth) sweeps over the chunk alone.  The chunk's arrays stay in cache,
-and no array of the stream's full length is built besides the tokens and
-the per-step starts.  Members are sorted once every chunk is filled, since
+and no array of the stream's full length is built besides the tokens.  The
+per-step arrays held through the fill are the edge offsets (in the tokens'
+dtype), the event bits and the sizes, in the smallest unsigned dtype that
+holds the largest size: at int32 tokens and sizes up to 255, 4 bytes per
+token and 6 per step.  Members are sorted once every chunk is filled, since
 later draws index the slots in arrival order.  No per-edge Python object is
 built.  Random numbers are consumed in a fixed order (event bits, edge
 sizes, member draws in slot order), and splitting the member draws into
@@ -170,17 +173,30 @@ def _capped_prefix(steps: int, exponent: float, top: int) -> np.ndarray:
         n = min(2 * n, steps)
 
 
+def _size_dtype(top: int) -> type:
+    """The smallest unsigned dtype that holds sizes up to top, else int64:
+    np.repeat and a cumsum into signed offsets do not take uint64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
-    """Consume the event-bit and size portions of the random stream."""
+    """Consume the event-bit and size portions of the random stream.
+
+    The sizes come back as a copy of the distribution's sample in
+    _size_dtype of its largest value, clamped in place when the cap is on."""
     is_vertex = rng.random(config.steps) < config.p
-    sizes = config.size_dist.sample(rng, config.steps)
+    sample = config.size_dist.sample(rng, config.steps)
+    top = int(sample.max(initial=2))
+    sizes = sample.astype(_size_dtype(top))
     if config.enforce_cap:
-        cap = _capped_prefix(config.steps, config.cap_exponent,
-                             int(sizes.max(initial=2)))
-        np.maximum(cap, 2, out=cap)
-        sizes = np.maximum(sizes, 2)
+        cap = _capped_prefix(config.steps, config.cap_exponent, top)
+        np.clip(cap, 2, top, out=cap)       # so that the cast below holds it
+        np.maximum(sizes, 2, out=sizes)
         head = sizes[:len(cap)]
-        np.minimum(head, cap, out=head)
+        np.minimum(head, cap.astype(sizes.dtype), out=head)
     return is_vertex, sizes
 
 
@@ -270,7 +286,7 @@ def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     _token_count(config.y0, sizes)      # the last S_t; every S_t fits if it does
     out = np.empty(config.steps + 1, dtype=np.int64)
     out[0] = config.y0
-    np.cumsum(sizes, out=out[1:])
+    np.cumsum(sizes, dtype=np.int64, out=out[1:])
     out[1:] += config.y0
     return out
 

@@ -18,11 +18,13 @@ Python int or str per id.  The writer formats every id from a table of digit
 pairs and emits the rows in pieces of ROW_PIECE edges, so the text of the
 whole file never exists at once; every output goes as UTF-8 bytes through
 one function, to a file in binary or to '-' through sys.stdout's text layer.
-The reader takes the bytes of the file, or of stdin for '-': data of only
-ASCII digits, spaces and newlines is parsed by numpy in newline-aligned
-pieces of about READ_PIECE bytes, so that it needs the bytes, the output
-arrays and memory in proportion to one piece; anything else is decoded as
-text mode would (UTF-8, universal newlines) and goes to the line parser.
+The reader reads a regular file from disk in newline-aligned pieces of
+about READ_PIECE bytes; stdin for '-', or a path that cannot seek, is read
+whole into one buffer first.  Data of only ASCII digits, spaces and
+newlines is parsed by numpy piece by piece, so that it needs the output
+arrays and memory in proportion to one piece, not the bytes of the file;
+anything else is decoded as text mode would (UTF-8, universal newlines)
+and goes to the line parser.
 Both paths end in core.checked, the one check that ids cover 0..max.
 """
 
@@ -162,14 +164,14 @@ MAX_BULK_DIGITS = 18    # any id this long fits int64
 READ_PIECE = 1 << 20    # bytes per piece of the bulk parser, then to a newline
 
 
-def _pieces(data: bytes):
-    """(start, end) of consecutive pieces of data, each of at least
-    READ_PIECE bytes up to and including a newline, or the rest of data."""
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start + READ_PIECE - 1) + 1 or len(data)
-        yield start, end
-        start = end
+def _pieces(f):
+    """Consecutive pieces of a binary file from its start, each of at least
+    READ_PIECE bytes up to and including a newline, or the rest of it."""
+    f.seek(0)
+    while piece := f.read(READ_PIECE):
+        if not piece.endswith(b"\n"):
+            piece += f.readline()
+        yield piece
 
 
 def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
@@ -193,60 +195,68 @@ def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
     return ends_in_ids, digits
 
 
-def _parse_bulk(data: bytes) -> Hypergraph | None:
-    """Parse data made only of ASCII digits, spaces and newlines, at least
-    one id per line and at most MAX_BULK_DIGITS digits per id, with numpy;
-    None for any other data.  The result goes through core.checked, so ids
-    that do not cover 0..max raise its ValueError.
+def _parse_bulk(f) -> Hypergraph | None:
+    """Parse a seekable binary file made only of ASCII digits, spaces and
+    newlines, at least one id per line and at most MAX_BULK_DIGITS digits
+    per id, with numpy; None for any other data.  The result goes through
+    core.checked, so ids that do not cover 0..max raise its ValueError.
 
-    The data goes in newline-aligned pieces of about READ_PIECE bytes (see
-    _pieces), twice: the first pass checks each piece and fills the edge
-    offsets, the second parses each piece's ids into its slice of one token
-    array.  Beside data and the output arrays, the parser holds a few arrays
+    The file is read in newline-aligned pieces of about READ_PIECE bytes
+    (see _pieces), three times: the first sweep checks the bytes of each
+    piece and counts its lines, the second fills the edge offsets and finds
+    the longest id, the third parses each piece's ids into its slice of one
+    token array.  Beside the output arrays, the parser holds a few arrays
     the size of one piece and, in the final check, a count per vertex and a
-    flag per token.
+    flag per token; never the bytes of the whole file.
     """
-    if data.translate(None, b"0123456789 \n"):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    num_lines = data.count(b"\n")
-    if data and not data.endswith(b"\n"):
-        num_lines += 1                          # a last line with no newline
-    offsets = np.zeros(num_lines + 1, dtype=index_dtype(len(data)))
-    pieces = list(_pieces(data))
+    size = num_lines = 0
+    for piece in _pieces(f):
+        if piece.translate(None, b"0123456789 \n"):
+            return None
+        size += len(piece)
+        # a last line with no newline counts too
+        num_lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
+    offsets = np.zeros(num_lines + 1, dtype=index_dtype(size))
     line = digits = 0
-    for start, end in pieces:
-        ends_in_ids, width = _piece_line_ends(buf[start:end])
+    for piece in _pieces(f):
+        ends_in_ids, width = _piece_line_ends(np.frombuffer(piece, dtype=np.uint8))
         if ends_in_ids is None:
             return None
         offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + offsets[line]
         line, digits = line + len(ends_in_ids), max(digits, width)
     tokens = np.empty(offsets[-1], dtype=index_dtype(10**digits - 1))
     filled = 0
-    for start, end in pieces:
-        ids = np.fromstring(data[start:end], dtype=tokens.dtype, sep=" ")
+    for piece in _pieces(f):
+        ids = np.fromstring(piece, dtype=tokens.dtype, sep=" ")
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
     return checked(tokens, offsets)
 
 
+def _read(f) -> Hypergraph:
+    """The hypergraph of a seekable binary file: the bulk parser, or the
+    line parser on the file decoded as text mode would decode it (UTF-8,
+    universal newlines)."""
+    h = _parse_bulk(f)
+    if h is None:
+        f.seek(0)
+        text = TextIOWrapper(BytesIO(f.read()), encoding="utf-8").read()
+        h = Hypergraph.from_edges(_parse_edge_lines(StringIO(text)))
+    return h
+
+
 def read_hypergraph(source: str) -> Hypergraph:
     """Inverse of write_hypergraph; read(write(h)) == h.
 
-    A file, or stdin for '-', is read as bytes.  Data the bulk parser does
-    not take is decoded as text mode would decode a file (UTF-8, universal
-    newlines) and goes through the line parser.
+    A regular file is parsed from disk in pieces (see _parse_bulk).  Stdin
+    for '-', and a path that cannot seek (a FIFO, /dev/stdin), is read
+    whole into one buffer first, since the parser reads its input more
+    than once.
     """
     if source == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(source, "rb") as f:
-            data = f.read()
-    h = _parse_bulk(data)
-    if h is None:
-        text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
-        h = Hypergraph.from_edges(_parse_edge_lines(StringIO(text)))
-    return h
+        return _read(BytesIO(sys.stdin.buffer.read()))
+    with open(source, "rb") as f:
+        return _read(f if f.seekable() else BytesIO(f.read()))
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -403,6 +404,38 @@ def test_degrees_of_stdin_as_of_file(tmp_path, data):
     path.write_bytes(data)
     assert (_run_cli(["degrees", "--in", "-"], stdin=data)
             == _run_cli(["degrees", "--in", str(path)]))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("data", [
+    None,                               # a generated file, larger than a pipe's buffer
+    b"# comment\r\n0 1\r\n1 0 1\r\n",
+    b"0 1\n\xff 0\n",
+], ids=["generated", "crlf-and-comment", "not-utf8"])
+def test_degrees_of_fifo_as_of_file(tmp_path, capsys, data):
+    """A path that cannot seek is read whole, as stdin is."""
+    path = tmp_path / "h.txt"
+    if data is None:
+        cfg = GeneratorConfig(p=0.5, steps=20_000, size_dist=Constant(3), seed=7)
+        pahyper.write_hypergraph(evolve(cfg), str(path))
+        data = path.read_bytes()
+    else:
+        path.write_bytes(data)
+    code = main(["degrees", "--in", str(path), "--out", "-"])
+    from_file = code, capsys.readouterr()
+    fifo = tmp_path / "h.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    code = main(["degrees", "--in", str(fifo), "--out", "-"])
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert (code, capsys.readouterr()) == from_file
 
 
 def test_closed_stdout_exits_quietly():

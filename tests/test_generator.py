@@ -198,6 +198,35 @@ def test_cap_clamps_like_the_whole_array(exponent, size_dist):
     assert np.array_equal(cfg.size_dist.sizes, raw)     # the sample is not written
 
 
+@pytest.mark.parametrize("size_dist, exponent, dtype", [
+    (Constant(2), 1 / 3, np.uint8),
+    (UniformInt(2, 300), 1 / 3, np.uint16),
+    (TruncatedZipf(2.5, 2, 20), 1 / 3, np.uint8),
+    (UniformInt(2, 2**33), 1 / 3, np.int64),
+    # the cap's prefix runs past 255 here, so it must be cut to the
+    # largest size before its cast to uint8
+    (Constant(255), 0.49, np.uint8),
+    (Constant(256), 0.49, np.uint16),
+    (Constant(2**32 - 1), 0.49, np.uint32),
+    (Constant(2**32), 0.49, np.int64),
+], ids=repr)
+def test_sizes_in_the_smallest_dtype(size_dist, exponent, dtype):
+    steps = 140_000
+    cfg = GeneratorConfig(p=0.5, steps=steps, size_dist=size_dist, seed=3,
+                          cap_exponent=exponent)
+    _, sizes = _draw_events(cfg, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
+    rng.random(steps)
+    raw = size_dist.sample(rng, steps)
+    t = np.arange(1, steps + 1, dtype=np.float64)
+    cap = np.maximum(np.floor(t ** exponent + 1e-9).astype(np.int64), 2)
+    assert sizes.dtype == dtype
+    assert np.array_equal(sizes, np.clip(raw, 2, cap))
+    trace = sum_sizes_trace(cfg)
+    assert trace.dtype == np.int64
+    assert np.array_equal(trace[1:], cfg.y0 + np.cumsum(np.clip(raw, 2, cap)))
+
+
 class TestSumSizesTrace:
     def test_zero_steps(self):
         cfg = GeneratorConfig(p=0.5, steps=0, size_dist=Constant(3), y0=4)
@@ -261,7 +290,8 @@ class TestGraphBaseline:
 
 def test_evolve_memory():
     """Under 2**31 tokens, evolve holds int32 tokens and offsets beside its
-    per-step and per-chunk arrays; the bound is in bytes per token."""
+    per-step and per-chunk arrays, sizes among them in one byte per step
+    for const:3; the bound is in bytes per token."""
     config = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
     tracemalloc.start()
     try:
@@ -269,4 +299,4 @@ def test_evolve_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * h.total_degree
+    assert peak <= 17 * h.total_degree

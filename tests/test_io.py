@@ -192,10 +192,10 @@ def test_last_piece_is_checked(tmp_path, tail, bulk_takes):
     lines = _outcome(lambda: Hypergraph.from_edges(
         _parse_edge_lines(stdio.StringIO(data.decode()))))
     for piece in (64, len(BODY) - 8, len(BODY)):
-        with mock.patch.object(io, "READ_PIECE", piece):
-            pieces = list(io._pieces(data))
-            assert len(pieces) > 1 and pieces[-1][0] <= len(BODY)
-            bulk = _outcome(lambda: _parse_bulk(data))
+        with mock.patch.object(io, "READ_PIECE", piece), open(path, "rb") as f:
+            pieces = list(io._pieces(f))
+            assert len(pieces) > 1 and len(data) - len(pieces[-1]) <= len(BODY)
+            bulk = _outcome(lambda: _parse_bulk(f))
             assert (bulk is not None) == bulk_takes
             if bulk_takes:
                 assert bulk == lines
@@ -221,14 +221,29 @@ def test_bulk_parser_memory(tmp_path):
     cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
     path = tmp_path / "h.txt"
     write_hypergraph(evolve(cfg), str(path))
-    data = path.read_bytes()
+    with open(path, "rb") as f:
+        tracemalloc.start()
+        try:
+            h = _parse_bulk(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.6 * 8 * (len(h.tokens) + len(h.offsets))
+
+
+def test_file_read_memory(tmp_path):
+    """A file is read from disk in pieces: no allowance for its bytes, and
+    ids and offsets at 8 bytes each."""
+    cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    path = tmp_path / "h.txt"
+    write_hypergraph(evolve(cfg), str(path))
     tracemalloc.start()
     try:
-        h = _parse_bulk(data)
+        h = read_hypergraph(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 8 * (len(h.tokens) + len(h.offsets))
+    assert peak <= 1.65 * 8 * (len(h.tokens) + len(h.offsets))
 
 
 def test_stdin_read_memory(monkeypatch, tmp_path):
@@ -252,17 +267,20 @@ def test_stdin_read_memory(monkeypatch, tmp_path):
 def test_bulk_parser_token_dtype_follows_the_longest_id(top, dtype):
     # the dtype is set before core.checked, which would report the gap below top
     with mock.patch.object(io, "checked", lambda tokens, offsets: tokens):
-        tokens = _parse_bulk(f"0 1\n{top}\n".encode())
+        tokens = _parse_bulk(stdio.BytesIO(f"0 1\n{top}\n".encode()))
     assert tokens.dtype == dtype and tokens.tolist() == [0, 1, top]
 
 
 def test_bulk_parser_takes_canonical_text():
-    assert _parse_bulk(b"0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
+    def parse(data):
+        return _parse_bulk(stdio.BytesIO(data))
+
+    assert parse(b"0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
         [(0, 0, 0), (0, 1), (1, 2)])
-    assert _parse_bulk(b"") == Hypergraph.from_edges([])
+    assert parse(b"") == Hypergraph.from_edges([])
     for other in (b"0 +1\n", b"0\t1\n", b"0 1\n\n", b"0 " + b"0" * 19 + b"1\n"):
-        assert _parse_bulk(other) is None
-    assert _outcome(lambda: _parse_bulk(b"0 2\n")) == _outcome(
+        assert parse(other) is None
+    assert _outcome(lambda: parse(b"0 2\n")) == _outcome(
         lambda: Hypergraph.from_edges(_parse_edge_lines(["0 2\n"])))
 
 
