@@ -11,12 +11,10 @@ between the empirical tail CDF and the fitted one.  k_min can be fixed or
 chosen automatically by scanning the present degrees for the smallest KS
 distance.  The exponents of all candidate cutoffs come from one lane-wise
 bounded Brent search over numpy arrays, each lane taking the same steps as
-scipy's fminbound would on its own, so scipy.optimize is not imported.
-
-The analytic side provides the limiting exponent beta = 2 + p/(mu - p) of
-the evolution process and the exact limiting fractions M_k of degree-k
-vertices per step, via M_1 = mu*p/(2*mu - p) and the ratio recurrence
-M_k / M_{k-1} = (k - 1) / (k + mu/(mu - p)).
+scipy's fminbound would on its own, and their KS distances from one batched
+pass over all cutoffs.  The Hurwitz zeta is Cephes' sum, the code
+scipy.special.zeta runs, done step for step in numpy, so every fit equals
+the scipy one bit for bit and the library does not import scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .core import Hypergraph, count_ids, size_classes
 
@@ -179,16 +176,86 @@ def projected_degrees(h: Hypergraph) -> np.ndarray:
     return deg
 
 
-def ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:
+def ccdf(hist: DegreeHistogram) -> tuple[np.ndarray, np.ndarray]:
     """Tail probabilities P[deg >= k] for k from the smallest to the largest
-    present value (dense integer range); non-increasing, starts at 1.0."""
+    present value (dense integer range), as the int64 degrees k and their
+    float64 probabilities; non-increasing, starts at 1.0."""
     if not len(hist.values):
         raise ValueError("empty histogram")
     lo, hi = int(hist.values[0]), int(hist.values[-1])
     dense = np.zeros(hi - lo + 1, dtype=np.int64)
     dense[hist.values - lo] = hist.counts
     remaining = np.cumsum(dense[::-1])[::-1]     # items of value >= k
-    return list(zip(range(lo, hi + 1), (remaining / hist.total_vertices).tolist()))
+    return np.arange(lo, hi + 1, dtype=np.int64), remaining / hist.total_vertices
+
+
+# ----------------------------------------------------------------------
+# Hurwitz zeta: Cephes' zeta(x, q), the code scipy.special.zeta runs, in numpy
+
+# (2i + 2)! / B_{2i+2}, the Euler-Maclaurin coefficients, and both sums' stop
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17,
+           -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _zeta(x, q) -> np.ndarray:
+    """Hurwitz zeta, the sum over k >= 0 of (q + k)^-x, element-wise for
+    x > 1 and integer q >= 1; equal to scipy.special.zeta bit for bit."""
+    x, q = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                               np.asarray(q, dtype=np.float64))
+    xs, qs = x.ravel(), q.ravel()
+    powers = np.float_power(qs[:, None] + np.arange(10.0), -xs[:, None])
+    return _zeta_from(xs, qs, powers.ravel(), np.arange(0, powers.size, 10)).reshape(x.shape)
+
+
+def _zeta_from(x: np.ndarray, q: np.ndarray, powers: np.ndarray,
+               first: np.ndarray) -> np.ndarray:
+    """Cephes' zeta(x, q), step for step, for lanes of x > 1 and integer
+    q >= 1 whose direct-sum terms (q + i)^-x, i = 0..9, are
+    powers[first + i] (from np.float_power, which calls libm's pow as
+    Cephes does; np.power's SIMD loop does not).
+
+    The direct sum stops at the first term below MACHEP of the sum; else the
+    Euler-Maclaurin tail from w = q + 9 adds up to 12 terms, up to the first
+    below MACHEP.  q > 1e8 takes Cephes' asymptotic form instead.  Under- and
+    overflow are as silent as in C.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        s = powers[first]
+        out = np.empty(len(s))                  # each lane's sum at its stop
+        done = np.zeros(len(s), dtype=bool)
+        for i in range(1, 10):
+            b = powers[first + i]
+            s += b
+            stop = np.abs(b / s) < _MACHEP
+            if stop.any():
+                stop &= ~done
+                np.copyto(out, s, where=stop)
+                done |= stop
+        w = q + 9.0
+        s += b * w / (x - 1.0)
+        s -= 0.5 * b
+        a = np.ones(len(s))
+        for i, coeff in enumerate(_ZETA_A):
+            a *= x + 2 * i
+            b /= w
+            t = a * b / coeff
+            s += t
+            t /= s
+            stop = np.abs(t, out=t) < _MACHEP
+            stop &= ~done
+            np.copyto(out, s, where=stop)
+            done |= stop
+            if done.all():
+                break
+            b /= w
+            a *= x + (2 * i + 1)
+        np.copyto(out, s, where=~done)
+        big = np.flatnonzero(q > 1e8)
+        out[big] = (1 / (x[big] - 1) + 1 / (2 * q[big])) * np.float_power(q[big], 1 - x[big])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -196,12 +263,11 @@ def ccdf(hist: DegreeHistogram) -> list[tuple[int, float]]:
 
 
 def _tail_stats(hist: DegreeHistogram, k_min: int):
-    """Tail arrays at cutoff k_min: (values, counts, n, sum of c*ln k)."""
+    """Tail at cutoff k_min: (its values, n, sum of c*ln k)."""
     mask = hist.values >= k_min
     tk = hist.values[mask]
     tc = hist.counts[mask]
-    n = int(tc.sum())
-    return tk, tc, n, float((tc * np.log(tk)).sum())
+    return tk, int(tc.sum()), float((tc * np.log(tk)).sum())
 
 
 def _mle_betas(k_min, n, sum_log) -> np.ndarray:
@@ -227,7 +293,7 @@ def _mle_betas(k_min, n, sum_log) -> np.ndarray:
     e = rat = np.zeros(len(out))
 
     def objective(x):
-        return nn * np.log(zeta(x, kk)) + x * sl
+        return nn * np.log(_zeta(x, kk)) + x * sl
 
     fx = fnfc = ffulc = objective(xf)
     num = 1
@@ -280,20 +346,77 @@ def _mle_betas(k_min, n, sum_log) -> np.ndarray:
         fx = np.where(better, fu, fx)
 
 
-def _ks_stat(tk: np.ndarray, tc: np.ndarray, n: int, k_min: int, beta: float) -> float:
-    """Sup distance between empirical and fitted CDFs over k >= k_min.
+KS_PIECE = 1 << 13      # tail points per piece of _ks_stats, or one whole tail
 
-    Both CDFs are integer step functions, so the supremum is attained either
-    at a data value or just before one; evaluating the model CDF on each side
-    of every data value covers all integers, including zero-count gaps.
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending (np.unique would load numpy.ma)."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+def _segments(lengths: np.ndarray):
+    """Consecutive segments of the given lengths: the segment of each
+    element, its place within the segment, and where each segment starts."""
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return seg, np.arange(len(seg)) - starts[seg], starts
+
+
+def _ks_stats(hist: DegreeHistogram, cuts: np.ndarray, n: np.ndarray,
+              betas: np.ndarray) -> np.ndarray:
+    """KS distance of each lane's fit: lane j fits the tail of values >=
+    cuts[j], holding n[j] items, with exponent betas[j].
+
+    The distance is the sup over k >= cuts[j] between the empirical and the
+    fitted CDF.  Both are integer step functions, so the supremum is attained
+    either at a data value or just before one; evaluating the model CDF on
+    each side of every data value covers all integers, including zero-count
+    gaps.  So a lane needs zeta(beta, q) at q = t and t + 1 for each tail
+    value t, and at q = cut for the denominator; zeta(beta, q) sums the
+    powers (q + i)^-beta for i = 0..9.  A lane takes its powers once, over
+    its suffix of one grid (the union of {k..k+10} over the values and
+    cuts k), evaluates zeta once per q from them, and its distances at all
+    its points then come from array operations.
+    Lanes go in pieces of whole lanes of about KS_PIECE tail points.
     """
-    denom = zeta(beta, k_min)
-    model_at = 1.0 - zeta(beta, tk + 1) / denom      # F(k_i)
-    model_before = 1.0 - zeta(beta, tk) / denom      # F(k_i - 1)
-    emp = np.cumsum(tc) / n
-    emp_prev = np.concatenate(([0.0], emp[:-1]))
-    return float(max(np.abs(emp - model_at).max(),
-                     np.abs(emp_prev - model_before).max()))
+    values = hist.values
+    cum = np.cumsum(hist.counts)                # items of value <= t
+    before = cum - hist.counts                  # items of value < t
+    # zeta is taken at each cut (the CDFs' base) and at each t and t + 1
+    keys = _distinct(np.concatenate((values, cuts)).astype(np.uint64))    # k + 11 fits
+    qs = _distinct(np.concatenate((keys, values.astype(np.uint64) + 1)))
+    qi, ci = np.searchsorted(qs, values), np.searchsorted(qs, cuts)
+    grid = _distinct(keys[:, None] + np.arange(11, dtype=np.uint64))
+    gi = np.searchsorted(grid, qs)              # (q + i)^-beta is at grid[gi + i]
+    qs, grid = qs.astype(np.float64), grid.astype(np.float64)
+    first = np.searchsorted(values, cuts)       # each tail's first value
+    ends = np.cumsum(len(values) - first)       # each tail's end among all points
+    starts = ends - (len(values) - first)
+    out = np.empty(len(cuts))
+    j = 0
+    while j < len(cuts):
+        stop = max(j + 1, int(np.searchsorted(ends, starts[j] + KS_PIECE, side="right")))
+        f, q0, x = first[j:stop], ci[j:stop], betas[j:stop]
+        g0 = gi[q0]
+        # each lane's powers over the grid from its cut on, then its zetas at
+        # every q from its cut on, from those powers
+        lane, i, gstart = _segments(len(grid) - g0)
+        powers = np.float_power(grid[g0[lane] + i], -x[lane])
+        lane, i, zstart = _segments(len(qs) - q0)
+        at = q0[lane] + i
+        z = _zeta_from(x[lane], qs[at], powers, gstart[lane] + gi[at] - g0[lane])
+        # then both CDFs at each tail value
+        lane, i, pstart = _segments(len(values) - f)
+        m = f[lane] + i                         # the value of each tail point
+        zm = zstart[lane] + qi[m] - q0[lane]    # z at t; z at t + 1 is next
+        denom = z[zstart][lane]                 # zeta(beta, cut)
+        nl, low = n[j:stop][lane], before[f][lane]
+        dist = np.maximum(np.abs((cum[m] - low) / nl - (1.0 - z[zm + 1] / denom)),
+                          np.abs((before[m] - low) / nl - (1.0 - z[zm] / denom)))
+        out[j:stop] = np.maximum.reduceat(dist, pstart)
+        j = stop
+    return out
 
 
 def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
@@ -312,7 +435,7 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     if k_min == "auto":
         lanes = []      # (cutoff, n, sum_log) of each tail to fit
         for cut in hist.values.tolist():
-            tk, _, n, sum_log = _tail_stats(hist, cut)
+            tk, n, sum_log = _tail_stats(hist, cut)
             if n < MIN_TAIL:
                 break  # tails only shrink as the cutoff grows
             if len(tk) > 1:
@@ -324,20 +447,18 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
         k_min = int(k_min)
         if k_min < 1:
             raise ValueError(f"k_min must be >= 1, got {k_min}")
-        tk, _, n, sum_log = _tail_stats(hist, k_min)
+        tk, n, sum_log = _tail_stats(hist, k_min)
         if n < MIN_TAIL:
             raise ValueError(f"tail too small: {n} items with value >= {k_min}")
         if len(tk) < 2:
             raise ValueError(all_equal)
         lanes = [(k_min, n, sum_log)]
 
-    best: FitReport | None = None
-    for (cut, n, _), beta in zip(lanes, _mle_betas(*zip(*lanes)).tolist()):
-        i = np.searchsorted(hist.values, cut)       # the tail is a suffix
-        stat = _ks_stat(hist.values[i:], hist.counts[i:], n, cut, beta)
-        if best is None or stat < best.ks_stat:
-            best = FitReport(beta, cut, n, stat)
-    return best
+    cuts, ns, sum_logs = (np.array(v) for v in zip(*lanes))
+    betas = _mle_betas(cuts, ns, sum_logs)
+    stats = _ks_stats(hist, cuts, ns, betas)
+    j = int(np.argmin(stats))                   # the first cutoff on a tie
+    return FitReport(float(betas[j]), lanes[j][0], lanes[j][1], float(stats[j]))
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +514,7 @@ def sample_power_law(beta: float, k_min: int, size: int,
         raise ValueError(f"table_max must be >= k_min, got {table_max} < {k_min}")
     k = np.arange(k_min, table_max + 1, dtype=np.float64)
     w = k ** -beta
-    total = w.sum() + zeta(beta, table_max + 1)
+    total = w.sum() + _zeta(beta, table_max + 1)
     cdf = np.cumsum(w) / total
     u = rng.random(size)
     idx = np.searchsorted(cdf, u, side="right")

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy would load it inside the first evolve)
 
 from .analysis import ObservedGraph
 from .core import Hypergraph, index_dtype, sort_members

@@ -161,7 +161,7 @@ def _parse_edge_lines(lines) -> list[list[int]]:
 
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64
-READ_PIECE = 1 << 20    # bytes per piece of the bulk parser, then to a newline
+READ_PIECE = 1 << 17    # bytes per piece of the bulk parser, then to a newline
 
 
 def _pieces(f):
@@ -328,11 +328,14 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
     return DegreeHistogram(values, counts)
 
 
-def write_ccdf_csv(pairs: list[tuple[int, float]], destination: str) -> None:
+def write_ccdf_csv(ccdf: tuple[np.ndarray, np.ndarray], destination: str) -> None:
+    """Write analysis.ccdf's (degrees, probabilities) as CSV rows."""
+    degrees, probs = (v.tolist() for v in ccdf)
     # a dense degree range repeats each probability, so each distinct one is
     # formatted once; zero each time, since 0.0 == -0.0 but they print apart
-    text = {prob: f"{prob:.10g}" for prob in {prob for _, prob in pairs if prob}}
-    rows = [f"{k},{text[prob] if prob else f'{prob:.10g}'}\n" for k, prob in pairs]
+    text = {prob: f"{prob:.10g}" for prob in set(probs) if prob}
+    rows = [f"{k},{text[prob] if prob else f'{prob:.10g}'}\n"
+            for k, prob in zip(degrees, probs)]
     _write(destination, [("degree,ccdf\n" + "".join(rows)).encode()])
 
 

@@ -7,8 +7,10 @@ reference_rows formats the hypergraph line format with Python's % operator;
 histogram builds a DegreeHistogram from a {value: count} dict,
 reference_ccdf walks its tail one value at a time and reference_ccdf_csv
 formats every row of a CCDF with an f-string; reference_mle_beta runs
-scipy's bounded minimize_scalar on one tail and reference_fit_power_law
-fits one cutoff at a time with it.
+scipy's bounded minimize_scalar on one tail, reference_ks_stat takes one
+tail's KS distance with scipy's zeta, and reference_fit_power_law fits one
+cutoff at a time with both; cephes_zeta is Cephes' Hurwitz zeta on Python
+floats, which also tells where its sums stopped.
 """
 
 import math
@@ -18,7 +20,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from pahyper import DegreeHistogram, FitReport, Hypergraph
-from pahyper.analysis import MIN_TAIL, _ks_stat, _tail_stats
+from pahyper.analysis import MIN_TAIL, _tail_stats
 
 
 class EdgeList:
@@ -154,6 +156,48 @@ def reference_ccdf_csv(pairs) -> bytes:
     return ("degree,ccdf\n" + "".join(rows)).encode()
 
 
+CEPHES_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+                 7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+                 -4.5979787224074726105e15, 1.8152105401943546773e17,
+                 -7.1661652561756670113e18)
+
+
+def cephes_zeta(x: float, q: float) -> tuple[float, str, int]:
+    """Cephes' zeta(x, q) for x > 1 and q >= 1, one float operation at a
+    time as in its C source, with where it stopped: ("asymptotic", 0) for
+    q > 1e8, ("direct", i) after the direct sum's term (q + i)^-x,
+    ("euler-maclaurin", i) after the Euler-Maclaurin term i, or
+    ("euler-maclaurin", 12) when no term stopped it."""
+    machep = 1.11022302462515654042e-16
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x), "asymptotic", 0
+    s = math.pow(q, -x)
+    a = q
+    for i in range(1, 10):
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < machep:
+            return s, "direct", i
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for i, coeff in enumerate(CEPHES_ZETA_A):
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s = s + t
+        if abs(t / s) < machep:
+            return s, "euler-maclaurin", i
+        k += 1.0
+        b /= w
+        a *= x + k
+        k += 1.0
+    return s, "euler-maclaurin", 12
+
+
 def reference_mle_beta(k_min: int, n: int, sum_log: float) -> float:
     """The discrete power-law MLE exponent of one tail, by scipy's bounded
     Brent search (fminbound) on n*ln(zeta(beta, k_min)) + beta*sum_log."""
@@ -165,6 +209,23 @@ def reference_mle_beta(k_min: int, n: int, sum_log: float) -> float:
     return float(res.x)
 
 
+def reference_ks_stat(tk: np.ndarray, tc: np.ndarray, n: int, k_min: int,
+                      beta: float) -> float:
+    """Sup distance between empirical and fitted CDFs over k >= k_min.
+
+    Both CDFs are integer step functions, so the supremum is attained either
+    at a data value or just before one; evaluating the model CDF on each side
+    of every data value covers all integers, including zero-count gaps.
+    """
+    denom = zeta(beta, k_min)
+    model_at = 1.0 - zeta(beta, tk + 1) / denom      # F(k_i)
+    model_before = 1.0 - zeta(beta, tk) / denom      # F(k_i - 1)
+    emp = np.cumsum(tc) / n
+    emp_prev = np.concatenate(([0.0], emp[:-1]))
+    return float(max(np.abs(emp - model_at).max(),
+                     np.abs(emp_prev - model_before).max()))
+
+
 def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     """fit_power_law with one reference_mle_beta call per cutoff, keeping
     the first cutoff of smallest KS distance in "auto" mode."""
@@ -174,13 +235,14 @@ def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitR
     if k_min == "auto":
         best = None
         for cut in hist.values.tolist():
-            tk, tc, n, sum_log = _tail_stats(hist, cut)
+            tk, n, sum_log = _tail_stats(hist, cut)
+            tc = hist.counts[hist.values >= cut]
             if n < MIN_TAIL:
                 break
             if len(tk) < 2:
                 continue
             beta = reference_mle_beta(cut, n, sum_log)
-            stat = _ks_stat(tk, tc, n, cut, beta)
+            stat = reference_ks_stat(tk, tc, n, cut, beta)
             if best is None or stat < best.ks_stat:
                 best = FitReport(beta, cut, n, stat)
         if best is None:
@@ -190,10 +252,11 @@ def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitR
     k_min = int(k_min)
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
-    tk, tc, n, sum_log = _tail_stats(hist, k_min)
+    tk, n, sum_log = _tail_stats(hist, k_min)
+    tc = hist.counts[hist.values >= k_min]
     if n < MIN_TAIL:
         raise ValueError(f"tail too small: {n} items with value >= {k_min}")
     if len(tk) < 2:
         raise ValueError(all_equal)
     beta = reference_mle_beta(k_min, n, sum_log)
-    return FitReport(beta, k_min, n, _ks_stat(tk, tc, n, k_min, beta))
+    return FitReport(beta, k_min, n, reference_ks_stat(tk, tc, n, k_min, beta))

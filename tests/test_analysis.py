@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, analytic_beta, analytic_mk,
@@ -16,8 +17,8 @@ from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      project, projected_degrees, sample_power_law)
 from pahyper import analysis, core
 from pahyper.analysis import MIN_TAIL, _mle_betas, _tail_stats
-from reference import (EdgeList, histogram, reference_ccdf, reference_fit_power_law,
-                       reference_mle_beta)
+from reference import (EdgeList, cephes_zeta, histogram, reference_ccdf,
+                       reference_fit_power_law, reference_mle_beta)
 
 
 class TestDegreeHistogram:
@@ -69,15 +70,22 @@ class TestDegreeHistogram:
         assert dict(hist.restrict(3).items_sorted()) == {3: 4, 7: 2}
 
 
+def _pairs(result) -> list[tuple[int, float]]:
+    """ccdf's two arrays as (degree, probability) pairs."""
+    degrees, probs = result
+    assert degrees.dtype == np.int64 and probs.dtype == np.float64
+    return list(zip(degrees.tolist(), probs.tolist()))
+
+
 class TestCCDF:
     def test_gap_histogram(self):
-        assert ccdf(histogram({1: 2, 3: 2})) == [(1, 1.0), (2, 0.5), (3, 0.5)]
+        assert _pairs(ccdf(histogram({1: 2, 3: 2}))) == [(1, 1.0), (2, 0.5), (3, 0.5)]
 
     def test_single_value(self):
-        assert ccdf(histogram({5: 10})) == [(5, 1.0)]
+        assert _pairs(ccdf(histogram({5: 10}))) == [(5, 1.0)]
 
     def test_uniform_four(self):
-        assert ccdf(histogram({1: 1, 2: 1, 3: 1, 4: 1})) == [
+        assert _pairs(ccdf(histogram({1: 1, 2: 1, 3: 1, 4: 1}))) == [
             (1, 1.0), (2, 0.75), (3, 0.5), (4, 0.25)]
 
     def test_empty_rejected(self):
@@ -86,7 +94,7 @@ class TestCCDF:
 
     def test_monotone_and_normalized(self):
         hist = DegreeHistogram.from_degrees(np.random.default_rng(3).integers(1, 40, 500))
-        pairs = ccdf(hist)
+        pairs = _pairs(ccdf(hist))
         probs = [p for _, p in pairs]
         assert probs[0] == 1.0
         assert all(a >= b for a, b in zip(probs, probs[1:]))
@@ -99,7 +107,7 @@ class TestCCDF:
     def test_matches_reference(self, counts):
         # gaps, a single value, and counts up to 10^9
         hist = histogram(counts)
-        assert ccdf(hist) == reference_ccdf(hist)
+        assert _pairs(ccdf(hist)) == reference_ccdf(hist)
 
 
 class TestProjection:
@@ -387,7 +395,9 @@ class TestFitPowerLaw:
 
     def test_auto_keeps_first_cutoff_on_ks_tie(self):
         hist = histogram({1: 30, 2: 20, 3: 10, 4: 10})
-        with mock.patch.object(analysis, "_ks_stat", return_value=0.25):
+        def tie(hist, cuts, n, betas):
+            return np.full(len(cuts), 0.25)
+        with mock.patch.object(analysis, "_ks_stats", side_effect=tie):
             assert fit_power_law(hist, "auto").k_min == 1
 
     def test_report_invariants(self):
@@ -399,12 +409,45 @@ class TestFitPowerLaw:
             FitReport(beta_hat=2.0, k_min=2, n_tail=100, ks_stat=1.5)
 
 
+# (x, q) where Cephes' zeta stops its direct sum after the term (q + i)^-x
+# for i = 9, 8, ..., 3, or its Euler-Maclaurin sum after term 0, 1, ..., 8
+# (for q >= 1 and x <= 30 no later stop occurs); then q = 1e8, the last
+# before the asymptotic form, and two past it
+ZETA_EXAMPLES = [(16.0, 1), (17.0, 1), (18.0, 1), (19.0, 1), (21.0, 1), (23.0, 1),
+                 (27.0, 1),
+                 (1 + 1e-6, 10**6), (1 + 1e-6, 100), (1 + 1e-6, 10), (1 + 1e-6, 1),
+                 (5.0, 100), (1.001, 1), (1.01, 1), (2.0, 1), (11.0, 6),
+                 (2.5, 10**8), (2.5, 10**8 + 1), (30.0, 2 * 10**8)]
+
+
+def test_zeta_examples_cover_every_stop():
+    assert {cephes_zeta(x, q)[1:] for x, q in ZETA_EXAMPLES} == (
+        {("direct", i) for i in range(3, 10)}
+        | {("euler-maclaurin", i) for i in range(9)} | {("asymptotic", 0)})
+    assert [cephes_zeta(x, q)[0] for x, q in ZETA_EXAMPLES] == [
+        zeta(x, q) for x, q in ZETA_EXAMPLES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(1.0, 30.0, exclude_min=True),
+                          st.integers(1, 100) | st.integers(1, 2 * 10**8)),
+                min_size=1, max_size=40))
+@example(ZETA_EXAMPLES)
+@example([(1 + 1e-6, q) for q in (1, 2, 10**8, 10**8 + 1, 2 * 10**8)])
+def test_zeta_equals_scipy(pairs):
+    """The numpy zeta is scipy's (Cephes') bit for bit, lanes that stop in
+    different places side by side.  It relies on np.float_power calling
+    libm's pow, as Cephes does: a SIMD float_power would fail it."""
+    x, q = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+    assert analysis._zeta(x, q).tolist() == zeta(x, q).tolist()
+
+
 def _lanes(counts: dict[int, int]):
     """(k_min, n, sum_log) of every tail of a {value: count} histogram that
     holds two or more values."""
     hist = histogram(counts)
     lanes = [_tail_stats(hist, cut) for cut in hist.values.tolist()]
-    return [(cut, n, s) for cut, (tk, _, n, s) in zip(hist.values.tolist(), lanes)
+    return [(cut, n, s) for cut, (tk, n, s) in zip(hist.values.tolist(), lanes)
             if len(tk) > 1]
 
 
@@ -439,6 +482,28 @@ def test_fit_power_law_equals_per_cutoff_reference(beta, k_min, size, spacing, s
                               table_max=10**4)
     hist = DegreeHistogram.from_degrees(sample * spacing)
     for cut in ("auto", 1, 2, 5, 20):
+        try:
+            want = reference_fit_power_law(hist, cut)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                fit_power_law(hist, cut)
+            assert str(got.value) == str(err)
+        else:
+            assert fit_power_law(hist, cut) == want
+
+
+@pytest.mark.parametrize("counts", [
+    {1: 50, 3: 20, 10**9: 5},
+    {1: 30, 10**8 - 1: 5, 10**8: 6, 10**8 + 1: 7, 10**8 + 9: 3},
+    {5: 3, 6: 4, 7: 5, 10**8 - 10: 2, 10**8 + 20: 3},
+    {1: 50, 2: 3, 2**53 + 1: 5, 2**53 + 2: 4},
+    {1: 50, 2: 7, 2**62: 5},
+])
+def test_fit_of_values_past_1e8_equals_reference(counts):
+    """Degrees where zeta takes its asymptotic form (q > 1e8), beside ones
+    where it sums, and past exact float64 integers, fit as scipy fits them."""
+    hist = histogram(counts)
+    for cut in ("auto", 1, 2, 6):
         try:
             want = reference_fit_power_law(hist, cut)
         except ValueError as err:

@@ -384,14 +384,40 @@ def _run_cli(args, stdin=b""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    """The fit's bounded search is numpy code, so importing the CLI does not
-    load scipy.optimize (a large share of every process's start-up)."""
+_SCIPY_PROBE = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def _probe(code: str, cwd) -> bytes:
+    """The stdout of `python -c code` with the library on its path."""
     src = str(Path(pahyper.__file__).resolve().parents[1])
-    probe = "import sys, pahyper.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert out.stdout == b"False\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120,
+                          check=True).stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out(tmp_path):
+    """The fit's bounded search and its zeta are numpy code, so importing
+    the CLI loads no scipy module (once half the memory and two thirds of
+    the start-up of every process)."""
+    probe = "import sys, pahyper.cli; " + _SCIPY_PROBE
+    assert _probe(probe, tmp_path) == b"[]\n"
+
+
+def test_fit_and_compare_load_no_scipy(tmp_path):
+    """An auto fit and a compare, which fit with zeta, load no scipy
+    module either."""
+    probe = "; ".join([
+        "import sys",
+        "from pahyper.cli import main",
+        "assert main(['generate', '--steps', '3000', '--p', '0.5', '--seed', '7', "
+        "'--out', 'h.txt']) == 0",
+        "assert main(['degrees', '--in', 'h.txt', '--out', 'd.csv']) == 0",
+        "assert main(['fit', '--in', 'd.csv', '--kmin', 'auto', '--out', 'f.txt']) == 0",
+        "assert main(['compare', '--steps', '3000', '--p', '1', '--seed', '7', "
+        "'--out-prefix', 'cmp']) == 0",
+        _SCIPY_PROBE])
+    assert _probe(probe, tmp_path).splitlines()[-1] == b"[]"
+    assert (tmp_path / "f.txt").read_text().startswith("beta_hat=")
 
 
 @pytest.mark.parametrize("data", [

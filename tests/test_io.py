@@ -243,7 +243,7 @@ def test_file_read_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.65 * 8 * (len(h.tokens) + len(h.offsets))
+    assert peak <= 0.95 * 8 * (len(h.tokens) + len(h.offsets))
 
 
 def test_stdin_read_memory(monkeypatch, tmp_path):
@@ -533,9 +533,15 @@ def test_fit_report_format(tmp_path):
         "beta_hat=2.50000\nk_min=5\nn_tail=1000\nks_stat=0.0200000\n")
 
 
+def _ccdf_arrays(pairs):
+    """(degree, probability) pairs as ccdf's two arrays."""
+    return (np.array([k for k, _ in pairs], dtype=np.int64),
+            np.array([p for _, p in pairs], dtype=np.float64))
+
+
 def test_ccdf_csv(tmp_path):
     path = tmp_path / "c.csv"
-    write_ccdf_csv([(1, 1.0), (2, 0.25)], str(path))
+    write_ccdf_csv(_ccdf_arrays([(1, 1.0), (2, 0.25)]), str(path))
     assert path.read_text() == "degree,ccdf\n1,1\n2,0.25\n"
 
 
@@ -548,9 +554,9 @@ PROBS = st.sampled_from([0.0, -0.0, 1.0, 0.25, 1 / 3, 5e-324, float("nan"),
 @given(st.lists(st.tuples(st.integers(-5, 10**12), PROBS), max_size=60))
 @example([(1, 0.0), (2, -0.0), (3, 0.0), (4, -0.0)])
 @example([(1, float("nan")), (2, float("nan")), (3, 1.0), (4, 1)])
-@example(ccdf(histogram({1: 5, 9: 3, 40: 1})))
+@example(list(zip(*(v.tolist() for v in ccdf(histogram({1: 5, 9: 3, 40: 1}))))))
 def test_ccdf_writer_matches_reference(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
-        write_ccdf_csv(pairs, str(path))
+        write_ccdf_csv(_ccdf_arrays(pairs), str(path))
         assert path.read_bytes() == reference_ccdf_csv(pairs)
