@@ -2,8 +2,9 @@
 
 Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
 
-  hypergraph file   one hyperedge per line, space-separated non-negative
-                    integer ids, lines in arrival order; '#' lines ignored.
+  hypergraph file   one hyperedge per line, ids of 1-18 ASCII digits
+                    separated by spaces or tabs, lines in arrival order;
+                    a line whose first non-blank byte is '#' is a comment.
                     Vertex ids must cover 0..max contiguously.
   histogram CSV     header "degree,count", rows ascending by degree.
   ccdf CSV          header "degree,ccdf".
@@ -18,21 +19,20 @@ Python int or str per id.  The writer formats every id from a table of digit
 pairs and emits the rows in pieces of ROW_PIECE edges, so the text of the
 whole file never exists at once; every output goes as UTF-8 bytes through
 one function, to a file in binary or to '-' through sys.stdout's text layer.
-The reader reads a regular file from disk in newline-aligned pieces of
-about READ_PIECE bytes; stdin for '-', or a path that cannot seek, is read
-whole into one buffer first.  Data of only ASCII digits, spaces and
-newlines is parsed by numpy piece by piece, so that it needs the output
-arrays and memory in proportion to one piece, not the bytes of the file;
-anything else is decoded as text mode would (UTF-8, universal newlines)
-and goes to the line parser.
-Both paths end in core.checked, the one check that ids cover 0..max.
+The reader parses a regular file from disk with numpy in newline-aligned
+pieces of about READ_PIECE bytes, so that beside its output arrays it needs
+memory for one piece; stdin for '-', or a path that cannot seek, is read
+whole into one buffer first.  A file it refuses is walked line by line only
+to raise the error of its first bad line; an accepted one ends in
+core.checked, the one check that ids cover 0..max.
 """
 
 from __future__ import annotations
 
+import re
 import sys
-from contextlib import contextmanager
-from io import BytesIO, StringIO, TextIOWrapper
+from contextlib import nullcontext
+from io import BytesIO
 
 import numpy as np
 
@@ -52,13 +52,21 @@ __all__ = [
 ]
 
 
-@contextmanager
-def _open_read(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            yield f
+def _lines(f):
+    """The numbered lines of a binary file, as every reader splits its
+    input: a line ends at '\n', and one '\r' just before it is dropped."""
+    for lineno, line in enumerate(f, start=1):
+        yield lineno, line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
+
+
+def _text_lines(source: str):
+    """The numbered lines of a file, or of stdin for '-', as UTF-8 text."""
+    with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as f:
+        for lineno, line in _lines(f):
+            try:
+                yield lineno, line.decode()
+            except UnicodeDecodeError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
 
 
 # ----------------------------------------------------------------------
@@ -139,45 +147,29 @@ def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     _write(destination, _row_pieces(g.edges.ravel(), offsets))
 
 
-def _parse_edge_lines(lines) -> list[list[int]]:
-    edges: list[list[int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            raise ValueError(f"line {lineno}: empty hyperedge")
-        members = []
-        for tok in line.split():
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer token {tok!r}") from None
-            if v < 0:
-                raise ValueError(f"line {lineno}: negative vertex id {v}")
-            members.append(v)
-        edges.append(members)
-    return edges
-
-
 MAX_BULK_DIGITS = 18    # any id this long fits int64
 READ_PIECE = 1 << 17    # bytes per piece of the bulk parser, then to a newline
+COMMENT_LINE = re.compile(rb"^[ \t]*#.*\n?", re.MULTILINE)   # with its own newline
 
 
 def _pieces(f):
     """Consecutive pieces of a binary file from its start, each of at least
-    READ_PIECE bytes up to and including a newline, or the rest of it."""
+    READ_PIECE bytes up to and including a newline, or the rest of it;
+    without their comment lines, and none left empty."""
     f.seek(0)
     while piece := f.read(READ_PIECE):
         if not piece.endswith(b"\n"):
             piece += f.readline()
-        yield piece
+        if b"#" in piece:
+            piece = COMMENT_LINE.sub(b"", piece)
+        if piece:
+            yield piece
 
 
 def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
     """The number of ids up to the end of each line of a piece of bulk
-    data, or None if an id has more than MAX_BULK_DIGITS digits or a line
-    has no id; and the most digits of an id in the piece."""
+    data, or None if an id has over MAX_BULK_DIGITS digits, a line has no
+    id or a carriage return does not end a line; and the most digits of an id."""
     digit = np.zeros(len(piece) + 2, dtype=bool)
     np.greater(piece, ord(" "), out=digit[1:-1])
     # an id starts where the digit mask turns on and ends where it turns off
@@ -186,7 +178,10 @@ def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
     digits = int((bounds[1::2] - starts).max(initial=0))
     if digits > MAX_BULK_DIGITS:
         return None, digits
-    line_ends = np.flatnonzero(piece == ord("\n"))
+    newline, cr = piece == ord("\n"), piece == ord("\r")
+    if cr[-1] or (cr[:-1] > newline[1:]).any():
+        return None, digits                     # a bare carriage return
+    line_ends = np.flatnonzero(newline)
     if piece[-1] != ord("\n"):
         line_ends = np.append(line_ends, len(piece))
     ends_in_ids = np.searchsorted(starts, line_ends)
@@ -195,24 +190,45 @@ def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
     return ends_in_ids, digits
 
 
-def _parse_bulk(f) -> Hypergraph | None:
-    """Parse a seekable binary file made only of ASCII digits, spaces and
-    newlines, at least one id per line and at most MAX_BULK_DIGITS digits
-    per id, with numpy; None for any other data.  The result goes through
-    core.checked, so ids that do not cover 0..max raise its ValueError.
+def _raise_line_error(f) -> None:
+    """Raise the ValueError of the first line of a seekable binary file that
+    _parse_bulk refuses, naming the line."""
+    f.seek(0)
+    for lineno, line in _lines(f):
+        if line.lstrip(b" \t").startswith(b"#"):
+            continue
+        tokens = [tok for tok in line.replace(b"\t", b" ").split(b" ") if tok]
+        if not tokens:
+            raise ValueError(f"line {lineno}: empty hyperedge")
+        for tok in tokens:
+            if tok.isdigit() and len(tok) > MAX_BULK_DIGITS:
+                raise ValueError(f"line {lineno}: vertex id {tok.decode()} "
+                                 f"has more than {MAX_BULK_DIGITS} digits")
+            if tok[:1] == b"-" and tok[1:].isdigit():
+                raise ValueError(f"line {lineno}: negative vertex id {tok.decode()}")
+            if not tok.isdigit():
+                raise ValueError(f"line {lineno}: non-integer token {repr(tok)[1:]}")
+    raise AssertionError("the bulk parser refused a well-formed file")
 
-    The file is read in newline-aligned pieces of about READ_PIECE bytes
-    (see _pieces), three times: the first sweep checks the bytes of each
-    piece and counts its lines, the second fills the edge offsets and finds
-    the longest id, the third parses each piece's ids into its slice of one
-    token array.  Beside the output arrays, the parser holds a few arrays
-    the size of one piece and, in the final check, a count per vertex and a
-    flag per token; never the bytes of the whole file.
+
+def _parse_bulk(f) -> Hypergraph:
+    """Parse a seekable binary hypergraph file with numpy.  If a line other
+    than a comment is not one or more ids of 1 to MAX_BULK_DIGITS ASCII
+    digits, separated by spaces or tabs, or a carriage return is not at a
+    line end, _raise_line_error names the first such line; the result goes
+    through core.checked, so ids that do not cover 0..max raise its error.
+
+    The file is read in the pieces of _pieces three times: the first sweep
+    checks the bytes of each piece and counts its lines, the second fills
+    the edge offsets and finds the longest id, the third parses each
+    piece's ids into its slice of one token array.  Beside the output
+    arrays, the parser holds a few arrays the size of one piece and, in the
+    final check, a count per vertex and a flag per token.
     """
     size = num_lines = 0
     for piece in _pieces(f):
-        if piece.translate(None, b"0123456789 \n"):
-            return None
+        if piece.translate(None, b"0123456789 \t\r\n"):
+            _raise_line_error(f)
         size += len(piece)
         # a last line with no newline counts too
         num_lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
@@ -221,7 +237,7 @@ def _parse_bulk(f) -> Hypergraph | None:
     for piece in _pieces(f):
         ends_in_ids, width = _piece_line_ends(np.frombuffer(piece, dtype=np.uint8))
         if ends_in_ids is None:
-            return None
+            _raise_line_error(f)
         offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + offsets[line]
         line, digits = line + len(ends_in_ids), max(digits, width)
     tokens = np.empty(offsets[-1], dtype=index_dtype(10**digits - 1))
@@ -233,30 +249,18 @@ def _parse_bulk(f) -> Hypergraph | None:
     return checked(tokens, offsets)
 
 
-def _read(f) -> Hypergraph:
-    """The hypergraph of a seekable binary file: the bulk parser, or the
-    line parser on the file decoded as text mode would decode it (UTF-8,
-    universal newlines)."""
-    h = _parse_bulk(f)
-    if h is None:
-        f.seek(0)
-        text = TextIOWrapper(BytesIO(f.read()), encoding="utf-8").read()
-        h = Hypergraph.from_edges(_parse_edge_lines(StringIO(text)))
-    return h
-
-
 def read_hypergraph(source: str) -> Hypergraph:
     """Inverse of write_hypergraph; read(write(h)) == h.
 
-    A regular file is parsed from disk in pieces (see _parse_bulk).  Stdin
-    for '-', and a path that cannot seek (a FIFO, /dev/stdin), is read
-    whole into one buffer first, since the parser reads its input more
-    than once.
+    A regular file is parsed from disk in pieces (see _parse_bulk), and a
+    malformed one raises a ValueError naming its first bad line.  Stdin for
+    '-', and a path that cannot seek (a FIFO, /dev/stdin), is read whole
+    into one buffer first, since the parser reads its input more than once.
     """
     if source == "-":
-        return _read(BytesIO(sys.stdin.buffer.read()))
+        return _parse_bulk(BytesIO(sys.stdin.buffer.read()))
     with open(source, "rb") as f:
-        return _read(f if f.seekable() else BytesIO(f.read()))
+        return _parse_bulk(f if f.seekable() else BytesIO(f.read()))
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:
@@ -268,15 +272,13 @@ def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[
     """
     ids: dict[str, int] = {}
     edges: list[list[int]] = []
-    with _open_read(source) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                raise ValueError(f"line {lineno}: empty record")
-            labels = [tok.strip() for tok in line.split(delimiter)]
-            if any(not lab for lab in labels):
-                raise ValueError(f"line {lineno}: empty label in record")
-            edges.append([ids.setdefault(lab, len(ids)) for lab in labels])
+    for lineno, line in _text_lines(source):
+        if not line.strip():
+            raise ValueError(f"line {lineno}: empty record")
+        labels = [tok.strip() for tok in line.split(delimiter)]
+        if any(not lab for lab in labels):
+            raise ValueError(f"line {lineno}: empty label in record")
+        edges.append([ids.setdefault(lab, len(ids)) for lab in labels])
     if not edges:
         raise ValueError("empty input: no records")
     return Hypergraph.from_edges(edges), list(ids)
@@ -297,34 +299,32 @@ def write_histogram_csv(hist: DegreeHistogram, destination: str) -> None:
 
 
 def read_histogram_csv(source: str) -> DegreeHistogram:
-    with _open_read(source) as f:
-        header = f.readline().strip()
-        if header != "degree,count":
-            raise ValueError(f"expected header 'degree,count', got {header!r}")
-        rows: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        total = 0
-        for lineno, raw in enumerate(f, start=2):
-            line = raw.strip()
-            if not line:
-                raise ValueError(f"line {lineno}: empty row")
-            try:
-                k_str, c_str = line.split(",")
-                k, c = int(k_str), int(c_str)
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed row {line!r}") from None
-            if not (0 < k < 2**63 and 0 < c < 2**63):
-                raise ValueError(f"line {lineno}: degree and count must be "
-                                 f"positive and fit int64, got {line!r}")
-            if k in seen:
-                raise ValueError(f"line {lineno}: duplicate degree {k}")
-            total += c
-            if total >= 2**63:
-                raise ValueError(f"line {lineno}: count total {total} "
-                                 f"does not fit int64")
-            seen.add(k)
-            rows.append((k, c))
-    values, counts = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2).T.copy()
+    lines = _text_lines(source)
+    header = next(lines, (1, ""))[1].strip()
+    if header != "degree,count":
+        raise ValueError(f"expected header 'degree,count', got {header!r}")
+    rows: dict[int, int] = {}
+    total = 0
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            raise ValueError(f"line {lineno}: empty row")
+        try:
+            k_str, c_str = line.split(",")
+            k, c = int(k_str), int(c_str)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed row {line!r}") from None
+        if not (0 < k < 2**63 and 0 < c < 2**63):
+            raise ValueError(f"line {lineno}: degree and count must be "
+                             f"positive and fit int64, got {line!r}")
+        if k in rows:
+            raise ValueError(f"line {lineno}: duplicate degree {k}")
+        total += c
+        if total >= 2**63:
+            raise ValueError(f"line {lineno}: count total {total} "
+                             f"does not fit int64")
+        rows[k] = c
+    values, counts = np.array(sorted(rows.items()), dtype=np.int64).reshape(-1, 2).T.copy()
     return DegreeHistogram(values, counts)
 
 

@@ -3,7 +3,9 @@
 EdgeList is a growing list-of-tuples hypergraph with per-edge validation;
 reference_evolve runs the evolution process one step at a time on it;
 reference_from_edges checks an edge list with a set of its ids;
-reference_rows formats the hypergraph line format with Python's % operator;
+reference_read reads a hypergraph file's bytes by the format's grammar, one
+regular expression per rule; reference_rows formats the hypergraph line
+format with Python's % operator;
 histogram builds a DegreeHistogram from a {value: count} dict,
 reference_ccdf walks its tail one value at a time and reference_ccdf_csv
 formats every row of a CCDF with an f-string; reference_mle_beta runs
@@ -14,6 +16,7 @@ floats, which also tells where its sums stopped.
 """
 
 import math
+import re
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -119,6 +122,37 @@ def reference_from_edges(edges) -> Hypergraph:
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=offsets[1:])
     return Hypergraph(len(seen), np.array(flat, dtype=np.int64), offsets)
+
+
+def reference_read(data: bytes) -> Hypergraph:
+    """The hypergraph of a hypergraph file's bytes, or the reader's
+    ValueError: the first bad line's, else reference_from_edges's.
+
+    Lines end at b"\n", and one b"\r" just before it is dropped.  A line
+    whose first byte other than a space or tab is b"#" is a comment; every
+    other line holds one or more ids of 1-18 ASCII digits between spaces
+    or tabs."""
+    lines = re.split(rb"\r?\n", data)
+    if lines[-1] == b"":
+        lines.pop()     # the end of the last line, or an empty file
+    edges = []
+    for lineno, line in enumerate(lines, start=1):
+        if re.match(rb"[ \t]*#", line):
+            continue
+        fields = re.findall(rb"[^ \t]+", line)
+        if not fields:
+            raise ValueError(f"line {lineno}: empty hyperedge")
+        for field in fields:
+            if re.fullmatch(rb"[0-9]{19,}", field):
+                raise ValueError(f"line {lineno}: vertex id {field.decode()} "
+                                 f"has more than 18 digits")
+            if re.fullmatch(rb"-[0-9]+", field):
+                raise ValueError(f"line {lineno}: negative vertex id {field.decode()}")
+            if not re.fullmatch(rb"[0-9]+", field):
+                # the field as a bytes literal, without its b prefix
+                raise ValueError(f"line {lineno}: non-integer token {repr(field)[1:]}")
+        edges.append([int(field) for field in fields])
+    return reference_from_edges(edges)
 
 
 def reference_rows(tokens: np.ndarray, offsets: np.ndarray) -> str:

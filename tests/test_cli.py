@@ -148,9 +148,23 @@ class TestPipelines:
         h = tmp_path / "h.txt"
         h.write_bytes(b"0 1\n\xff 0\n")
         assert main(["degrees", "--in", str(h), "--out", "-"]) == 2
+        assert capsys.readouterr().err == "error: line 2: non-integer token '\\xff'\n"
+
+    def test_fit_of_non_utf8_file(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        hist.write_bytes(b"degree,count\r\n1,\xff\r\n")
+        assert main(["fit", "--in", str(hist), "--kmin", "1"]) == 2
         assert capsys.readouterr().err == (
-            "error: 'utf-8' codec can't decode byte 0xff in position 4: "
+            "error: line 2: 'utf-8' codec can't decode byte 0xff in position 2: "
             "invalid start byte\n")
+
+    def test_ingest_of_non_utf8_file(self, tmp_path, capsys):
+        rec = tmp_path / "records.txt"
+        rec.write_bytes(b"a;b\nb;\xe9\n")
+        assert main(["ingest", "--in", str(rec), "--out", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: 'utf-8' codec can't decode byte 0xe9 in position 2: "
+            "unexpected end of data\n")
 
     def test_fit_tail_too_small(self, tmp_path, capsys):
         hist = tmp_path / "hist.csv"

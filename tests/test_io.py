@@ -20,8 +20,9 @@ from pahyper import (Constant, FitReport, GeneratorConfig,
                      write_histogram_csv, write_hypergraph, write_label_map,
                      write_observed_graph)
 from pahyper import io
-from pahyper.io import _parse_bulk, _parse_edge_lines
-from reference import EdgeList, histogram, reference_ccdf_csv, reference_rows
+from pahyper.io import _parse_bulk
+from reference import (EdgeList, histogram, reference_ccdf_csv, reference_read,
+                       reference_rows)
 
 
 class TestHypergraphFile:
@@ -154,25 +155,34 @@ TEXTS = st.one_of(
 @example("0\t1\n")
 @example("0 1\r\n1 0\r\n")
 @example("# comment\n0 1\n")
+@example("0 1\n\n# comment")
 @example("0 1\n1 0")
+@example("0 1\n1 0\r")
 @example("0 1\n\n1 0\n")
 @example("0 1\n   \n")
 @example("0 -1\n")
+@example("0 -01 -0\n")
+@example(" # comment\n0 +1\n")
 @example("0 0\n2 2\n")
 @example("0 " + "0" * 19 + "1\n")
 @example("0 " + "1" * 19 + "\n")
-def test_bulk_reader_agrees_with_line_parser(text):
+def test_reader_agrees_with_reference_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.txt"
         path.write_bytes(text.encode("utf-8"))
-        with open(path, encoding="utf-8") as f:
-            lines = _outcome(lambda: Hypergraph.from_edges(_parse_edge_lines(f)))
+        expected = _outcome(lambda: reference_read(path.read_bytes()))
         # the default piece, then pieces of one line or a few lines
         for piece in (io.READ_PIECE, 1, 7):
             with mock.patch.object(io, "READ_PIECE", piece):
                 bulk = _outcome(lambda: read_hypergraph(str(path)))
-            assert type(bulk) is type(lines)
-            assert bulk == lines
+            assert type(bulk) is type(expected)
+            assert bulk == expected
+
+
+def _walked(parse):
+    """The outcome of parse(), and whether it reached the line walk."""
+    with mock.patch.object(io, "_raise_line_error", wraps=io._raise_line_error) as walk:
+        return _outcome(parse), walk.called
 
 
 BODY = b"0 1 2\n2 0 1\n" * 100     # 1,200 bytes the bulk parser takes
@@ -184,22 +194,23 @@ BODY = b"0 1 2\n2 0 1\n" * 100     # 1,200 bytes the bulk parser takes
     (b"4 4\n", True),                           # the only id gap: raised
     (b"2 1 0\n", True),                         # the only unsorted edge
     (b"2 0 1", True),                           # no final newline
+    (b"# note\n2 0 1\n", True),                 # the only comment line
+    (b"1\t2 0\n", True),                        # the only tab
+    (b"2 0 1\r\n", True),                       # the only CRLF line end
 ])
 def test_last_piece_is_checked(tmp_path, tail, bulk_takes):
     data = BODY + tail
     path = tmp_path / "h.txt"
     path.write_bytes(data)
-    lines = _outcome(lambda: Hypergraph.from_edges(
-        _parse_edge_lines(stdio.StringIO(data.decode()))))
+    expected = _outcome(lambda: reference_read(data))
     for piece in (64, len(BODY) - 8, len(BODY)):
         with mock.patch.object(io, "READ_PIECE", piece), open(path, "rb") as f:
+            # the tail is in the last piece of what the parser keeps
             pieces = list(io._pieces(f))
-            assert len(pieces) > 1 and len(data) - len(pieces[-1]) <= len(BODY)
-            bulk = _outcome(lambda: _parse_bulk(f))
-            assert (bulk is not None) == bulk_takes
-            if bulk_takes:
-                assert bulk == lines
-            assert _outcome(lambda: read_hypergraph(str(path))) == lines
+            kept = sum(map(len, pieces))
+            assert len(pieces) > 1 and kept - len(pieces[-1]) <= len(BODY)
+            assert _walked(lambda: _parse_bulk(f)) == (expected, not bulk_takes)
+            assert _outcome(lambda: read_hypergraph(str(path))) == expected
 
 
 def test_pieces_of_a_generated_file(tmp_path):
@@ -231,12 +242,17 @@ def test_bulk_parser_memory(tmp_path):
     assert peak <= 1.6 * 8 * (len(h.tokens) + len(h.offsets))
 
 
-def test_file_read_memory(tmp_path):
+@pytest.mark.parametrize("commented_crlf", [False, True],
+                         ids=["as-written", "header-and-crlf"])
+def test_file_read_memory(tmp_path, commented_crlf):
     """A file is read from disk in pieces: no allowance for its bytes, and
-    ids and offsets at 8 bytes each."""
+    ids and offsets at 8 bytes each; a comment line and CRLF line ends
+    take the same path."""
     cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
     path = tmp_path / "h.txt"
     write_hypergraph(evolve(cfg), str(path))
+    if commented_crlf:
+        path.write_bytes(b"# header\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
     tracemalloc.start()
     try:
         h = read_hypergraph(str(path))
@@ -273,24 +289,36 @@ def test_bulk_parser_token_dtype_follows_the_longest_id(top, dtype):
 
 def test_bulk_parser_takes_canonical_text():
     def parse(data):
-        return _parse_bulk(stdio.BytesIO(data))
+        return _walked(lambda: _parse_bulk(stdio.BytesIO(data)))
 
-    assert parse(b"0 0 0\n1 0\n 2  1 \n") == Hypergraph.from_edges(
-        [(0, 0, 0), (0, 1), (1, 2)])
-    assert parse(b"") == Hypergraph.from_edges([])
-    for other in (b"0 +1\n", b"0\t1\n", b"0 1\n\n", b"0 " + b"0" * 19 + b"1\n"):
-        assert parse(other) is None
-    assert _outcome(lambda: parse(b"0 2\n")) == _outcome(
-        lambda: Hypergraph.from_edges(_parse_edge_lines(["0 2\n"])))
+    assert parse(b"0 0 0\n1 0\n 2  1 \n") == (Hypergraph.from_edges(
+        [(0, 0, 0), (0, 1), (1, 2)]), False)
+    assert parse(b"# c\r\n0\t1\r\n\t# c\n") == (Hypergraph.from_edges([(0, 1)]), False)
+    assert parse(b"") == (Hypergraph.from_edges([]), False)
+    for other in (b"0 +1\n", b"0 1\r1 0\n", b"1 0\r", b"0 1\n\n",
+                  b"0 " + b"0" * 19 + b"1\n"):
+        assert parse(other) == (_outcome(lambda: reference_read(other)), True)
+    # a gap is core.checked's error, with no line walk
+    assert parse(b"0 2\n") == ("error: vertex id gap: id 1 never appears", False)
 
 
 def test_gap_in_last_line_raises_without_line_parser(tmp_path):
+    """Valid files, and one whose only fault is an id gap, never reach the
+    line-by-line error walk."""
     h = evolve(GeneratorConfig(p=0.5, steps=20_000, size_dist=Constant(3), seed=3))
     path = tmp_path / "h.txt"
     write_hypergraph(h, str(path))
-    with open(path, "a") as f:
-        f.write(f"0 {h.num_vertices + 1}\n")
-    with mock.patch.object(io, "_parse_edge_lines", side_effect=AssertionError):
+    data = path.read_bytes()
+    variants = {"h.txt": data,
+                "commented.txt": b"# header\n" + data + b"  # trailer \xff\n",
+                "tabs.txt": data.replace(b" ", b"\t"),
+                "crlf.txt": data.replace(b"\n", b"\r\n")}
+    with mock.patch.object(io, "_raise_line_error", side_effect=AssertionError):
+        for name, variant in variants.items():
+            (tmp_path / name).write_bytes(variant)
+            assert read_hypergraph(str(tmp_path / name)) == h
+        with open(path, "a") as f:
+            f.write(f"0 {h.num_vertices + 1}\n")
         with pytest.raises(ValueError) as err:
             read_hypergraph(str(path))
     assert str(err.value) == f"vertex id gap: id {h.num_vertices} never appears"
@@ -458,15 +486,19 @@ class TestHistogramCSV:
             read_histogram_csv(str(path))
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of a text as every reader splits them: each ends at "\n",
+    and one "\r" just before it is dropped."""
+    lines = re.split(r"\r?\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _reference_histogram(text: str) -> dict[int, int]:
     """The entries of a well-formed histogram CSV, or {} when any row is not
     two positive integers that fit int64, a degree repeats or the counts sum
     past int64 (the reader must then raise)."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     counts = {}
-    for line in lines[1:]:
+    for line in _text_lines(text)[1:]:
         fields = line.strip().split(",")
         try:
             k, c = map(int, fields)
@@ -506,6 +538,8 @@ CSV_TEXTS = st.one_of(
 @example("degree,count\n1,5\n2,99999999999999999999\n")
 @example("degree,count\n9223372036854775807,9223372036854775807\n")
 @example("degree,count\n1,9223372036854775807\n2,5\n3,5\n")
+@example("degree,count\r\n1,2\r\r\n")
+@example("degree,count\n1,2\r3,4\n")
 def test_histogram_reader_fuzz(text):
     """Every input either reads back exactly its rows or raises ValueError
     naming the header or a line of the input."""
@@ -520,10 +554,10 @@ def test_histogram_reader_fuzz(text):
             if m is None:
                 assert message.startswith("expected header 'degree,count'")
             else:
-                assert 2 <= int(m.group(1)) <= len(text.splitlines())
+                assert 2 <= int(m.group(1)) <= len(_text_lines(text))
             return
     assert dict(hist.items_sorted()) == _reference_histogram(text)
-    assert len(hist.counts) == len(text.splitlines()) - 1
+    assert len(hist.counts) == len(_text_lines(text)) - 1
 
 
 def test_fit_report_format(tmp_path):
