@@ -262,14 +262,6 @@ def _zeta_from(x: np.ndarray, q: np.ndarray, powers: np.ndarray,
 # power-law fitting
 
 
-def _tail_stats(hist: DegreeHistogram, k_min: int):
-    """Tail at cutoff k_min: (its values, n, sum of c*ln k)."""
-    mask = hist.values >= k_min
-    tk = hist.values[mask]
-    tc = hist.counts[mask]
-    return tk, int(tc.sum()), float((tc * np.log(tk)).sum())
-
-
 def _mle_betas(k_min, n, sum_log) -> np.ndarray:
     """Exponents maximizing the discrete power-law likelihood, one per tail.
 
@@ -363,10 +355,11 @@ def _segments(lengths: np.ndarray):
     return seg, np.arange(len(seg)) - starts[seg], starts
 
 
-def _ks_stats(hist: DegreeHistogram, cuts: np.ndarray, n: np.ndarray,
-              betas: np.ndarray) -> np.ndarray:
+def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
+              n: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """KS distance of each lane's fit: lane j fits the tail of values >=
-    cuts[j], holding n[j] items, with exponent betas[j].
+    cuts[j], the values from index first[j] on, holding n[j] items, with
+    exponent betas[j].
 
     The distance is the sup over k >= cuts[j] between the empirical and the
     fitted CDF.  Both are integer step functions, so the supremum is attained
@@ -390,7 +383,6 @@ def _ks_stats(hist: DegreeHistogram, cuts: np.ndarray, n: np.ndarray,
     grid = _distinct(keys[:, None] + np.arange(11, dtype=np.uint64))
     gi = np.searchsorted(grid, qs)              # (q + i)^-beta is at grid[gi + i]
     qs, grid = qs.astype(np.float64), grid.astype(np.float64)
-    first = np.searchsorted(values, cuts)       # each tail's first value
     ends = np.cumsum(len(values) - first)       # each tail's end among all points
     starts = ends - (len(values) - first)
     out = np.empty(len(cuts))
@@ -423,42 +415,46 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     """Discrete MLE power-law fit of the histogram tail.
 
     k_min is the smallest value included in the fit; pass "auto" to scan the
-    present values and keep the cutoff minimizing the KS distance (the first
-    such cutoff on a tie).  Raises ValueError when fewer than 10 items
+    present values whose tail holds >= MIN_TAIL items and two or more
+    distinct values, and keep the cutoff minimizing the KS distance (the
+    first such cutoff on a tie).  Raises ValueError when fewer than 10 items
     survive the cutoff or when the tail is a single repeated value (exponent
-    undefined).
+    undefined).  Every cutoff, fixed or scanned, is a lane of one table over
+    the histogram: its first index, n from the suffix sums of the counts,
+    and its sum of c*ln k as a slice sum.
     """
     if not len(hist.values):
         raise ValueError("empty histogram")
     all_equal = "degrees in tail are all equal; exponent undefined"
+    values = hist.values
+    n = np.cumsum(hist.counts[::-1])[::-1]      # items of value >= values[i]
+    last = len(values) - 1                      # the tail from here holds one value
 
-    if k_min == "auto":
-        lanes = []      # (cutoff, n, sum_log) of each tail to fit
-        for cut in hist.values.tolist():
-            tk, n, sum_log = _tail_stats(hist, cut)
-            if n < MIN_TAIL:
-                break  # tails only shrink as the cutoff grows
-            if len(tk) > 1:
-                lanes.append((cut, n, sum_log))
-        if not lanes:   # the first cutoff keeps every item
-            raise ValueError(all_equal if hist.total_vertices >= MIN_TAIL else
+    if k_min == "auto":     # tails only shrink as the cutoff grows
+        first = np.arange(min(int(np.count_nonzero(n >= MIN_TAIL)), last))
+        if not len(first):  # the first cutoff keeps every item
+            raise ValueError(all_equal if n[0] >= MIN_TAIL else
                              f"tail too small: no cutoff leaves >= {MIN_TAIL} items")
+        cuts = values[first]
     else:
         k_min = int(k_min)
         if k_min < 1:
             raise ValueError(f"k_min must be >= 1, got {k_min}")
-        tk, n, sum_log = _tail_stats(hist, k_min)
-        if n < MIN_TAIL:
-            raise ValueError(f"tail too small: {n} items with value >= {k_min}")
-        if len(tk) < 2:
+        first = np.searchsorted(values, [k_min])
+        n_tail = int(n[first[0]]) if first[0] <= last else 0
+        if n_tail < MIN_TAIL:
+            raise ValueError(f"tail too small: {n_tail} items with value >= {k_min}")
+        if first[0] == last:
             raise ValueError(all_equal)
-        lanes = [(k_min, n, sum_log)]
+        cuts = np.array([k_min])
 
-    cuts, ns, sum_logs = (np.array(v) for v in zip(*lanes))
+    terms = hist.counts * np.log(values)
+    sum_logs = np.array([terms[i:].sum() for i in first.tolist()])
+    ns = n[first]
     betas = _mle_betas(cuts, ns, sum_logs)
-    stats = _ks_stats(hist, cuts, ns, betas)
+    stats = _ks_stats(hist, first, cuts, ns, betas)
     j = int(np.argmin(stats))                   # the first cutoff on a tie
-    return FitReport(float(betas[j]), lanes[j][0], lanes[j][1], float(stats[j]))
+    return FitReport(float(betas[j]), int(cuts[j]), int(ns[j]), float(stats[j]))
 
 
 # ----------------------------------------------------------------------

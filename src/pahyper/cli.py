@@ -48,17 +48,29 @@ def parse_size_dist(text: str) -> EdgeSizeDistribution:
                    "(expected const:<d> | uniform:<lo>:<hi> | zipf:<exp>:<lo>:<hi>)")
 
 
-def _run_all(fn, tasks: list[tuple], jobs: int) -> list:
-    """fn(*task) for every task, in order, over `jobs` worker processes."""
-    if jobs == 1:
-        return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
-
-
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise CLIError(message)
+
+
+def _check_trials(args) -> None:
+    _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
+    _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+
+
+def _run_trials(fn, args, config: GeneratorConfig, *extra, out: str) -> list:
+    """fn(config, *extra, out) for each of --trials runs, in order: run i
+    takes seed config.seed + i and output name out.{i:03d}, and a single run
+    keeps config and out as given.  The runs go over min(--jobs, --trials)
+    worker processes, or run in this process when that is 1."""
+    tasks = [(config, *extra, out)] if args.trials == 1 else [
+        (replace(config, seed=config.seed + i), *extra, f"{out}.{i:03d}")
+        for i in range(args.trials)]
+    workers = min(args.jobs, len(tasks))
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _parse_kmin(text: str):
@@ -97,21 +109,14 @@ def _generate_one(config: GeneratorConfig, out: str) -> str:
 
 
 def cmd_generate(args) -> int:
-    _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
-    _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+    _check_trials(args)
     config = _make_config(p=args.p, steps=args.steps,
                           size_dist=parse_size_dist(args.size), y0=args.y0,
                           seed=args.seed, enforce_cap=args.cap,
                           cap_exponent=args.cap_exponent)
-
-    if args.trials == 1:
-        print(_generate_one(config, args.out), file=sys.stderr)
-        return 0
-
-    _check(args.out != "-", "--trials > 1 requires --out to be a file prefix")
-    jobs = [(replace(config, seed=args.seed + i), f"{args.out}.{i:03d}")
-            for i in range(args.trials)]
-    for line in _run_all(_generate_one, jobs, args.jobs):
+    _check(args.trials == 1 or args.out != "-",
+           "--trials > 1 requires --out to be a file prefix")
+    for line in _run_trials(_generate_one, args, config, out=args.out):
         print(line, file=sys.stderr)
     return 0
 
@@ -219,20 +224,13 @@ def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
 
 def cmd_compare(args) -> int:
     _check(2 <= args.d < 2**63, f"--d must be in [2, 2**63), got {args.d}")
-    _check(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
-    _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+    _check_trials(args)
     kmin = _parse_kmin(args.kmin)
     config = _make_config(p=args.p, steps=args.steps, size_dist=Constant(args.d),
                           y0=args.d, seed=args.seed)
-
-    if args.trials == 1:
-        tasks = [(config, kmin, args.out_prefix)]
-    else:
-        tasks = [(replace(config, seed=args.seed + i), kmin, f"{args.out_prefix}.{i:03d}")
-                 for i in range(args.trials)]
-    results = _run_all(_compare_one, tasks, args.jobs)
-    for (cfg, _, _), lines in zip(tasks, results):
-        prefix = "" if args.trials == 1 else f"seed={cfg.seed} "
+    results = _run_trials(_compare_one, args, config, kmin, out=args.out_prefix)
+    for i, lines in enumerate(results):
+        prefix = "" if args.trials == 1 else f"seed={args.seed + i} "
         for line in lines:
             print(prefix + line)
     return 0
@@ -327,10 +325,7 @@ def main(argv=None) -> int:
         rc = args.func(args)
         sys.stdout.flush()
         return rc
-    except CLIError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (CLIError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -8,10 +8,11 @@ regular expression per rule; reference_rows formats the hypergraph line
 format with Python's % operator;
 histogram builds a DegreeHistogram from a {value: count} dict,
 reference_ccdf walks its tail one value at a time and reference_ccdf_csv
-formats every row of a CCDF with an f-string; reference_mle_beta runs
-scipy's bounded minimize_scalar on one tail, reference_ks_stat takes one
-tail's KS distance with scipy's zeta, and reference_fit_power_law fits one
-cutoff at a time with both; cephes_zeta is Cephes' Hurwitz zeta on Python
+formats every row of a CCDF with an f-string; reference_tail masks one
+cutoff's tail out of a histogram, reference_mle_beta runs scipy's bounded
+minimize_scalar on one tail, reference_ks_stat takes one tail's KS distance
+with scipy's zeta, and reference_fit_power_law fits one cutoff at a time
+with all three; cephes_zeta is Cephes' Hurwitz zeta on Python
 floats, which also tells where its sums stopped.
 """
 
@@ -23,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from pahyper import DegreeHistogram, FitReport, Hypergraph
-from pahyper.analysis import MIN_TAIL, _tail_stats
+from pahyper.analysis import MIN_TAIL
 
 
 class EdgeList:
@@ -260,6 +261,15 @@ def reference_ks_stat(tk: np.ndarray, tc: np.ndarray, n: int, k_min: int,
                      np.abs(emp_prev - model_before).max()))
 
 
+def reference_tail(hist: DegreeHistogram, k_min: int):
+    """Tail at cutoff k_min, by a mask over every value: (its values, their
+    counts, n, sum of c*ln k)."""
+    mask = hist.values >= k_min
+    tk = hist.values[mask]
+    tc = hist.counts[mask]
+    return tk, tc, int(tc.sum()), float((tc * np.log(tk)).sum())
+
+
 def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     """fit_power_law with one reference_mle_beta call per cutoff, keeping
     the first cutoff of smallest KS distance in "auto" mode."""
@@ -269,8 +279,7 @@ def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitR
     if k_min == "auto":
         best = None
         for cut in hist.values.tolist():
-            tk, n, sum_log = _tail_stats(hist, cut)
-            tc = hist.counts[hist.values >= cut]
+            tk, tc, n, sum_log = reference_tail(hist, cut)
             if n < MIN_TAIL:
                 break
             if len(tk) < 2:
@@ -286,8 +295,7 @@ def reference_fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitR
     k_min = int(k_min)
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
-    tk, n, sum_log = _tail_stats(hist, k_min)
-    tc = hist.counts[hist.values >= k_min]
+    tk, tc, n, sum_log = reference_tail(hist, k_min)
     if n < MIN_TAIL:
         raise ValueError(f"tail too small: {n} items with value >= {k_min}")
     if len(tk) < 2:

@@ -16,9 +16,9 @@ from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      ccdf, degree_histogram, edge_size_histogram, evolve, fit_power_law,
                      project, projected_degrees, sample_power_law)
 from pahyper import analysis, core
-from pahyper.analysis import MIN_TAIL, _mle_betas, _tail_stats
+from pahyper.analysis import MIN_TAIL, _mle_betas
 from reference import (EdgeList, cephes_zeta, histogram, reference_ccdf,
-                       reference_fit_power_law, reference_mle_beta)
+                       reference_fit_power_law, reference_mle_beta, reference_tail)
 
 
 class TestDegreeHistogram:
@@ -395,7 +395,7 @@ class TestFitPowerLaw:
 
     def test_auto_keeps_first_cutoff_on_ks_tie(self):
         hist = histogram({1: 30, 2: 20, 3: 10, 4: 10})
-        def tie(hist, cuts, n, betas):
+        def tie(hist, first, cuts, n, betas):
             return np.full(len(cuts), 0.25)
         with mock.patch.object(analysis, "_ks_stats", side_effect=tie):
             assert fit_power_law(hist, "auto").k_min == 1
@@ -446,8 +446,8 @@ def _lanes(counts: dict[int, int]):
     """(k_min, n, sum_log) of every tail of a {value: count} histogram that
     holds two or more values."""
     hist = histogram(counts)
-    lanes = [_tail_stats(hist, cut) for cut in hist.values.tolist()]
-    return [(cut, n, s) for cut, (tk, n, s) in zip(hist.values.tolist(), lanes)
+    lanes = [reference_tail(hist, cut) for cut in hist.values.tolist()]
+    return [(cut, n, s) for cut, (tk, _, n, s) in zip(hist.values.tolist(), lanes)
             if len(tk) > 1]
 
 
@@ -490,6 +490,23 @@ def test_fit_power_law_equals_per_cutoff_reference(beta, k_min, size, spacing, s
             assert str(got.value) == str(err)
         else:
             assert fit_power_law(hist, cut) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(1, 40) | st.integers(1, 10**9), st.integers(1, 60),
+                       min_size=1, max_size=30))
+@example({1: 30, 2: 20, 3: 10, 4: 10})
+@example({2: 9, 3: 1})                  # n = MIN_TAIL at the only cutoff
+@example({1: 50, 3: 20, 10**9: 5})
+def test_auto_fit_is_fixed_fit_at_its_cutoff(counts):
+    """Whenever the auto fit succeeds, the fixed fit at the cutoff it chose
+    returns the same report, field for field."""
+    hist = histogram(counts)
+    try:
+        report = fit_power_law(hist, "auto")
+    except ValueError:
+        return
+    assert fit_power_law(hist, report.k_min) == report
 
 
 @pytest.mark.parametrize("counts", [

@@ -334,6 +334,44 @@ def test_bad_value_names_flag_and_writes_nothing(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, target", [("generate", "--out"),
+                                             ("compare", "--out-prefix")])
+def test_pool_has_one_worker_per_trial_at_most(tmp_path, capsys, monkeypatch,
+                                               command, target):
+    """--jobs above --trials builds a pool of --trials workers, and one
+    trial builds none; the outputs are those of a run with --jobs 1.  The
+    pool is a stand-in that records its size and maps in this process."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+
+    def run(trials, jobs):
+        name = tmp_path / f"t{trials}j{jobs}" / "run"
+        name.parent.mkdir()
+        assert main([command, "--steps", "2000", "--p", "1", "--seed", "3",
+                     "--trials", trials, "--jobs", jobs, target, str(name)]) == 0
+        files = {f.name: f.read_bytes() for f in name.parent.iterdir()}
+        return capsys.readouterr(), files
+
+    assert run("2", "64") == run("2", "1")
+    assert sizes == [2]
+    assert run("1", "8") == run("1", "1")
+    assert sizes == [2]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["generate", "--size", f"const:{TOO_BIG}"], "--size"),
     (["generate", "--size", f"uniform:2:{TOO_BIG}"], "--size"),
