@@ -466,25 +466,22 @@ def analytic_beta(p: float, mu: float) -> float:
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
     if not p < mu < np.inf:
-        raise ValueError(f"exponent undefined: need p < mu < inf, got mu={mu}, p={p}")
+        raise ValueError(f"mu must be in (p, inf), got mu={mu}, p={p}")
     return 2.0 + p / (mu - p)
 
 
-def analytic_mk(p: float, mu: float, k_max: int) -> np.ndarray:
-    """Limiting fractions M_1..M_k_max of degree-k vertices per time step.
+def analytic_mk(p: float, mu: float, kmax: int) -> np.ndarray:
+    """Limiting fractions M_1..M_kmax of degree-k vertices per time step.
 
     M_1 = mu*p/(2*mu - p), then M_k = M_{k-1} * (k-1)/(k + mu/(mu - p)).
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if not p < mu < np.inf:
-        raise ValueError(f"recurrence undefined: need p < mu < inf, got mu={mu}, p={p}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    out = np.empty(k_max, dtype=np.float64)
+    analytic_beta(p, mu)        # the one check of p and mu
+    if not 1 <= kmax < 2**63:
+        raise ValueError(f"kmax must be in [1, 2**63), got {kmax}")
+    out = np.empty(kmax, dtype=np.float64)
     out[0] = mu * p / (2.0 * mu - p)
-    if k_max > 1:
-        k = np.arange(2, k_max + 1, dtype=np.float64)
+    if kmax > 1:
+        k = np.arange(2, kmax + 1, dtype=np.float64)
         ratios = (k - 1.0) / (k + mu / (mu - p))
         out[1:] = out[0] * np.cumprod(ratios)
     return out

@@ -13,7 +13,7 @@ head -1`.
 from __future__ import annotations
 
 import argparse
-import math
+import inspect
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -84,17 +84,17 @@ def _parse_kmin(text: str):
     return k_min
 
 
-def _make_config(**fields) -> GeneratorConfig:
-    """GeneratorConfig(**fields), with a rejected value reported under its flag.
-
-    GeneratorConfig's messages start with the field name, and the flag of
-    field `a_b` is `--a-b`.
-    """
+def _flagged(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a rejected value reported under its flag:
+    a message that starts with a parameter `a_b` of fn names `--a-b`, and
+    any other message passes unchanged."""
     try:
-        return GeneratorConfig(**fields)
+        return fn(*args, **kwargs)
     except ValueError as err:
-        field, _, rest = str(err).partition(" ")
-        raise CLIError(f"--{field.replace('_', '-')} {rest}") from None
+        name, _, rest = str(err).partition(" ")
+        if name not in inspect.signature(fn).parameters:
+            raise
+        raise CLIError(f"--{name.replace('_', '-')} {rest}") from None
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +110,10 @@ def _generate_one(config: GeneratorConfig, out: str) -> str:
 
 def cmd_generate(args) -> int:
     _check_trials(args)
-    config = _make_config(p=args.p, steps=args.steps,
-                          size_dist=parse_size_dist(args.size), y0=args.y0,
-                          seed=args.seed, enforce_cap=args.cap,
-                          cap_exponent=args.cap_exponent)
+    config = _flagged(GeneratorConfig, p=args.p, steps=args.steps,
+                      size_dist=parse_size_dist(args.size), y0=args.y0,
+                      seed=args.seed, enforce_cap=args.cap,
+                      cap_exponent=args.cap_exponent)
     _check(args.trials == 1 or args.out != "-",
            "--trials > 1 requires --out to be a file prefix")
     for line in _run_trials(_generate_one, args, config, out=args.out):
@@ -128,8 +128,7 @@ def cmd_generate(args) -> int:
 def cmd_analytic(args) -> int:
     if args.sweep_p is not None:
         _check(args.sweep_p >= 1, f"--sweep-p must be >= 1, got {args.sweep_p}")
-        _check(1.0 < args.mu < math.inf,
-               f"--mu must be in (1, inf) to sweep p over (0, 1], got {args.mu}")
+        _flagged(analysis.analytic_beta, 1.0, args.mu)     # p = 1, the strictest row
         n = args.sweep_p
         for i in range(1, n + 1):
             p = i / n
@@ -139,15 +138,10 @@ def cmd_analytic(args) -> int:
         return 0
 
     _check(args.p is not None, "--p is required (unless --sweep-p is given)")
-    _check(0.0 < args.p <= 1.0, f"--p must be in (0, 1], got {args.p}")
-    _check(args.p < args.mu < math.inf,
-           f"--mu must be in (p, inf), got mu={args.mu}, p={args.p}")
-    _check(args.kmax is None or 1 <= args.kmax < 2**63,
-           f"--kmax must be in [1, 2**63), got {args.kmax}")
     # every line before the first print, so a failure prints nothing
-    lines = [f"beta={analysis.analytic_beta(args.p, args.mu):.6g}"]
+    lines = [f"beta={_flagged(analysis.analytic_beta, args.p, args.mu):.6g}"]
     if args.kmax is not None:
-        mk = analysis.analytic_mk(args.p, args.mu, args.kmax)
+        mk = _flagged(analysis.analytic_mk, args.p, args.mu, args.kmax)
         lines += ["k,M_k"] + [f"{k},{m:.10g}" for k, m in enumerate(mk, start=1)]
     print("\n".join(lines))
     return 0
@@ -210,10 +204,12 @@ def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
     baseline = analysis.degree_histogram(
         evolve_graph_baseline(config.p, config.steps, config.seed))
 
+    # both fits before the first write, so a failed fit leaves no file
+    sides = [(tag, hist, analysis.fit_power_law(hist, kmin))
+             for tag, hist in (("hypergraph", projected), ("graph", baseline))]
     lines = []
-    for tag, hist in (("hypergraph", projected), ("graph", baseline)):
+    for tag, hist, report in sides:
         io.write_ccdf_csv(analysis.ccdf(hist), f"{prefix}.{tag}_ccdf.csv")
-        report = analysis.fit_power_law(hist, kmin)
         io.write_fit_report(report, f"{prefix}.{tag}_fit.txt")
         lines.append(f"beta_hat_{tag}={report.beta_hat:#.6g}")
     p, mu = config.p, config.size_dist.mean()
@@ -223,11 +219,10 @@ def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
-    _check(2 <= args.d < 2**63, f"--d must be in [2, 2**63), got {args.d}")
     _check_trials(args)
     kmin = _parse_kmin(args.kmin)
-    config = _make_config(p=args.p, steps=args.steps, size_dist=Constant(args.d),
-                          y0=args.d, seed=args.seed)
+    config = _flagged(GeneratorConfig, p=args.p, steps=args.steps,
+                      size_dist=_flagged(Constant, args.d), y0=args.d, seed=args.seed)
     results = _run_trials(_compare_one, args, config, kmin, out=args.out_prefix)
     for i, lines in enumerate(results):
         prefix = "" if args.trials == 1 else f"seed={args.seed + i} "

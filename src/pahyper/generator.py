@@ -67,7 +67,7 @@ class Constant(EdgeSizeDistribution):
 
     def __post_init__(self):
         if not 2 <= self.d < 2**63:
-            raise ValueError(f"constant edge size must be in [2, 2**63), got {self.d}")
+            raise ValueError(f"d must be in [2, 2**63), got {self.d}")
 
     def sample(self, rng, n):
         return np.full(n, self.d, dtype=np.int64)
@@ -105,10 +105,7 @@ class TruncatedZipf(EdgeSizeDistribution):
     hi: int
 
     def __post_init__(self):
-        if self.lo < 2:
-            raise ValueError(f"edge sizes must be >= 2, got lo={self.lo}")
-        if not self.lo <= self.hi < 2**63 - 1:     # hi + 1 fits int64
-            raise ValueError(f"need lo <= hi < 2**63 - 1, got [{self.lo}, {self.hi}]")
+        UniformInt(self.lo, self.hi)    # the one check of lo and hi
         # nan fails the first test; the largest weight must not underflow
         if not (self.exponent > 1.0 and self.lo ** -self.exponent > 0.0):
             raise ValueError(f"zipf exponent must be > 1 with lo**-exponent > 0, "
@@ -204,14 +201,20 @@ def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
 CHUNK_STEPS = 1 << 15
 
 
-def _token_count(y0: int, sizes: np.ndarray) -> int:
-    """y0 + sum(sizes), the stream length; raises ValueError past int64."""
+def _stream_offsets(y0: int, sizes: np.ndarray, dtype=None) -> np.ndarray:
+    """0, y0, then y0 + the running sum of sizes: the bounds of the seed
+    edge and of each step's block in the token stream, in dtype, or in
+    index_dtype of the stream length if None.  Raises ValueError when the
+    stream length does not fit int64."""
     # an int64 sum of the sizes could wrap past 2**63 - 1: add in Python then
     wraps = y0 + int(sizes.max(initial=0)) * len(sizes) >= 2**63
     total = y0 + (sum(sizes.tolist()) if wraps else int(sizes.sum()))
     if total >= 2**63:
         raise ValueError(f"token count {total} does not fit int64")
-    return total
+    offsets = np.zeros(len(sizes) + 2, dtype=dtype or index_dtype(total))
+    np.cumsum(sizes, dtype=offsets.dtype, out=offsets[2:])  # no int64 temporary
+    offsets[1:] += y0
+    return offsets
 
 
 def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
@@ -228,12 +231,9 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
     whose roots are its source slots and those finished reads, and pointer
     doubling collapses it.
     """
-    total = _token_count(y0, sizes)
-    offsets = np.zeros(len(sizes) + 2, dtype=index_dtype(total))
-    np.cumsum(sizes, dtype=offsets.dtype, out=offsets[2:])  # no int64 temporary
-    offsets[1:] += y0
+    offsets = _stream_offsets(y0, sizes)
     starts = offsets[1:-1]      # the first slot of each step
-    tokens = np.zeros(total, dtype=offsets.dtype)
+    tokens = np.zeros(offsets[-1], dtype=offsets.dtype)
     next_id = 1
     for t0 in range(0, len(sizes), CHUNK_STEPS):
         block_starts = starts[t0:t0 + CHUNK_STEPS]
@@ -284,12 +284,7 @@ def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     """
     rng = np.random.default_rng(config.seed)
     _, sizes = _draw_events(config, rng)
-    _token_count(config.y0, sizes)      # the last S_t; every S_t fits if it does
-    out = np.empty(config.steps + 1, dtype=np.int64)
-    out[0] = config.y0
-    np.cumsum(sizes, dtype=np.int64, out=out[1:])
-    out[1:] += config.y0
-    return out
+    return _stream_offsets(config.y0, sizes, np.int64)[1:]
 
 
 def evolve_graph_baseline(p: float, steps: int, seed: int = 0) -> ObservedGraph:

@@ -143,8 +143,9 @@ def write_hypergraph(h: Hypergraph, destination: str) -> None:
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
-    offsets = np.arange(0, 2 * g.num_edges + 1, 2)
-    _write(destination, _row_pieces(g.edges.ravel(), offsets))
+    pieces = (g.edges[e0:e0 + ROW_PIECE] for e0 in range(0, g.num_edges, ROW_PIECE))
+    _write(destination, (_encode_rows(rows.ravel(), np.arange(0, rows.size + 1, 2))
+                         for rows in pieces))
 
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64

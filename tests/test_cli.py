@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pahyper
-from pahyper import GeneratorConfig, analytic_mk, cli, evolve
+from pahyper import GeneratorConfig, analytic_beta, analytic_mk, cli, evolve
 from pahyper.cli import EXIT_CLOSED_STDOUT, main, parse_size_dist
 from pahyper.generator import Constant, TruncatedZipf, UniformInt
 
@@ -326,12 +326,53 @@ class TestCompare:
     (["generate", "--steps", "10", "--p", "0.5", "--seed", "-1", "--out", "OUT"], "--seed"),
     (["compare", "--steps", "10", "--p", "0.5", "--seed", "-1", "--trials", "2",
       "--jobs", "2", "--out-prefix", "OUT"], "--seed"),
+    # a trial whose fit fails leaves none of its files
+    (["compare", "--steps", "0", "--p", "1", "--out-prefix", "OUT"],
+     "error: tail too small: no cutoff leaves >= 10 items"),
+    (["compare", "--steps", "100", "--p", "1", "--kmin", TOO_BIG, "--out-prefix", "OUT"],
+     f"error: tail too small: 0 items with value >= {TOO_BIG}"),
 ])
 def test_bad_value_names_flag_and_writes_nothing(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "out")
     assert main([out if a == "OUT" else a for a in argv]) == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag, call", [
+    (["analytic", "--p", "1.5", "--mu", "3"], "--p", lambda: analytic_beta(1.5, 3.0)),
+    (["analytic", "--p", "1", "--mu", "0.5"], "--mu", lambda: analytic_beta(1.0, 0.5)),
+    (["analytic", "--p", "1", "--mu", "inf"], "--mu",
+     lambda: analytic_beta(1.0, float("inf"))),
+    (["analytic", "--p", "0.5", "--mu", "3", "--kmax", "0"], "--kmax",
+     lambda: analytic_mk(0.5, 3.0, 0)),
+    (["analytic", "--mu", "1.0", "--sweep-p", "4"], "--mu", lambda: analytic_beta(1.0, 1.0)),
+    (["compare", "--steps", "10", "--p", "0.5", "--d", "1", "--out-prefix", "OUT"], "--d",
+     lambda: Constant(1)),
+    (["generate", "--steps", "10", "--p", "0.5", "--y0", "0", "--out", "OUT"], "--y0",
+     lambda: GeneratorConfig(0.5, 10, Constant(3), y0=0)),
+], ids=["p", "mu", "mu-inf", "kmax", "sweep-mu", "compare-d", "generate-y0"])
+def test_rejected_value_is_library_message_under_flag(tmp_path, capsys, argv, flag, call):
+    """The CLI reports the library's own message, its parameter name
+    replaced by the flag, and writes nothing to stdout or to disk."""
+    with pytest.raises(ValueError) as rejected:
+        call()
+    name, _, rest = str(rejected.value).partition(" ")
+    assert name == flag[2:]
+    assert main([str(tmp_path / "out") if a == "OUT" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {rest}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_message_of_no_parameter_passes_unchanged(capsys):
+    """numpy's message for an M_k table past its array size limit starts
+    with 'array', which is no parameter of analytic_mk, so it reaches
+    stderr as it is."""
+    kmax = 4611686018427387904
+    with pytest.raises(ValueError) as rejected:
+        analytic_mk(0.5, 3.0, kmax)
+    assert main(["analytic", "--p", "0.5", "--mu", "3", "--kmax", str(kmax)]) == 2
+    assert capsys.readouterr() == ("", f"error: {rejected.value}\n")
 
 
 @pytest.mark.parametrize("command, target", [("generate", "--out"),

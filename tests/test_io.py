@@ -359,6 +359,26 @@ def test_write_observed_graph_matches_reference(pairs):
     offsets = np.arange(0, 2 * len(pairs) + 1, 2)
     assert (_written(write_observed_graph, g)
             == reference_rows(edges.ravel(), offsets).encode())
+    with mock.patch.object(io, "ROW_PIECE", 3):     # several pieces
+        assert (_written(write_observed_graph, g)
+                == reference_rows(edges.ravel(), offsets).encode())
+
+
+def test_write_observed_graph_peak_memory(tmp_path):
+    """The writer holds one piece of ROW_PIECE edges at a time: its traced
+    peak stays under 64 bytes per id of a piece, less than the edges take.
+    Line ends for all edges at once (8 bytes per id) would exceed it."""
+    g = project(evolve(GeneratorConfig(p=1.0, steps=500_000, size_dist=Constant(3),
+                                       y0=3, seed=7)))
+    bound = 64 * 2 * io.ROW_PIECE
+    assert bound < g.edges.nbytes
+    tracemalloc.start()
+    try:
+        write_observed_graph(g, str(tmp_path / "g.txt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 class TestIngest:
