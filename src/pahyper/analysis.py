@@ -474,11 +474,15 @@ def analytic_mk(p: float, mu: float, kmax: int) -> np.ndarray:
     """Limiting fractions M_1..M_kmax of degree-k vertices per time step.
 
     M_1 = mu*p/(2*mu - p), then M_k = M_{k-1} * (k-1)/(k + mu/(mu - p)).
+    Raises MemoryError for a table too large for memory.
     """
     analytic_beta(p, mu)        # the one check of p and mu
     if not 1 <= kmax < 2**63:
         raise ValueError(f"kmax must be in [1, 2**63), got {kmax}")
-    out = np.empty(kmax, dtype=np.float64)
+    try:
+        out = np.empty(kmax, dtype=np.float64)
+    except ValueError as e:     # numpy cannot size it: too large for memory
+        raise MemoryError(str(e)) from None
     out[0] = mu * p / (2.0 * mu - p)
     if kmax > 1:
         k = np.arange(2, kmax + 1, dtype=np.float64)

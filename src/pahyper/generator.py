@@ -9,13 +9,14 @@ of the previous step.  Y_t comes from a configurable edge-size distribution.
 
 The implementation is vectorized and works on the token array of core.py.
 For a fixed seed it first draws every event bit and edge size, then fills
-the token array in arrival-ordered chunks of CHUNK_STEPS steps.  Each chunk
-draws its slot indices; since every draw references a slot before its own
-step's block, a draw that lands before the chunk is a direct lookup in the
-finished prefix (the back-pointer resolution of Sanders & Schulz, IPL 2016),
-and draws inside the chunk form a forest that pointer doubling collapses in
-O(log depth) sweeps over the chunk alone.  The chunk's arrays stay in cache,
-and no array of the stream's full length is built besides the tokens.  The
+the token array in arrival-ordered chunks of at most CHUNK_SLOTS slots, so
+each chunk's arrays stay in cache whatever the edge sizes.  Each chunk
+draws its slot indices in one call; since every draw references a slot
+before its own step's block, a draw that lands before the chunk is a direct
+lookup in the finished prefix (the back-pointer resolution of Sanders &
+Schulz, IPL 2016), and only the few that land inside it chain, which
+pointer doubling over those draws alone resolves in O(log depth) sweeps.
+No array of the stream's full length is built besides the tokens.  The
 per-step arrays held through the fill are the edge offsets (in the tokens'
 dtype), the event bits and the sizes, in the smallest unsigned dtype that
 holds the largest size: at int32 tokens and sizes up to 255, 4 bytes per
@@ -198,7 +199,7 @@ def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
     return is_vertex, sizes
 
 
-CHUNK_STEPS = 1 << 15
+CHUNK_SLOTS = 1 << 15
 
 
 def _stream_offsets(y0: int, sizes: np.ndarray, dtype=None) -> np.ndarray:
@@ -226,41 +227,39 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
     the new vertex; every other slot copies a uniform draw among the slots
     before its block, drawn in slot order.
 
-    Steps are filled CHUNK_STEPS at a time.  A draw that lands before the
-    chunk reads its finished slot; the chunk's other draws form a forest
-    whose roots are its source slots and those finished reads, and pointer
-    doubling collapses it.
+    Steps are filled in chunks of at most CHUNK_SLOTS slots (a larger step
+    is one chunk), with one draw call per chunk.  New vertex ids, and draws
+    that land before the chunk, go straight into its slice of tokens.  A
+    draw that lands inside marks its slot with -1 - its index among such
+    draws, and pointer doubling over those draws alone moves each one's
+    target along its chain to the first slot that holds an id.
     """
     offsets = _stream_offsets(y0, sizes)
-    starts = offsets[1:-1]      # the first slot of each step
+    starts, ends = offsets[1:-1], offsets[2:]   # each step's block
     tokens = np.zeros(offsets[-1], dtype=offsets.dtype)
     next_id = 1
-    for t0 in range(0, len(sizes), CHUNK_STEPS):
-        block_starts = starts[t0:t0 + CHUNK_STEPS]
-        block_sizes = sizes[t0:t0 + CHUNK_STEPS]
-        base = block_starts[0]
-        n = int(block_sizes.sum())
-        sources = block_starts[is_vertex[t0:t0 + CHUNK_STEPS]] - base
-        is_draw = np.ones(n, dtype=bool)
+    t0 = 0
+    while t0 < len(sizes):
+        base = starts[t0]
+        # a needle in the offsets' dtype: searchsorted would copy them to int64
+        limit = offsets.dtype.type(min(int(base) + CHUNK_SLOTS, int(offsets[-1])))
+        t1 = max(int(np.searchsorted(ends, limit, side="right")), t0 + 1)
+        block_starts, vertex = starts[t0:t1], is_vertex[t0:t1]
+        chunk = tokens[base:ends[t1 - 1]]
+        drawn = rng.integers(0, np.repeat(block_starts, sizes[t0:t1] - vertex))
+        sources = block_starts[vertex] - base
+        is_draw = np.ones(len(chunk), dtype=bool)
         is_draw[sources] = False
-        draw_pos = np.flatnonzero(is_draw)
-        drawn = rng.integers(0, np.repeat(block_starts, block_sizes)[is_draw])
-
-        # a draw before the chunk is a root holding its finished value; a
-        # draw inside points to its slot (whose tokens entry is not yet set)
-        local = drawn - base
-        parent = np.arange(n)
-        parent[draw_pos] = np.where(local >= 0, local, draw_pos)
-        values = np.empty(n, dtype=tokens.dtype)
-        values[draw_pos] = tokens[drawn]
-        values[sources] = np.arange(next_id, next_id + len(sources))
+        chunk[is_draw] = tokens[drawn]      # only draws before base are final
+        chunk[sources] = np.arange(next_id, next_id + len(sources))
         next_id += len(sources)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-        tokens[base:base + n] = values[parent]
+        inside = np.flatnonzero(drawn >= base)
+        slots, target = np.flatnonzero(is_draw)[inside], drawn[inside] - base
+        chunk[slots] = -1 - np.arange(len(inside))     # marks each such draw
+        while len(hops := np.flatnonzero(chunk[target] < 0)):
+            target[hops] = target[-1 - chunk[target[hops]]]
+        chunk[slots] = chunk[target]
+        t0 = t1
     return tokens, offsets
 
 

@@ -114,26 +114,37 @@ _UNITS = _PAIRS.copy()              # the last pair of an id: id 0 reads "0"
 _UNITS[100] = ord("0") << 8
 
 
+def _id_width(ids: np.ndarray) -> int:
+    """The cells of _fill_digits that the largest of non-negative ids needs."""
+    return (len(str(int(ids.max()))) + 1) // 2
+
+
+def _fill_digits(cells: np.ndarray, ids: np.ndarray) -> None:
+    """Lay out each non-negative id in decimal, right-aligned in its row of
+    2-byte cells, one per pair of digits; cells left of the id get pad
+    bytes, which one translate drops."""
+    width = cells.shape[1]
+    q, r = np.divmod(ids, 100)
+    cells[:, width - 1] = _UNITS[r + 100 * (q == 0)]
+    for j in range(width - 2, -1, -1):
+        q, r = np.divmod(q, 100)
+        cells[:, j] = _PAIRS[r + 100 * (q == 0)]
+
+
 def _encode_rows(tokens: np.ndarray, offsets: np.ndarray) -> bytes:
     """The hypergraph lines of non-negative ids, one line per edge of at
     least one member: ids in decimal, ' ' between them and '\n' after each
     edge.
 
-    Every id is laid out right-aligned in a row of 2-byte cells, one per
-    pair of decimal digits, followed by a separator cell; cells left of the
-    id are pad bytes, which one translate drops.
+    Every id is laid out by _fill_digits, followed by a separator cell.
     """
     if not len(tokens):
         return b""
-    width = (len(str(int(tokens.max()))) + 1) // 2
+    width = _id_width(tokens)
     cells = np.empty((len(tokens), width + 1), dtype="<u2")
     cells[:, width] = ord(" ")
     cells[offsets[1:] - 1, width] = ord("\n")
-    q, r = np.divmod(tokens, 100)
-    cells[:, width - 1] = _UNITS[r + 100 * (q == 0)]
-    for j in range(width - 2, -1, -1):
-        q, r = np.divmod(q, 100)
-        cells[:, j] = _PAIRS[r + 100 * (q == 0)]
+    _fill_digits(cells[:, :width], tokens)
     return cells.tobytes().translate(None, b"\0")
 
 
@@ -330,14 +341,31 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
 
 
 def write_ccdf_csv(ccdf: tuple[np.ndarray, np.ndarray], destination: str) -> None:
-    """Write analysis.ccdf's (degrees, probabilities) as CSV rows."""
-    degrees, probs = (v.tolist() for v in ccdf)
-    # a dense degree range repeats each probability, so each distinct one is
-    # formatted once; zero each time, since 0.0 == -0.0 but they print apart
-    text = {prob: f"{prob:.10g}" for prob in set(probs) if prob}
-    rows = [f"{k},{text[prob] if prob else f'{prob:.10g}'}\n"
-            for k, prob in zip(degrees, probs)]
-    _write(destination, [("degree,ccdf\n" + "".join(rows)).encode()])
+    """Write analysis.ccdf's (degrees, probabilities) as CSV rows; degrees
+    must be above -2**63.
+
+    Each row is a row of 2-byte cells: a sign cell, the degree's magnitude
+    laid out by _fill_digits, then ',', the probability's text and '\n'.
+    A dense degree range repeats each probability in a run of rows, so its
+    text is formatted once per run of equal float bits (0.0 and -0.0 print
+    apart) into a table of cells that the rows gather from.
+    """
+    degrees, probs = ccdf[0], np.asarray(ccdf[1], dtype=np.float64)
+    if not len(degrees):
+        return _write(destination, [b"degree,ccdf\n"])
+    bits = probs.view(np.int64)
+    first = np.concatenate(([True], bits[1:] != bits[:-1]))
+    texts = [f",{prob:.10g}\n" for prob in probs[first].tolist()]
+    cell_bytes = 2 * ((max(map(len, texts)) + 1) // 2)
+    table = np.frombuffer("".join(t.ljust(cell_bytes, "\0") for t in texts).encode(),
+                          dtype="<u2").reshape(len(texts), -1)
+    magnitude = np.abs(degrees)
+    width = _id_width(magnitude)
+    cells = np.empty((len(degrees), 1 + width + table.shape[1]), dtype="<u2")
+    cells[:, 0] = np.where(degrees < 0, ord("-"), 0)
+    _fill_digits(cells[:, 1:1 + width], magnitude)
+    cells[:, 1 + width:] = table[np.cumsum(first) - 1]
+    _write(destination, [b"degree,ccdf\n" + cells.tobytes().translate(None, b"\0")])
 
 
 def write_fit_report(report: FitReport, destination: str) -> None:

@@ -365,13 +365,13 @@ def test_rejected_value_is_library_message_under_flag(tmp_path, capsys, argv, fl
 
 
 def test_message_of_no_parameter_passes_unchanged(capsys):
-    """numpy's message for an M_k table past its array size limit starts
-    with 'array', which is no parameter of analytic_mk, so it reaches
-    stderr as it is."""
+    """An M_k table past numpy's array size limit is too large for memory,
+    as one numpy can size but not allocate is: it exits 1 with numpy's
+    message as it is."""
     kmax = 4611686018427387904
-    with pytest.raises(ValueError) as rejected:
+    with pytest.raises(MemoryError) as rejected:
         analytic_mk(0.5, 3.0, kmax)
-    assert main(["analytic", "--p", "0.5", "--mu", "3", "--kmax", str(kmax)]) == 2
+    assert main(["analytic", "--p", "0.5", "--mu", "3", "--kmax", str(kmax)]) == 1
     assert capsys.readouterr() == ("", f"error: {rejected.value}\n")
 
 
@@ -511,6 +511,27 @@ def test_fit_and_compare_load_no_scipy(tmp_path):
         _SCIPY_PROBE])
     assert _probe(probe, tmp_path).splitlines()[-1] == b"[]"
     assert (tmp_path / "f.txt").read_text().startswith("beta_hat=")
+
+
+def test_commands_load_no_module_past_the_cli_import(tmp_path):
+    """generate, degrees, an auto fit, compare and project (multigraph and
+    simple) import nothing that `import pahyper.cli` has not: no lazy import
+    (numpy.ma behind np.unique, numpy.char) adds to start-up or memory."""
+    probe = "; ".join([
+        "import sys",
+        "from pahyper.cli import main",
+        "loaded = set(sys.modules)",
+        "assert main(['generate', '--steps', '3000', '--p', '0.5', '--seed', '7', "
+        "'--out', 'h.txt']) == 0",
+        "assert main(['degrees', '--in', 'h.txt', '--out', 'd.csv']) == 0",
+        "assert main(['fit', '--in', 'd.csv', '--kmin', 'auto', '--out', 'f.txt']) == 0",
+        "assert main(['compare', '--steps', '3000', '--p', '1', '--seed', '7', "
+        "'--out-prefix', 'cmp']) == 0",
+        "assert main(['project', '--in', 'h.txt', '--out', 'g.txt']) == 0",
+        "assert main(['project', '--in', 'h.txt', '--out', 's.txt', '--simple']) == 0",
+        "print(sorted(set(sys.modules) - loaded))"])
+    assert _probe(probe, tmp_path).splitlines()[-1] == b"[]"
+    assert (tmp_path / "cmp.graph_ccdf.csv").read_text().startswith("degree,ccdf\n")
 
 
 @pytest.mark.parametrize("data", [

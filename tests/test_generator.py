@@ -1,6 +1,7 @@
 """Tests for the evolution processes and edge-size distributions."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from pahyper import (Constant, EdgeSizeDistribution, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, evolve,
                      evolve_graph_baseline, project, sum_sizes_trace)
-from pahyper.generator import CHUNK_STEPS, _draw_events
+from pahyper import generator
+from pahyper.generator import CHUNK_SLOTS, _draw_events
 from pahyper.io import write_hypergraph
 from reference import EdgeList, reference_evolve
 
@@ -169,8 +171,24 @@ def test_evolve_matches_step_by_step_reference(p, steps, size_dist, y0, cap, see
                                        TruncatedZipf(2.5, 2, 20)], ids=repr)
 def test_evolve_matches_reference_across_chunks(p, size_dist):
     cfg = GeneratorConfig(p=p, steps=70_000, size_dist=size_dist, seed=23)
-    assert cfg.steps > 2 * CHUNK_STEPS
-    assert evolve(cfg) == reference_evolve(cfg)
+    h = evolve(cfg)
+    assert h.total_degree > 2 * CHUNK_SLOTS
+    assert h == reference_evolve(cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.01, 1.0), steps=st.integers(0, 600), size_dist=SIZE_DISTS,
+       y0=st.integers(1, 5), cap=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_evolve_matches_reference_in_small_chunks(budget, p, steps, size_dist, y0,
+                                                  cap, seed):
+    """With a small slot budget a run crosses many chunks, steps larger than
+    the budget are chunks of their own, and draws chain inside a chunk."""
+    cfg = GeneratorConfig(p=p, steps=steps, size_dist=size_dist, y0=y0,
+                          seed=seed, enforce_cap=cap)
+    with mock.patch.object(generator, "CHUNK_SLOTS", budget):
+        h = evolve(cfg)
+    assert h == reference_evolve(cfg)
 
 
 class Cached(EdgeSizeDistribution):
@@ -288,15 +306,29 @@ class TestGraphBaseline:
         assert np.array_equal(g.edges, ref.edges)
 
 
-def test_evolve_memory():
-    """Under 2**31 tokens, evolve holds int32 tokens and offsets beside its
-    per-step and per-chunk arrays, sizes among them in one byte per step
-    for const:3; the bound is in bytes per token."""
-    config = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+def _evolve_peak_per_token(config):
+    """evolve's peak traced memory over its token count."""
     tracemalloc.start()
     try:
         h = evolve(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * h.total_degree
+    return peak / h.total_degree
+
+
+def test_evolve_memory():
+    """Under 2**31 tokens, evolve holds int32 tokens and offsets beside its
+    per-step and per-chunk arrays, sizes among them in one byte per step
+    for const:3; the bound is in bytes per token."""
+    config = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    assert _evolve_peak_per_token(config) <= 17
+
+
+def test_evolve_memory_at_large_edge_sizes():
+    """A chunk is a number of slots, not of steps, so its arrays do not grow
+    with the edge sizes: 2*10^4 steps of up to 200 slots stay in the bound
+    of const:3."""
+    config = GeneratorConfig(p=0.5, steps=20_000, size_dist=UniformInt(2, 200),
+                             seed=7, enforce_cap=False)
+    assert _evolve_peak_per_token(config) <= 17
