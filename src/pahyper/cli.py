@@ -127,6 +127,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analytic(args) -> int:
     if args.sweep_p is not None:
+        _check(args.p is None and args.kmax is None, "--sweep-p excludes --p and --kmax")
         _check(args.sweep_p >= 1, f"--sweep-p must be >= 1, got {args.sweep_p}")
         _flagged(analysis.analytic_beta, 1.0, args.mu)     # p = 1, the strictest row
         n = args.sweep_p
@@ -240,23 +241,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate and analyze preferential-attachment hypergraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="run the hypergraph evolution process")
-    g.add_argument("--steps", type=int, required=True, help="number of time steps")
-    g.add_argument("--p", type=float, required=True,
-                   help="vertex-arrival probability in (0, 1]")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--steps", type=int, required=True, help="number of time steps")
+    run.add_argument("--p", type=float, required=True,
+                     help="vertex-arrival probability in (0, 1]")
+    run.add_argument("--seed", type=int, default=0, help="RNG seed")
+    run.add_argument("--trials", type=int, default=1,
+                     help="independent seeded runs (out becomes a prefix)")
+    run.add_argument("--jobs", type=int, default=1, help="parallel workers")
+
+    g = sub.add_parser("generate", parents=[run],
+                       help="run the hypergraph evolution process")
     g.add_argument("--size", default="const:3",
                    help="edge-size distribution: const:<d> | uniform:<lo>:<hi> | "
                         "zipf:<exp>:<lo>:<hi> (default const:3)")
     g.add_argument("--y0", type=int, default=3, help="seed hyperedge cardinality")
-    g.add_argument("--seed", type=int, default=0, help="RNG seed")
     g.add_argument("--cap", action=argparse.BooleanOptionalAction, default=True,
                    help="clamp edge sizes to the t^(1/3) growth cap")
     g.add_argument("--cap-exponent", type=float, default=1.0 / 3.0,
                    help="growth-cap exponent (advanced; default 1/3)")
     g.add_argument("--out", default="-", help="output hypergraph file")
-    g.add_argument("--trials", type=int, default=1,
-                   help="independent seeded runs (out becomes a prefix)")
-    g.add_argument("--jobs", type=int, default=1, help="parallel workers")
     g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("analytic", help="print analytic exponent and M_k table")
@@ -299,16 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--labels-out", default=None, help="optional id,label CSV")
     i.set_defaults(func=cmd_ingest)
 
-    c = sub.add_parser("compare",
+    c = sub.add_parser("compare", parents=[run],
                        help="d-uniform projection vs. baseline graph, CCDFs and fits")
-    c.add_argument("--steps", type=int, required=True)
-    c.add_argument("--p", type=float, required=True)
     c.add_argument("--d", type=int, default=3, help="uniform edge cardinality")
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out-prefix", required=True, help="prefix for output files")
     c.add_argument("--kmin", default="auto", help="tail cutoff, integer or 'auto'")
-    c.add_argument("--trials", type=int, default=1)
-    c.add_argument("--jobs", type=int, default=1)
     c.set_defaults(func=cmd_compare)
 
     return parser

@@ -21,6 +21,8 @@ from itertools import pairwise
 
 import numpy as np
 
+__all__ = ["Hypergraph"]
+
 SORT_PIECE = 1 << 15    # edges per pass, so that a piece stays in cache
 NETWORK_MAX = 4
 INDEX_LIMIT = 2**31     # values below it fit int32

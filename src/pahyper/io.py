@@ -6,7 +6,8 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
                     separated by spaces or tabs, lines in arrival order;
                     a line whose first non-blank byte is '#' is a comment.
                     Vertex ids must cover 0..max contiguously.
-  histogram CSV     header "degree,count", rows ascending by degree.
+  histogram CSV     header "degree,count"; rows are written ascending by
+                    degree and read in any order, a repeated degree refused.
   ccdf CSV          header "degree,ccdf".
   fit report        key=value lines (beta_hat, k_min, n_tail, ks_stat),
                     reals with 6 significant digits.
@@ -14,11 +15,11 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
                     (coauthorship-style corpora); labels are trimmed and
                     case-sensitive, duplicates within a record are kept.
 
-Hypergraph and graph files go through one numpy codec over bytes, with no
-Python int or str per id.  The writer formats every id from a table of digit
-pairs and emits the rows in pieces of ROW_PIECE edges, so the text of the
-whole file never exists at once; every output goes as UTF-8 bytes through
-one function, to a file in binary or to '-' through sys.stdout's text layer.
+Hypergraph and graph files and histogram CSVs go through one numpy codec
+over bytes, with no Python int or str per id: every id comes from a table
+of digit pairs, and a (hyper)graph goes in pieces of ROW_PIECE edges, so
+its text never exists whole.  Every output goes as UTF-8 bytes through one
+function, to a file in binary or to '-' through sys.stdout's text layer.
 The reader parses a regular file from disk with numpy in newline-aligned
 pieces of about READ_PIECE bytes, so that beside its output arrays it needs
 memory for one piece; stdin for '-', or a path that cannot seek, is read
@@ -97,7 +98,7 @@ def _row_pieces(tokens: np.ndarray, offsets: np.ndarray):
     """The lines of _encode_rows, ROW_PIECE edges at a time."""
     for e0 in range(0, len(offsets) - 1, ROW_PIECE):
         bounds = offsets[e0:e0 + ROW_PIECE + 1]
-        yield _encode_rows(tokens[bounds[0]:bounds[-1]], bounds - bounds[0])
+        yield _encode_rows(tokens[bounds[0]:bounds[-1]], bounds - bounds[0], " ")
 
 
 def _pair_table() -> np.ndarray:
@@ -131,18 +132,15 @@ def _fill_digits(cells: np.ndarray, ids: np.ndarray) -> None:
         cells[:, j] = _PAIRS[r + 100 * (q == 0)]
 
 
-def _encode_rows(tokens: np.ndarray, offsets: np.ndarray) -> bytes:
-    """The hypergraph lines of non-negative ids, one line per edge of at
-    least one member: ids in decimal, ' ' between them and '\n' after each
-    edge.
-
-    Every id is laid out by _fill_digits, followed by a separator cell.
-    """
+def _encode_rows(tokens: np.ndarray, offsets: np.ndarray, sep: str) -> bytes:
+    """The lines of non-negative integers, one per row of at least one:
+    each integer in decimal, laid out by _fill_digits, and then sep, or
+    '\n' after the last of its row."""
     if not len(tokens):
         return b""
     width = _id_width(tokens)
     cells = np.empty((len(tokens), width + 1), dtype="<u2")
-    cells[:, width] = ord(" ")
+    cells[:, width] = ord(sep)
     cells[offsets[1:] - 1, width] = ord("\n")
     _fill_digits(cells[:, :width], tokens)
     return cells.tobytes().translate(None, b"\0")
@@ -152,11 +150,15 @@ def write_hypergraph(h: Hypergraph, destination: str) -> None:
     _write(destination, _row_pieces(h.tokens, h.offsets))
 
 
+def _encode_pairs(pairs: np.ndarray, sep: str) -> bytes:
+    """The lines of _encode_rows of an (m, 2) array, one line per row."""
+    return _encode_rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2), sep)
+
+
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
-    pieces = (g.edges[e0:e0 + ROW_PIECE] for e0 in range(0, g.num_edges, ROW_PIECE))
-    _write(destination, (_encode_rows(rows.ravel(), np.arange(0, rows.size + 1, 2))
-                         for rows in pieces))
+    _write(destination, (_encode_pairs(g.edges[e0:e0 + ROW_PIECE], " ")
+                         for e0 in range(0, g.num_edges, ROW_PIECE)))
 
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64
@@ -178,10 +180,14 @@ def _pieces(f):
             yield piece
 
 
-def _piece_line_ends(piece: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _piece_line_ends(data: bytes) -> tuple[np.ndarray | None, int]:
     """The number of ids up to the end of each line of a piece of bulk
-    data, or None if an id has over MAX_BULK_DIGITS digits, a line has no
-    id or a carriage return does not end a line; and the most digits of an id."""
+    data, or None if a byte is not an ASCII digit, space, tab, CR or LF, an
+    id has over MAX_BULK_DIGITS digits, a line has no id or a carriage
+    return does not end a line; and the most digits of an id."""
+    if data.translate(None, b"0123456789 \t\r\n"):
+        return None, 0
+    piece = np.frombuffer(data, dtype=np.uint8)
     digit = np.zeros(len(piece) + 2, dtype=bool)
     np.greater(piece, ord(" "), out=digit[1:-1])
     # an id starts where the digit mask turns on and ends where it turns off
@@ -207,7 +213,7 @@ def _raise_line_error(f) -> None:
     _parse_bulk refuses, naming the line."""
     f.seek(0)
     for lineno, line in _lines(f):
-        if line.lstrip(b" \t").startswith(b"#"):
+        if COMMENT_LINE.match(line):
             continue
         tokens = [tok for tok in line.replace(b"\t", b" ").split(b" ") if tok]
         if not tokens:
@@ -231,23 +237,22 @@ def _parse_bulk(f) -> Hypergraph:
     through core.checked, so ids that do not cover 0..max raise its error.
 
     The file is read in the pieces of _pieces three times: the first sweep
-    checks the bytes of each piece and counts its lines, the second fills
-    the edge offsets and finds the longest id, the third parses each
-    piece's ids into its slice of one token array.  Beside the output
-    arrays, the parser holds a few arrays the size of one piece and, in the
-    final check, a count per vertex and a flag per token.
+    counts bytes and lines to size the edge offsets, the second checks each
+    piece (_piece_line_ends, the one refusal), fills the offsets and finds
+    the longest id, the third parses each piece's ids into its slice of one
+    token array.  Beside the output arrays, the parser holds a few arrays
+    the size of one piece and, in the final check, a count per vertex and a
+    flag per token.
     """
     size = num_lines = 0
     for piece in _pieces(f):
-        if piece.translate(None, b"0123456789 \t\r\n"):
-            _raise_line_error(f)
         size += len(piece)
         # a last line with no newline counts too
         num_lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
     offsets = np.zeros(num_lines + 1, dtype=index_dtype(size))
     line = digits = 0
     for piece in _pieces(f):
-        ends_in_ids, width = _piece_line_ends(np.frombuffer(piece, dtype=np.uint8))
+        ends_in_ids, width = _piece_line_ends(piece)
         if ends_in_ids is None:
             _raise_line_error(f)
         offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + offsets[line]
@@ -306,8 +311,8 @@ def write_label_map(labels: list[str], destination: str) -> None:
 
 
 def write_histogram_csv(hist: DegreeHistogram, destination: str) -> None:
-    rows = (f"{k},{c}\n" for k, c in hist.items_sorted())
-    _write(destination, [("degree,count\n" + "".join(rows)).encode()])
+    rows = _encode_pairs(np.column_stack((hist.values, hist.counts)), ",")
+    _write(destination, [b"degree,count\n" + rows])
 
 
 def read_histogram_csv(source: str) -> DegreeHistogram:

@@ -7,8 +7,9 @@ reference_read reads a hypergraph file's bytes by the format's grammar, one
 regular expression per rule; reference_rows formats the hypergraph line
 format with Python's % operator;
 histogram builds a DegreeHistogram from a {value: count} dict,
-reference_ccdf walks its tail one value at a time and reference_ccdf_csv
-formats every row of a CCDF with an f-string; reference_tail masks one
+reference_ccdf walks its tail one value at a time, and reference_ccdf_csv
+and reference_histogram_csv format every row of a CCDF and of a histogram
+with an f-string; reference_tail masks one
 cutoff's tail out of a histogram, reference_mle_beta runs scipy's bounded
 minimize_scalar on one tail, reference_ks_stat takes one tail's KS distance
 with scipy's zeta, and reference_fit_power_law fits one cutoff at a time
@@ -189,6 +190,13 @@ def reference_ccdf_csv(pairs) -> bytes:
     """The bytes write_ccdf_csv writes: one f-string per row."""
     rows = (f"{k},{prob:.10g}\n" for k, prob in pairs)
     return ("degree,ccdf\n" + "".join(rows)).encode()
+
+
+def reference_histogram_csv(pairs) -> bytes:
+    """The bytes write_histogram_csv writes of (degree, count) pairs in
+    ascending order: one f-string per row."""
+    rows = (f"{k},{c}\n" for k, c in pairs)
+    return ("degree,count\n" + "".join(rows)).encode()
 
 
 CEPHES_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,

@@ -136,6 +136,14 @@ class TestAnalytic:
     def test_sweep_requires_mu_above_one(self, capsys):
         assert main(["analytic", "--mu", "1.0", "--sweep-p", "4"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--p", "0.5"], ["--kmax", "3"]], ids=["p", "kmax"])
+    def test_sweep_refuses_p_and_kmax(self, capsys, extra):
+        """A sweep takes p from its grid and prints no M_k table, so --p or
+        --kmax beside it is one error line, not a flag dropped silently."""
+        assert main(["analytic", "--mu", "3", *extra, "--sweep-p", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --sweep-p") and err.count("\n") == 1
+
 
 class TestPipelines:
     def test_degrees_to_stdout(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pahyper
 from pahyper import analysis, core, generator, io
 
 
-@pytest.mark.parametrize("module", [pahyper, analysis, generator, io],
+@pytest.mark.parametrize("module", [pahyper, analysis, core, generator, io],
                          ids=lambda m: m.__name__)
 def test_listed_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -21,8 +21,8 @@ from pahyper import (Constant, FitReport, GeneratorConfig,
                      write_observed_graph)
 from pahyper import io
 from pahyper.io import _parse_bulk
-from reference import (EdgeList, histogram, reference_ccdf_csv, reference_read,
-                       reference_rows)
+from reference import (EdgeList, histogram, reference_ccdf_csv,
+                       reference_histogram_csv, reference_read, reference_rows)
 
 
 class TestHypergraphFile:
@@ -191,6 +191,7 @@ BODY = b"0 1 2\n2 0 1\n" * 100     # 1,200 bytes the bulk parser takes
 @pytest.mark.parametrize("tail, bulk_takes", [
     (b"1 2\n\n0 1\n", False),                  # the only blank line
     (b"0 " + b"0" * 18 + b"1\n", False),        # the only 19-digit id
+    (b"0 +1\n", False),                         # the only byte outside the grammar
     (b"4 4\n", True),                           # the only id gap: raised
     (b"2 1 0\n", True),                         # the only unsorted edge
     (b"2 0 1", True),                           # no final newline
@@ -504,6 +505,21 @@ class TestHistogramCSV:
         path.write_text("degree,count\n1,two\n")
         with pytest.raises(ValueError, match="line 2"):
             read_histogram_csv(str(path))
+
+
+# a few digits, so that short fields are common, beside any int64 above 0
+HIST_FIELDS = st.integers(1, 99) | st.integers(1, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(HIST_FIELDS, HIST_FIELDS, max_size=40))
+@example({})
+@example({1: 2**63 - 1, 9: 10, 10: 9, 2**63 - 1: 1})
+def test_histogram_writer_matches_reference(counts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.csv"
+        write_histogram_csv(histogram(counts), str(path))
+        assert path.read_bytes() == reference_histogram_csv(sorted(counts.items()))
 
 
 def _text_lines(text: str) -> list[str]:
