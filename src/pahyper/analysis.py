@@ -37,7 +37,6 @@ __all__ = [
     "fit_power_law",
     "analytic_beta",
     "analytic_mk",
-    "sample_power_law",
 ]
 
 MIN_TAIL = 10  # refuse power-law fits on smaller tails
@@ -489,30 +488,3 @@ def analytic_mk(p: float, mu: float, kmax: int) -> np.ndarray:
         ratios = (k - 1.0) / (k + mu / (mu - p))
         out[1:] = out[0] * np.cumprod(ratios)
     return out
-
-
-# ----------------------------------------------------------------------
-# synthetic sampling (oracle for fit recovery, corpus generation)
-
-
-def sample_power_law(beta: float, k_min: int, size: int,
-                     rng: np.random.Generator, table_max: int = 1_000_000) -> np.ndarray:
-    """Exact draws from the discrete power law P(K=k) ~ k^-beta, k >= k_min.
-
-    Inverse-CDF sampling over a precomputed table; the probability mass
-    beyond table_max (zeta tail, ~1e-7 of the total at the defaults) is
-    clamped to table_max.
-    """
-    if beta <= 1.0:
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    if k_min < 1:
-        raise ValueError(f"k_min must be >= 1, got {k_min}")
-    if table_max < k_min:
-        raise ValueError(f"table_max must be >= k_min, got {table_max} < {k_min}")
-    k = np.arange(k_min, table_max + 1, dtype=np.float64)
-    w = k ** -beta
-    total = w.sum() + _zeta(beta, table_max + 1)
-    cdf = np.cumsum(w) / total
-    u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
-    return (k_min + np.minimum(idx, table_max - k_min)).astype(np.int64)

@@ -166,12 +166,6 @@ class Hypergraph:
         """Per-vertex occurrence degrees, indexed by vertex id."""
         return count_ids(self.tokens, self.num_vertices)
 
-    def sample_preferential(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw size vertices, each with probability deg(v) / total_degree."""
-        if not len(self.tokens):
-            raise ValueError("cannot sample from a hypergraph with total degree 0")
-        return self.tokens[rng.integers(0, len(self.tokens), size=size)]
-
     # ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -180,7 +174,3 @@ class Hypergraph:
         return (self.num_vertices == other.num_vertices
                 and np.array_equal(self.offsets, other.offsets)
                 and np.array_equal(self.tokens, other.tokens))
-
-    def __repr__(self) -> str:
-        return (f"Hypergraph(num_vertices={self.num_vertices}, "
-                f"num_edges={self.num_edges}, total_degree={self.total_degree})")

@@ -1,0 +1,107 @@
+"""Exact oracles read off a hypergraph, and the acceptance statistics built
+on them.  No command runs these; the tests do.
+
+Given a run's event bits and edge sizes, its member draws are the only
+randomness left: step t makes m_t = Y_t - 1{arrival} draws, each landing on
+vertex v with probability d_v / S_{t-1}, where S_{t-1} is the total degree
+before the step.  So d' = d + Binomial(m_t, d / S_{t-1}) at each step, and
+
+    E[d' | d] = d a_t,         a_t = 1 + m_t / S_{t-1},
+    E[d'^2 | d] = d^2 c_t + d e_t,
+                               c_t = 1 + 2 m_t / S_{t-1} + m_t (m_t - 1) / S_{t-1}^2,
+                               e_t = m_t / S_{t-1}.
+
+With A and C the prefix products of a and c, and G_t the prefix sum of
+e_u A_{u-1} / C_u, a vertex born at step b with degree d_b (1, or y0 for
+vertex 0 at step 0) has, after step T,
+
+    E[d] = d_b A_T / A_b,
+    Var[d] = d_b^2 (C_T / C_b - (A_T / A_b)^2) + d_b C_T / A_b (G_T - G_b).
+
+d(t) A_b / A_t is Móri's martingale (Combin. Probab. Comput. 14, 2005).
+"""
+
+from statistics import NormalDist
+
+import numpy as np
+
+from pahyper import GeneratorConfig, Hypergraph, evolve
+
+# criterion 12's runs and family level, fixed so that the criterion and its
+# mutant rows (tests/test_mutants.py) test the same statistic
+STEPS = 10_000
+SEEDS = range(1700, 1740)
+LEVEL = 0.001
+
+
+def arrival_events(h: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(arrival, sizes, before) for steps t = 1..T of h, edge t being step
+    t: whether step t brought a new vertex (its edge's largest id exceeds
+    every earlier id), the size of edge t, and S_{t-1}, the total degree
+    before it.
+
+    Raises ValueError unless h is in arrival order: each later edge brings
+    no new id or the next one, once, and edge 0 is y0 copies of vertex 0.
+    """
+    offsets = h.offsets.astype(np.int64)
+    top = h.tokens[offsets[1:] - 1].astype(np.int64)   # members are sorted
+    seen = np.maximum.accumulate(top)
+    new = top[1:] - seen[:-1]                           # 1 at an arrival
+    bad = (new > 1) | ((new == 1) & (h.tokens[offsets[2:] - 2] == top[1:]))
+    if bad.any():
+        t = int(bad.argmax()) + 1
+        raise ValueError(f"edge {t} is not in arrival order: it must bring "
+                         f"no new id or id {seen[t - 1] + 1} once")
+    if not h.num_edges or h.tokens[:offsets[1]].any():
+        raise ValueError("edge 0 is not y0 copies of vertex 0")
+    return new == 1, np.diff(offsets)[1:], offsets[1:-1]
+
+
+def degree_moments(h: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(born, mean, var) indexed by vertex id: each vertex's arrival step
+    and the exact mean and variance of its degree after the last step of
+    h, given h's arrival bits and sizes (arrival_events)."""
+    arrival, sizes, before = arrival_events(h)
+    m = sizes - arrival
+    e = m / before
+    a = np.cumprod(np.concatenate(([1.0], 1.0 + e)))
+    c = np.cumprod(np.concatenate(([1.0], 1.0 + e * (2.0 + (m - 1) / before))))
+    g = np.cumsum(np.concatenate(([0.0], e * a[:-1] / c[1:])))
+    born = np.concatenate(([0], np.flatnonzero(arrival) + 1))
+    d = np.ones(len(born))
+    d[0] = h.offsets[1]                                 # y0
+    growth = a[-1] / a[born]
+    var = d * (d * (c[-1] / c[born] - growth**2) + c[-1] / a[born] * (g[-1] - g[born]))
+    return born, d * growth, var
+
+
+def arrival_cell_z(hypergraphs) -> np.ndarray:
+    """One z per cell of vertices grouped by log2 of their arrival step,
+    pooled over the hypergraphs: sum (d - E[d]) / sqrt(sum Var[d]).
+
+    Cell 0 holds vertex 0 and cell k the vertices born at steps
+    2^(k-1)..2^k - 1.  Covariances are ignored.  Cells of zero variance,
+    where every degree is fixed, are left out."""
+    dev, var = np.zeros(64), np.zeros(64)
+    for h in hypergraphs:
+        born, mean, v = degree_moments(h)
+        cell = np.frexp(born)[1]                        # bit length, 0 at 0
+        dev += np.bincount(cell, weights=h.degrees() - mean, minlength=64)
+        var += np.bincount(cell, weights=v, minlength=64)
+    keep = var > 0
+    return dev[keep] / np.sqrt(var[keep])
+
+
+def bonferroni_bound(cells: int) -> float:
+    """The two-sided normal bound on max |z| over cells z-scores at family
+    level LEVEL."""
+    return NormalDist().inv_cdf(1.0 - LEVEL / (2 * cells))
+
+
+def criterion_12(size_dist) -> tuple[float, int, float]:
+    """Criterion 12's statistic on evolve at p=0.5 with the cap on: max |z|
+    of arrival_cell_z over one run of STEPS steps per seed in SEEDS, the
+    number of cells, and their Bonferroni bound."""
+    z = arrival_cell_z(evolve(GeneratorConfig(0.5, STEPS, size_dist, seed=s))
+                       for s in SEEDS)
+    return float(np.abs(z).max()), len(z), bonferroni_bound(len(z))

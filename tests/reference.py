@@ -15,6 +15,10 @@ minimize_scalar on one tail, reference_ks_stat takes one tail's KS distance
 with scipy's zeta, and reference_fit_power_law fits one cutoff at a time
 with all three; cephes_zeta is Cephes' Hurwitz zeta on Python
 floats, which also tells where its sums stopped.
+
+Two samplers that no command runs feed the tests: sample_power_law draws
+from a discrete power law (criterion 9 and the fit tests), and
+sample_preferential draws vertices in proportion to degree (criterion 8).
 """
 
 import math
@@ -102,6 +106,36 @@ def reference_evolve(config) -> Hypergraph:
             h.add_hyperedge(members, new_vertex=bool(new))
             slots += members
     return h.freeze()
+
+
+def sample_preferential(h: Hypergraph, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size vertices of h, each with probability deg(v) / total_degree."""
+    if not len(h.tokens):
+        raise ValueError("cannot sample from a hypergraph with total degree 0")
+    return h.tokens[rng.integers(0, len(h.tokens), size=size)]
+
+
+def sample_power_law(beta: float, k_min: int, size: int,
+                     rng: np.random.Generator, table_max: int = 1_000_000) -> np.ndarray:
+    """Exact draws from the discrete power law P(K=k) ~ k^-beta, k >= k_min.
+
+    Inverse-CDF sampling over a precomputed table; the probability mass
+    beyond table_max (zeta tail, ~1e-7 of the total at the defaults) is
+    clamped to table_max.
+    """
+    if beta <= 1.0:
+        raise ValueError(f"beta must exceed 1, got {beta}")
+    if k_min < 1:
+        raise ValueError(f"k_min must be >= 1, got {k_min}")
+    if table_max < k_min:
+        raise ValueError(f"table_max must be >= k_min, got {table_max} < {k_min}")
+    k = np.arange(k_min, table_max + 1, dtype=np.float64)
+    w = k ** -beta
+    total = w.sum() + zeta(beta, table_max + 1)
+    cdf = np.cumsum(w) / total
+    u = rng.random(size)
+    idx = np.searchsorted(cdf, u, side="right")
+    return (k_min + np.minimum(idx, table_max - k_min)).astype(np.int64)
 
 
 def reference_from_edges(edges) -> Hypergraph:

@@ -7,7 +7,9 @@ calibrated from the exact M_k recurrence: projected multigraph degrees live
 on a lattice of spacing d-1 and the baseline's M_k sequence converges slowly,
 so at k_min=5 both fits are provably biased below their target windows, while
 at k_min=20 the predicted estimates (2.94 and 2.49 at these run lengths) sit
-inside them with stable tails.
+inside them with stable tails.  Criterion 12 tests evolve's own draws
+against the exact mean degree of every vertex by its arrival step
+(oracles.criterion_12, which tests/test_mutants.py also runs).
 """
 
 import time
@@ -19,7 +21,8 @@ import pytest
 from scipy import stats
 
 import pahyper as ph
-from reference import EdgeList
+from oracles import criterion_12
+from reference import EdgeList, sample_power_law, sample_preferential
 
 STEPS = 100_000
 
@@ -131,7 +134,7 @@ def test_criterion_08_sampler_proportionality():
     brute = Counter(chain.from_iterable(h.hyperedges))
     expected_prop = np.array([brute[v] for v in range(5)], dtype=float)
     expected_prop /= expected_prop.sum()
-    draws = h.sample_preferential(np.random.default_rng(99), size=1_000_000)
+    draws = sample_preferential(h, np.random.default_rng(99), size=1_000_000)
     observed = np.bincount(draws, minlength=5)
     pvalue = stats.chisquare(observed, expected_prop * 1_000_000).pvalue
     _report(8, "preferential sampler proportionality", pvalue > 0.001,
@@ -143,7 +146,7 @@ def test_criterion_09_fit_recovery():
     ok = True
     for beta in (2.2, 2.5, 3.0, 4.66):
         rng = np.random.default_rng(int(beta * 100))
-        sample = ph.sample_power_law(beta, 3, 100_000, rng)
+        sample = sample_power_law(beta, 3, 100_000, rng)
         est = ph.fit_power_law(ph.DegreeHistogram.from_degrees(sample), 3).beta_hat
         ok &= abs(est - beta) <= 0.05
         details.append(f"{beta}->{est:.3f}")
@@ -192,3 +195,15 @@ def test_criterion_11_round_trip_and_determinism(tmp_path):
     _report(11, "round-trip and determinism", ok,
             f"{round_trips}/100 round-trips exact; equal-seed regeneration "
             f"byte-identical: {deterministic}")
+
+
+def test_criterion_12_mean_degree_by_arrival_step():
+    details = []
+    ok = True
+    for name, size_dist in [("const:3", ph.Constant(3)),
+                            ("zipf:2.5:2:20", ph.TruncatedZipf(2.5, 2, 20))]:
+        max_z, cells, bound = criterion_12(size_dist)
+        ok &= max_z <= bound
+        details.append(f"{name}: max |z| {max_z:.2f} <= {bound:.2f} over {cells} cells")
+    _report(12, "exact mean degree by arrival step", ok,
+            "; ".join(details) + " (p=0.5, cap on, 10^4 steps x 40 seeds)")

@@ -14,11 +14,12 @@ from scipy.special import zeta
 from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, analytic_beta, analytic_mk,
                      ccdf, degree_histogram, edge_size_histogram, evolve, fit_power_law,
-                     project, projected_degrees, sample_power_law)
+                     project, projected_degrees)
 from pahyper import analysis, core
 from pahyper.analysis import MIN_TAIL, _mle_betas
 from reference import (EdgeList, cephes_zeta, histogram, reference_ccdf,
-                       reference_fit_power_law, reference_mle_beta, reference_tail)
+                       reference_fit_power_law, reference_mle_beta, reference_tail,
+                       sample_power_law)
 
 
 class TestDegreeHistogram:

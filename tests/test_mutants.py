@@ -1,0 +1,58 @@
+"""Kernel mutants that a statistical acceptance criterion must catch.
+
+Each row rewrites one line of one library function, sets module constants,
+and runs a criterion's own statistic function on the mutated library; the
+row passes when the statistic exceeds the criterion's bound.  The mutant is
+built from the live source of the function, so a row whose line no longer
+exists fails instead of testing the unchanged code.
+"""
+
+import inspect
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+from pahyper import Constant, generator
+from oracles import criterion_12
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: object
+    function: str
+    old: str            # text found once in the function, replaced by new
+    new: str
+    constants: dict     # module constants set for the row
+    statistic: Callable[[], tuple[float, int, float]]   # (value, cells, bound)
+
+
+MUTANTS = [
+    # every draw of a 192-slot chunk is uniform over the slots before the
+    # chunk: degrees as of the chunk's start, not of the step's
+    Mutant("stale-chunk-degrees", generator, "_fill_stream",
+           "np.repeat(block_starts, sizes[t0:t1] - vertex)",
+           "np.repeat(np.full(t1 - t0, base), sizes[t0:t1] - vertex)",
+           {"CHUNK_SLOTS": 192},
+           lambda: criterion_12(Constant(3))),
+]
+
+
+def _mutated(mutant: Mutant):
+    """The function with mutant.old replaced, reading the module's globals."""
+    source = inspect.getsource(getattr(mutant.module, mutant.function))
+    assert source.count(mutant.old) == 1, f"{mutant.name}: line not found once"
+    scope: dict = {}
+    exec(compile(source.replace(mutant.old, mutant.new), mutant.module.__file__, "exec"),
+         vars(mutant.module), scope)
+    return scope[mutant.function]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_criterion_fails_on_mutant(mutant, monkeypatch):
+    monkeypatch.setattr(mutant.module, mutant.function, _mutated(mutant))
+    for name, value in mutant.constants.items():
+        monkeypatch.setattr(mutant.module, name, value)
+    value, _, bound = mutant.statistic()
+    assert value > bound, f"{mutant.name} passes: {value:.2f} <= {bound:.2f}"
