@@ -153,8 +153,8 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_degrees(args) -> int:
-    h = io.read_hypergraph(args.input)
-    io.write_histogram_csv(analysis.degree_histogram(h), args.out)
+    degrees = io.read_degrees(args.input)
+    io.write_histogram_csv(analysis.DegreeHistogram.from_degrees(degrees), args.out)
     return 0
 
 
@@ -178,8 +178,8 @@ def cmd_fit(args) -> int:
 
 def cmd_edge_sizes(args) -> int:
     _check(args.min_size >= 1, f"--min-size must be >= 1, got {args.min_size}")
-    h = io.read_hypergraph(args.input)
-    hist = analysis.edge_size_histogram(h).restrict(args.min_size)
+    sizes = io.read_edge_sizes(args.input)
+    hist = analysis.DegreeHistogram.from_degrees(sizes).restrict(args.min_size)
     io.write_histogram_csv(hist, args.out)
     return 0
 

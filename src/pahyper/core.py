@@ -78,18 +78,28 @@ def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
             tokens[slots] = rows
 
 
+def clipped(ids: np.ndarray, n: int) -> np.ndarray:
+    """ids, with those past n set to n.  Among n ids, one past n leaves a
+    gap at or below n either way; clipped, it cannot size a count array."""
+    return np.minimum(ids, n) if int(ids.max(initial=0)) > n else ids
+
+
+def gap_checked(seen: np.ndarray) -> np.ndarray:
+    """seen, the occurrences of each id 0..max; raises ValueError naming
+    the smallest missing id unless the ids cover 0..max."""
+    if not seen.all():
+        raise ValueError(f"vertex id gap: id {seen.argmin()} never appears")
+    return seen
+
+
 def checked(tokens: np.ndarray, offsets: np.ndarray) -> "Hypergraph":
     """The Hypergraph of tokens and offsets, members sorted in place.
 
     Trusts that every id is >= 0 and every edge has a member; raises
     ValueError naming the smallest missing id unless the ids cover 0..max.
     """
-    n = len(tokens)
-    top = int(tokens.max()) if n else -1
-    # ids past n are an error; clipped, they cannot size the count array
-    seen = count_ids(np.minimum(tokens, n) if top >= n else tokens, min(top, n) + 1)
-    if not seen.all():
-        raise ValueError(f"vertex id gap: id {seen.argmin()} never appears")
+    ids = clipped(tokens, len(tokens))
+    seen = gap_checked(count_ids(ids, int(ids.max(initial=-1)) + 1))
     descents = tokens[1:] < tokens[:-1]
     descents[offsets[1:-1] - 1] = False         # a new edge may start lower
     if descents.any():

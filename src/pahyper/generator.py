@@ -8,9 +8,11 @@ Draws are independent, with repetition, and always use degrees as of the end
 of the previous step.  Y_t comes from a configurable edge-size distribution.
 
 The implementation is vectorized and works on the token array of core.py.
-For a fixed seed it first draws every event bit and edge size, then fills
-the token array in arrival-ordered chunks of at most CHUNK_SLOTS slots, so
-each chunk's arrays stay in cache whatever the edge sizes.  Each chunk
+For a fixed seed it first draws every event bit (EVENT_PIECE uniforms at a
+time, into one buffer, so no float array of the stream's length is built)
+and every edge size, then fills the token array in arrival-ordered chunks
+of at most CHUNK_SLOTS slots, so each chunk's arrays stay in cache whatever
+the edge sizes.  Each chunk
 draws its slot indices in one call; since every draw references a slot
 before its own step's block, a draw that lands before the chunk is a direct
 lookup in the finished prefix (the back-pointer resolution of Sanders &
@@ -71,7 +73,7 @@ class Constant(EdgeSizeDistribution):
             raise ValueError(f"d must be in [2, 2**63), got {self.d}")
 
     def sample(self, rng, n):
-        return np.full(n, self.d, dtype=np.int64)
+        return np.full(n, self.d, dtype=_size_dtype(self.d))
 
     def mean(self):
         return float(self.d)
@@ -181,15 +183,30 @@ def _size_dtype(top: int) -> type:
     return np.int64
 
 
+EVENT_PIECE = 1 << 15
+
+
+def _event_bits(rng: np.random.Generator, steps: int, p: float) -> np.ndarray:
+    """rng.random(steps) < p, drawn EVENT_PIECE uniforms at a time into one
+    buffer: the same draws, with no float array of the stream's length."""
+    is_vertex = np.empty(steps, dtype=bool)
+    uniforms = np.empty(min(steps, EVENT_PIECE))
+    for i in range(0, steps, EVENT_PIECE):
+        piece = uniforms[:min(EVENT_PIECE, steps - i)]
+        np.less(rng.random(out=piece), p, out=is_vertex[i:i + len(piece)])
+    return is_vertex
+
+
 def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
     """Consume the event-bit and size portions of the random stream.
 
-    The sizes come back as a copy of the distribution's sample in
-    _size_dtype of its largest value, clamped in place when the cap is on."""
-    is_vertex = rng.random(config.steps) < config.p
+    The sizes come back in _size_dtype of the sample's largest value,
+    clamped in place when the cap is on: the distribution's sample itself
+    when it is a fresh array in that dtype, else a copy of it."""
+    is_vertex = _event_bits(rng, config.steps, config.p)
     sample = config.size_dist.sample(rng, config.steps)
     top = int(sample.max(initial=2))
-    sizes = sample.astype(_size_dtype(top))
+    sizes = sample.astype(_size_dtype(top), copy=not sample.flags.owndata)
     if config.enforce_cap:
         cap = _capped_prefix(config.steps, config.cap_exponent, top)
         np.clip(cap, 2, top, out=cap)       # so that the cast below holds it

@@ -23,9 +23,13 @@ function, to a file in binary or to '-' through sys.stdout's text layer.
 The reader parses a regular file from disk with numpy in newline-aligned
 pieces of about READ_PIECE bytes, so that beside its output arrays it needs
 memory for one piece; stdin for '-', or a path that cannot seek, is read
-whole into one buffer first.  A file it refuses is walked line by line only
-to raise the error of its first bad line; an accepted one ends in
-core.checked, the one check that ids cover 0..max.
+whole into one buffer first.  One sweep checks every piece (and fills the
+edge offsets where they are wanted); a file it refuses is walked line by
+line only to raise the error of its first bad line.  Then one parse of each
+piece's ids feeds one of two sinks: read_hypergraph fills a token array and
+ends in core.checked, the one check that ids cover 0..max, while
+read_degrees and read_edge_sizes add the ids into a count per vertex and
+apply core's gap rule to it, so they hold no token array.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ from io import BytesIO
 import numpy as np
 
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hypergraph, checked, index_dtype
+from .core import Hypergraph, checked, clipped, gap_checked, index_dtype
 
 __all__ = [
     "read_hypergraph",
+    "read_degrees",
+    "read_edge_sizes",
     "write_hypergraph",
     "write_observed_graph",
     "ingest_labeled",
@@ -74,7 +80,7 @@ def _text_lines(source: str):
 # hypergraph files
 
 WRITE_CHUNK = 1 << 20
-ROW_PIECE = 1 << 16
+ROW_PIECE = 1 << 14
 
 
 def _write(destination: str, pieces) -> None:
@@ -229,55 +235,116 @@ def _raise_line_error(f) -> None:
     raise AssertionError("the bulk parser refused a well-formed file")
 
 
-def _parse_bulk(f) -> Hypergraph:
-    """Parse a seekable binary hypergraph file with numpy.  If a line other
-    than a comment is not one or more ids of 1 to MAX_BULK_DIGITS ASCII
-    digits, separated by spaces or tabs, or a carriage return is not at a
-    line end, _raise_line_error names the first such line; the result goes
-    through core.checked, so ids that do not cover 0..max raise its error.
-
-    The file is read in the pieces of _pieces three times: the first sweep
-    counts bytes and lines to size the edge offsets, the second checks each
-    piece (_piece_line_ends, the one refusal), fills the offsets and finds
-    the longest id, the third parses each piece's ids into its slice of one
-    token array.  Beside the output arrays, the parser holds a few arrays
-    the size of one piece and, in the final check, a count per vertex and a
-    flag per token.
+def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, int]:
+    """The number of ids in a seekable binary hypergraph file and the most
+    digits of one, and, if offsets is given, the number of ids up to the end
+    of each line in offsets[1:].  If a line other than a comment is not one
+    or more ids of 1 to MAX_BULK_DIGITS ASCII digits, separated by spaces or
+    tabs, or a carriage return is not at a line end, _raise_line_error names
+    the first such line: _piece_line_ends on each piece is the one refusal.
     """
+    ids = line = digits = 0
+    for piece in _pieces(f):
+        ends_in_ids, width = _piece_line_ends(piece)
+        if ends_in_ids is None:
+            _raise_line_error(f)
+        if offsets is not None:
+            offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + ids
+        line, ids = line + len(ends_in_ids), ids + int(ends_in_ids[-1])
+        digits = max(digits, width)
+    return ids, digits
+
+
+def _offsets(f) -> tuple[np.ndarray, int]:
+    """The edge offsets of a seekable binary hypergraph file, in index_dtype
+    of its size, and the most digits of an id (see _line_ends): one sweep
+    counts bytes and lines to size the offsets, a second fills them."""
     size = num_lines = 0
     for piece in _pieces(f):
         size += len(piece)
         # a last line with no newline counts too
         num_lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
     offsets = np.zeros(num_lines + 1, dtype=index_dtype(size))
-    line = digits = 0
+    return offsets, _line_ends(f, offsets)[1]
+
+
+def _id_pieces(f, digits: int):
+    """The ids of each piece of a file that _line_ends accepted, whose ids
+    have at most digits digits, in index_dtype of the largest such id."""
     for piece in _pieces(f):
-        ends_in_ids, width = _piece_line_ends(piece)
-        if ends_in_ids is None:
-            _raise_line_error(f)
-        offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + offsets[line]
-        line, digits = line + len(ends_in_ids), max(digits, width)
+        yield np.fromstring(piece, dtype=index_dtype(10**digits - 1), sep=" ")
+
+
+def _counts(f, n: int, digits: int) -> np.ndarray:
+    """The occurrences of each id of a file of n ids that _line_ends
+    accepted, int64, by the gap rule of core.checked: ids past n are
+    clipped, and a gap raises its error.  The count grows as ids appear."""
+    counts, size = np.zeros(0, dtype=np.int64), 0
+    for ids in _id_pieces(f, digits):
+        ids = clipped(ids, n)
+        size = max(size, int(ids.max()) + 1)
+        if size > len(counts):      # doubled, so that growing costs O(size)
+            counts.resize(max(size, 2 * len(counts)), refcheck=False)
+        np.add.at(counts, ids, 1)
+    counts.resize(size, refcheck=False)
+    return gap_checked(counts)
+
+
+def _parse_bulk(f) -> Hypergraph:
+    """Parse a seekable binary hypergraph file with numpy.  A malformed
+    line raises the error of _line_ends; the result goes through
+    core.checked, so ids that do not cover 0..max raise its error.
+
+    The file is read in the pieces of _pieces three times: two sweeps fill
+    the edge offsets (_offsets), and the third parses each piece's ids into
+    its slice of one token array.  Beside the output arrays, the parser
+    holds a few arrays the size of one piece and, in the final check, a
+    count per vertex and a flag per token.
+    """
+    offsets, digits = _offsets(f)
     tokens = np.empty(offsets[-1], dtype=index_dtype(10**digits - 1))
     filled = 0
-    for piece in _pieces(f):
-        ids = np.fromstring(piece, dtype=tokens.dtype, sep=" ")
+    for ids in _id_pieces(f, digits):
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
     return checked(tokens, offsets)
+
+
+def _seekable(source: str, parse):
+    """parse(f) of a seekable binary file: the file at source, or, for '-'
+    or a path that cannot seek (a FIFO, /dev/stdin), a buffer holding all
+    of stdin or of the file, since every parse reads its input more than
+    once."""
+    if source == "-":
+        return parse(BytesIO(sys.stdin.buffer.read()))
+    with open(source, "rb") as f:
+        return parse(f if f.seekable() else BytesIO(f.read()))
 
 
 def read_hypergraph(source: str) -> Hypergraph:
     """Inverse of write_hypergraph; read(write(h)) == h.
 
     A regular file is parsed from disk in pieces (see _parse_bulk), and a
-    malformed one raises a ValueError naming its first bad line.  Stdin for
-    '-', and a path that cannot seek (a FIFO, /dev/stdin), is read whole
-    into one buffer first, since the parser reads its input more than once.
+    malformed one raises a ValueError naming its first bad line; stdin for
+    '-', or a path that cannot seek, is read whole first (_seekable).
     """
-    if source == "-":
-        return _parse_bulk(BytesIO(sys.stdin.buffer.read()))
-    with open(source, "rb") as f:
-        return _parse_bulk(f if f.seekable() else BytesIO(f.read()))
+    return _seekable(source, _parse_bulk)
+
+
+def read_degrees(source: str) -> np.ndarray:
+    """read_hypergraph(source).degrees(), or its error, with no token array:
+    one sweep checks the file, a second counts each piece's ids."""
+    return _seekable(source, lambda f: _counts(f, *_line_ends(f)))
+
+
+def read_edge_sizes(source: str) -> np.ndarray:
+    """The edge sizes of read_hypergraph(source), or its error, with no
+    token array: the offsets, and a count per vertex for the gap check."""
+    def sizes(f):
+        offsets, digits = _offsets(f)
+        _counts(f, int(offsets[-1]), digits)
+        return np.diff(offsets)
+    return _seekable(source, sizes)
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:

@@ -546,7 +546,8 @@ def test_commands_load_no_module_past_the_cli_import(tmp_path):
     b"0 0 0\n0 1 2\n2 1\n",
     b"# comment\r\n0 1\r\n1 0 1\r\n",
     b"0 1\n\xff 0\n",
-], ids=["canonical", "crlf-and-comment", "not-utf8"])
+    b"0 2\n2 0\n",
+], ids=["canonical", "crlf-and-comment", "not-utf8", "id-gap"])
 def test_degrees_of_stdin_as_of_file(tmp_path, data):
     path = tmp_path / "h.txt"
     path.write_bytes(data)
@@ -559,7 +560,8 @@ def test_degrees_of_stdin_as_of_file(tmp_path, data):
     None,                               # a generated file, larger than a pipe's buffer
     b"# comment\r\n0 1\r\n1 0 1\r\n",
     b"0 1\n\xff 0\n",
-], ids=["generated", "crlf-and-comment", "not-utf8"])
+    b"0 2\n2 0\n",
+], ids=["generated", "crlf-and-comment", "not-utf8", "id-gap"])
 def test_degrees_of_fifo_as_of_file(tmp_path, capsys, data):
     """A path that cannot seek is read whole, as stdin is."""
     path = tmp_path / "h.txt"

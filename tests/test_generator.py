@@ -12,7 +12,7 @@ from pahyper import (Constant, EdgeSizeDistribution, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, evolve,
                      evolve_graph_baseline, project, sum_sizes_trace)
 from pahyper import generator
-from pahyper.generator import CHUNK_SLOTS, _draw_events
+from pahyper.generator import CHUNK_SLOTS, EVENT_PIECE, _draw_events, _event_bits
 from pahyper.io import write_hypergraph
 from reference import EdgeList, reference_evolve
 
@@ -214,6 +214,30 @@ def test_cap_clamps_like_the_whole_array(exponent, size_dist):
     cap = np.maximum(np.floor(t ** exponent + 1e-9).astype(np.int64), 2)
     assert np.array_equal(sizes, np.clip(raw, 2, cap))
     assert np.array_equal(cfg.size_dist.sizes, raw)     # the sample is not written
+
+
+@pytest.mark.parametrize("steps", [0, 1, EVENT_PIECE, 2 * EVENT_PIECE + 5])
+def test_event_bits_in_pieces_are_one_draw(steps):
+    """The event bits drawn in pieces are rng.random(steps) < p, and the
+    generator is left in the same state, so the sizes draw the same."""
+    pieced, whole = np.random.default_rng(11), np.random.default_rng(11)
+    assert np.array_equal(_event_bits(pieced, steps, 0.3), whole.random(steps) < 0.3)
+    assert pieced.bit_generator.state == whole.bit_generator.state
+
+
+def test_draw_events_memory():
+    """Event bits and const:3 sizes take a byte per step each: the traced
+    peak stays under 2 bytes per step and one piece of uniforms, where a
+    float64 array of the event uniforms alone would take 8."""
+    cfg = GeneratorConfig(p=0.5, steps=1_000_000, size_dist=Constant(3), seed=7)
+    tracemalloc.start()
+    try:
+        is_vertex, sizes = _draw_events(cfg, np.random.default_rng(cfg.seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_vertex.dtype == bool and sizes.dtype == np.uint8
+    assert peak <= 2 * cfg.steps + 8 * EVENT_PIECE
 
 
 @pytest.mark.parametrize("size_dist, exponent, dtype", [

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from pahyper import (Constant, FitReport, GeneratorConfig,
                      Hypergraph, ObservedGraph, TruncatedZipf, UniformInt, ccdf,
-                     evolve, ingest_labeled, project, read_histogram_csv,
+                     evolve, ingest_labeled, project, read_degrees,
+                     read_edge_sizes, read_histogram_csv,
                      read_hypergraph, write_ccdf_csv, write_fit_report,
                      write_histogram_csv, write_hypergraph, write_label_map,
                      write_observed_graph)
@@ -166,17 +167,29 @@ TEXTS = st.one_of(
 @example("0 0\n2 2\n")
 @example("0 " + "0" * 19 + "1\n")
 @example("0 " + "1" * 19 + "\n")
+@example("0 " + "9" * 18 + "\n")
 def test_reader_agrees_with_reference_reader(text):
+    """read_hypergraph gives the reference reader's hypergraph or error, and
+    the counting readers its degrees and edge sizes or the same error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.txt"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(lambda: reference_read(path.read_bytes()))
+        counts = ((expected.degrees().tolist(), np.diff(expected.offsets).tolist())
+                  if isinstance(expected, Hypergraph) else (expected, expected))
         # the default piece, then pieces of one line or a few lines
         for piece in (io.READ_PIECE, 1, 7):
             with mock.patch.object(io, "READ_PIECE", piece):
                 bulk = _outcome(lambda: read_hypergraph(str(path)))
+                counted = tuple(_listed(_outcome(lambda: read(str(path))))
+                                for read in (read_degrees, read_edge_sizes))
             assert type(bulk) is type(expected)
             assert bulk == expected
+            assert counted == counts
+
+
+def _listed(outcome):
+    return outcome.tolist() if isinstance(outcome, np.ndarray) else outcome
 
 
 def _walked(parse):
@@ -261,6 +274,26 @@ def test_file_read_memory(tmp_path, commented_crlf):
     finally:
         tracemalloc.stop()
     assert peak <= 0.95 * 8 * (len(h.tokens) + len(h.offsets))
+
+
+def test_degrees_read_memory(tmp_path):
+    """read_degrees holds no token array: its traced peak stays under 16
+    bytes per vertex (int64 counts, grown by doubling) and a few pieces,
+    less than the int32 tokens alone take."""
+    cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    h = evolve(cfg)
+    path = tmp_path / "h.txt"
+    write_hypergraph(h, str(path))
+    bound = 16 * h.num_vertices + 4 * io.READ_PIECE
+    assert bound < h.tokens.nbytes
+    tracemalloc.start()
+    try:
+        degrees = read_degrees(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degrees.tolist() == h.degrees().tolist()
+    assert peak <= bound
 
 
 def test_stdin_read_memory(monkeypatch, tmp_path):

@@ -54,10 +54,12 @@ def test_generate_degrees_fit(tmp_path, traced, capsys):
     assert cli.main(["degrees", "--in", h, "--out", hist]) == 0
     assert cli.main(["fit", "--in", hist, "--kmin", "2", "--out", fit]) == 0
     assert traced.failures == []
-    assert_called(traced, ["generator.evolve", "io.write_hypergraph", "io.read_hypergraph",
-                           "core.Hypergraph.degrees", "analysis.degree_histogram",
+    assert_called(traced, ["generator.evolve", "io.write_hypergraph",
                            "io.write_histogram_csv", "io.read_histogram_csv",
                            "analysis.fit_power_law", "io.write_fit_report"])
+    # degrees counts the file's ids (io.read_degrees), so no token array is built
+    assert traced.counts["io.read_hypergraph.calls"] == 0
+    assert traced.counts["core.Hypergraph.degrees.calls"] == 0
 
 
 def test_generate_project(tmp_path, traced, capsys):
