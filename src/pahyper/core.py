@@ -12,6 +12,9 @@ degree is a single uniform index draw.
 Degrees count occurrences: a vertex appearing twice in one hyperedge gains
 degree 2, and a self loop contributes 1 per occurrence.  Consequently the sum
 of all vertex degrees equals the sum of all hyperedge cardinalities.
+
+The gap rule, that ids cover 0..max, is one function, counted: checked
+applies it to a token array, io's counting readers to a file's id pieces.
 """
 
 from __future__ import annotations
@@ -78,28 +81,34 @@ def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
             tokens[slots] = rows
 
 
-def clipped(ids: np.ndarray, n: int) -> np.ndarray:
-    """ids, with those past n set to n.  Among n ids, one past n leaves a
-    gap at or below n either way; clipped, it cannot size a count array."""
-    return np.minimum(ids, n) if int(ids.max(initial=0)) > n else ids
-
-
-def gap_checked(seen: np.ndarray) -> np.ndarray:
-    """seen, the occurrences of each id 0..max; raises ValueError naming
-    the smallest missing id unless the ids cover 0..max."""
-    if not seen.all():
-        raise ValueError(f"vertex id gap: id {seen.argmin()} never appears")
-    return seen
+def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The occurrences of each id 0..max of arrays of non-negative ids,
+    n ids in all, int64; raises ValueError naming the smallest missing id
+    unless the ids cover 0..max.  Among n ids, one past n leaves a gap at
+    or below n either way, so it is clipped to n: the count, which grows by
+    doubling as the pieces come, never takes more than n + 1 entries."""
+    counts, size = np.zeros(0, dtype=np.int64), 0
+    for ids in pieces:
+        top = int(ids.max(initial=-1))
+        if top > n:
+            ids, top = np.minimum(ids, n), n
+        size = max(size, top + 1)
+        if size > len(counts):
+            counts.resize(min(max(size, 2 * len(counts)), n + 1), refcheck=False)
+        np.add.at(counts, ids, 1)
+    counts.resize(size, refcheck=False)
+    if not counts.all():
+        raise ValueError(f"vertex id gap: id {counts.argmin()} never appears")
+    return counts
 
 
 def checked(tokens: np.ndarray, offsets: np.ndarray) -> "Hypergraph":
     """The Hypergraph of tokens and offsets, members sorted in place.
 
-    Trusts that every id is >= 0 and every edge has a member; raises
-    ValueError naming the smallest missing id unless the ids cover 0..max.
+    Trusts that every id is >= 0 and every edge has a member; a gap in the
+    ids raises counted's ValueError.
     """
-    ids = clipped(tokens, len(tokens))
-    seen = gap_checked(count_ids(ids, int(ids.max(initial=-1)) + 1))
+    seen = counted([tokens], len(tokens))
     descents = tokens[1:] < tokens[:-1]
     descents[offsets[1:-1] - 1] = False         # a new edge may start lower
     if descents.any():

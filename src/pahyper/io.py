@@ -27,9 +27,9 @@ whole into one buffer first.  One sweep checks every piece (and fills the
 edge offsets where they are wanted); a file it refuses is walked line by
 line only to raise the error of its first bad line.  Then one parse of each
 piece's ids feeds one of two sinks: read_hypergraph fills a token array and
-ends in core.checked, the one check that ids cover 0..max, while
-read_degrees and read_edge_sizes add the ids into a count per vertex and
-apply core's gap rule to it, so they hold no token array.
+ends in core.checked, while read_degrees and read_edge_sizes hand the ids
+to core.counted, so they hold no token array.  Either way core.counted is
+the one check that ids cover 0..max.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from io import BytesIO
 import numpy as np
 
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hypergraph, checked, clipped, gap_checked, index_dtype
+from .core import Hypergraph, checked, counted, index_dtype
 
 __all__ = [
     "read_hypergraph",
@@ -235,13 +235,14 @@ def _raise_line_error(f) -> None:
     raise AssertionError("the bulk parser refused a well-formed file")
 
 
-def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, int]:
-    """The number of ids in a seekable binary hypergraph file and the most
-    digits of one, and, if offsets is given, the number of ids up to the end
-    of each line in offsets[1:].  If a line other than a comment is not one
-    or more ids of 1 to MAX_BULK_DIGITS ASCII digits, separated by spaces or
-    tabs, or a carriage return is not at a line end, _raise_line_error names
-    the first such line: _piece_line_ends on each piece is the one refusal.
+def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, type]:
+    """The number of ids in a seekable binary hypergraph file and the dtype
+    that holds any id of as many digits as its longest, and, if offsets is
+    given, the number of ids up to the end of each line in offsets[1:].  If
+    a line other than a comment is not one or more ids of 1 to
+    MAX_BULK_DIGITS ASCII digits, separated by spaces or tabs, or a carriage
+    return is not at a line end, _raise_line_error names the first such
+    line: _piece_line_ends on each piece is the one refusal.
     """
     ids = line = digits = 0
     for piece in _pieces(f):
@@ -252,12 +253,12 @@ def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, int]:
             offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + ids
         line, ids = line + len(ends_in_ids), ids + int(ends_in_ids[-1])
         digits = max(digits, width)
-    return ids, digits
+    return ids, index_dtype(10**digits - 1)
 
 
-def _offsets(f) -> tuple[np.ndarray, int]:
+def _offsets(f) -> tuple[np.ndarray, type]:
     """The edge offsets of a seekable binary hypergraph file, in index_dtype
-    of its size, and the most digits of an id (see _line_ends): one sweep
+    of its size, and the dtype of its ids (see _line_ends): one sweep
     counts bytes and lines to size the offsets, a second fills them."""
     size = num_lines = 0
     for piece in _pieces(f):
@@ -268,26 +269,11 @@ def _offsets(f) -> tuple[np.ndarray, int]:
     return offsets, _line_ends(f, offsets)[1]
 
 
-def _id_pieces(f, digits: int):
-    """The ids of each piece of a file that _line_ends accepted, whose ids
-    have at most digits digits, in index_dtype of the largest such id."""
+def _id_pieces(f, dtype: type):
+    """The ids of each piece of a file that _line_ends accepted, in the
+    dtype it gave."""
     for piece in _pieces(f):
-        yield np.fromstring(piece, dtype=index_dtype(10**digits - 1), sep=" ")
-
-
-def _counts(f, n: int, digits: int) -> np.ndarray:
-    """The occurrences of each id of a file of n ids that _line_ends
-    accepted, int64, by the gap rule of core.checked: ids past n are
-    clipped, and a gap raises its error.  The count grows as ids appear."""
-    counts, size = np.zeros(0, dtype=np.int64), 0
-    for ids in _id_pieces(f, digits):
-        ids = clipped(ids, n)
-        size = max(size, int(ids.max()) + 1)
-        if size > len(counts):      # doubled, so that growing costs O(size)
-            counts.resize(max(size, 2 * len(counts)), refcheck=False)
-        np.add.at(counts, ids, 1)
-    counts.resize(size, refcheck=False)
-    return gap_checked(counts)
+        yield np.fromstring(piece, dtype=dtype, sep=" ")
 
 
 def _parse_bulk(f) -> Hypergraph:
@@ -301,10 +287,10 @@ def _parse_bulk(f) -> Hypergraph:
     holds a few arrays the size of one piece and, in the final check, a
     count per vertex and a flag per token.
     """
-    offsets, digits = _offsets(f)
-    tokens = np.empty(offsets[-1], dtype=index_dtype(10**digits - 1))
+    offsets, dtype = _offsets(f)
+    tokens = np.empty(offsets[-1], dtype=dtype)
     filled = 0
-    for ids in _id_pieces(f, digits):
+    for ids in _id_pieces(f, dtype):
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
     return checked(tokens, offsets)
@@ -334,15 +320,18 @@ def read_hypergraph(source: str) -> Hypergraph:
 def read_degrees(source: str) -> np.ndarray:
     """read_hypergraph(source).degrees(), or its error, with no token array:
     one sweep checks the file, a second counts each piece's ids."""
-    return _seekable(source, lambda f: _counts(f, *_line_ends(f)))
+    def degrees(f):
+        n, dtype = _line_ends(f)
+        return counted(_id_pieces(f, dtype), n)
+    return _seekable(source, degrees)
 
 
 def read_edge_sizes(source: str) -> np.ndarray:
     """The edge sizes of read_hypergraph(source), or its error, with no
     token array: the offsets, and a count per vertex for the gap check."""
     def sizes(f):
-        offsets, digits = _offsets(f)
-        _counts(f, int(offsets[-1]), digits)
+        offsets, dtype = _offsets(f)
+        counted(_id_pieces(f, dtype), int(offsets[-1]))
         return np.diff(offsets)
     return _seekable(source, sizes)
 
@@ -414,10 +403,10 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
 
 def write_ccdf_csv(ccdf: tuple[np.ndarray, np.ndarray], destination: str) -> None:
     """Write analysis.ccdf's (degrees, probabilities) as CSV rows; degrees
-    must be above -2**63.
+    must be non-negative, as a histogram's are.
 
-    Each row is a row of 2-byte cells: a sign cell, the degree's magnitude
-    laid out by _fill_digits, then ',', the probability's text and '\n'.
+    Each row is a row of 2-byte cells: the degree laid out by _fill_digits,
+    then ',', the probability's text and '\n'.
     A dense degree range repeats each probability in a run of rows, so its
     text is formatted once per run of equal float bits (0.0 and -0.0 print
     apart) into a table of cells that the rows gather from.
@@ -431,12 +420,10 @@ def write_ccdf_csv(ccdf: tuple[np.ndarray, np.ndarray], destination: str) -> Non
     cell_bytes = 2 * ((max(map(len, texts)) + 1) // 2)
     table = np.frombuffer("".join(t.ljust(cell_bytes, "\0") for t in texts).encode(),
                           dtype="<u2").reshape(len(texts), -1)
-    magnitude = np.abs(degrees)
-    width = _id_width(magnitude)
-    cells = np.empty((len(degrees), 1 + width + table.shape[1]), dtype="<u2")
-    cells[:, 0] = np.where(degrees < 0, ord("-"), 0)
-    _fill_digits(cells[:, 1:1 + width], magnitude)
-    cells[:, 1 + width:] = table[np.cumsum(first) - 1]
+    width = _id_width(degrees)
+    cells = np.empty((len(degrees), width + table.shape[1]), dtype="<u2")
+    _fill_digits(cells[:, :width], degrees)
+    cells[:, width:] = table[np.cumsum(first) - 1]
     _write(destination, [b"degree,ccdf\n" + cells.tobytes().translate(None, b"\0")])
 
 

@@ -1,6 +1,5 @@
 """Tests for histograms, projection, analytic oracles, and power-law fitting."""
 
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -17,6 +16,7 @@ from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      project, projected_degrees)
 from pahyper import analysis, core
 from pahyper.analysis import MIN_TAIL, _mle_betas
+from memory import traced_peak
 from reference import (EdgeList, cephes_zeta, histogram, reference_ccdf,
                        reference_fit_power_law, reference_mle_beta, reference_tail,
                        sample_power_law)
@@ -232,12 +232,7 @@ def test_project_memory():
     size of one piece, not pair-length temporaries.  The bound is in bytes
     per pair: int64 pairs alone are 16."""
     h = evolve(GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7))
-    tracemalloc.start()
-    try:
-        g = project(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(project, h)
     assert peak <= 18 * g.num_edges
 
 
@@ -259,12 +254,7 @@ def test_degrees_make_no_int64_copy_of_int32_ids(build):
                                              size_dist=Constant(3), seed=7)))
     ids = structure.tokens if isinstance(structure, Hypergraph) else structure.edges
     assert ids.dtype == np.int32
-    tracemalloc.start()
-    try:
-        degrees = structure.degrees()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    degrees, peak = traced_peak(structure.degrees)
     assert degrees.dtype == np.int64
     assert peak < degrees.nbytes + ids.nbytes
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ import pahyper
 from pahyper import GeneratorConfig, analytic_beta, analytic_mk, cli, evolve
 from pahyper.cli import EXIT_CLOSED_STDOUT, main, parse_size_dist
 from pahyper.generator import Constant, TruncatedZipf, UniformInt
+from memory import traced_peak
 
 TOO_BIG = "99999999999999999999"
 
@@ -306,12 +306,7 @@ class TestCompare:
         counted at 8 bytes each."""
         config = GeneratorConfig(p=1.0, steps=200_000, size_dist=Constant(3), y0=3, seed=7)
         token_bytes = 8 * evolve(config).total_degree
-        tracemalloc.start()
-        try:
-            cli._compare_one(config, "auto", str(tmp_path / "cmp"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(cli._compare_one, config, "auto", str(tmp_path / "cmp"))
         assert peak < 2.5 * token_bytes
 
     def test_d_below_two_rejected(self, capsys):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,6 +136,51 @@ FROM_EDGES = (st.lists(st.lists(FROM_EDGES_IDS, max_size=5), max_size=8)
 def test_from_edges_matches_reference(edges):
     assert (_from_edges_outcome(Hypergraph.from_edges, edges)
             == _from_edges_outcome(reference_from_edges, edges))
+
+
+class _Sized(np.ndarray):
+    """An array that records each length it is resized to."""
+    lengths: list[int] = []
+
+    def resize(self, length, refcheck=True):
+        _Sized.lengths.append(length)
+        super().resize(length, refcheck=refcheck)
+
+
+@st.composite
+def _ids_and_cuts(draw):
+    """Ids, some of them past their count and up to 10**18, and the points
+    at which to cut them into pieces."""
+    ids = draw(st.lists(st.integers(0, 6) | st.integers(0, 10**18), max_size=40))
+    return ids, draw(st.lists(st.integers(0, len(ids)), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ids_and_cuts())
+@example(([], []))
+@example(([0, 10**18], [1]))
+@example(([1, 0, 2, 2], [0, 2, 2, 4]))
+@example(([0, 3, 3, 1], [3]))
+def test_counted_matches_bincount(ids_and_cuts):
+    """core.counted over ids cut into pieces anywhere gives np.bincount of
+    them, or the error naming the smallest missing id, and never sizes its
+    count past n + 1 entries."""
+    ids, cuts = ids_and_cuts
+    cuts = [0, *sorted(cuts), len(ids)]
+    dtype = core.index_dtype(max(ids, default=0))
+    pieces = [np.array(ids[a:b], dtype=dtype) for a, b in zip(cuts, cuts[1:])]
+    missing = min(set(range(len(ids) + 1)) - set(ids))
+    _Sized.lengths = []
+    with mock.patch.object(np, "zeros", lambda length, dtype: _Sized(length, dtype)):
+        try:
+            outcome = core.counted(pieces, len(ids)).tolist()
+        except ValueError as e:
+            outcome = str(e)
+    if missing < max(ids, default=-1):
+        assert outcome == f"vertex id gap: id {missing} never appears"
+    else:
+        assert outcome == np.bincount(np.array(ids, dtype=np.int64)).tolist()
+    assert max(_Sized.lengths, default=0) <= len(ids) + 1
 
 
 def _sorted_per_edge(edges):

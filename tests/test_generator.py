@@ -1,6 +1,5 @@
 """Tests for the evolution processes and edge-size distributions."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ from pahyper import (Constant, EdgeSizeDistribution, GeneratorConfig,
 from pahyper import generator
 from pahyper.generator import CHUNK_SLOTS, EVENT_PIECE, _draw_events, _event_bits
 from pahyper.io import write_hypergraph
+from memory import traced_peak
 from reference import EdgeList, reference_evolve
 
 
@@ -230,12 +230,8 @@ def test_draw_events_memory():
     peak stays under 2 bytes per step and one piece of uniforms, where a
     float64 array of the event uniforms alone would take 8."""
     cfg = GeneratorConfig(p=0.5, steps=1_000_000, size_dist=Constant(3), seed=7)
-    tracemalloc.start()
-    try:
-        is_vertex, sizes = _draw_events(cfg, np.random.default_rng(cfg.seed))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (is_vertex, sizes), peak = traced_peak(_draw_events, cfg,
+                                           np.random.default_rng(cfg.seed))
     assert is_vertex.dtype == bool and sizes.dtype == np.uint8
     assert peak <= 2 * cfg.steps + 8 * EVENT_PIECE
 
@@ -332,12 +328,7 @@ class TestGraphBaseline:
 
 def _evolve_peak_per_token(config):
     """evolve's peak traced memory over its token count."""
-    tracemalloc.start()
-    try:
-        h = evolve(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak = traced_peak(evolve, config)
     return peak / h.total_degree
 
 
