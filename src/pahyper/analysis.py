@@ -60,7 +60,11 @@ class DegreeHistogram:
 
     @classmethod
     def from_degrees(cls, degrees) -> "DegreeHistogram":
-        counts = np.bincount(degrees)
+        """The histogram of non-negative integers, with no int64 copy of them."""
+        degrees = np.asarray(degrees) if len(degrees) else np.zeros(0, dtype=np.int64)
+        if degrees.min(initial=0) < 0:
+            raise ValueError(f"degrees must be non-negative, got {degrees.min()}")
+        counts = count_ids(degrees, int(degrees.max(initial=0)) + 1)
         values = np.flatnonzero(counts[1:]) + 1
         return cls(values, counts[values])
 

@@ -185,8 +185,7 @@ def cmd_edge_sizes(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    _check(len(args.delimiter) >= 1, "--delimiter must be non-empty")
-    h, labels = io.ingest_labeled(args.input, args.delimiter)
+    h, labels = _flagged(io.ingest_labeled, args.input, args.delimiter)
     io.write_hypergraph(h, args.out)
     if args.labels_out is not None:
         io.write_label_map(labels, args.labels_out)

@@ -24,12 +24,12 @@ The reader parses a regular file from disk with numpy in newline-aligned
 pieces of about READ_PIECE bytes, so that beside its output arrays it needs
 memory for one piece; stdin for '-', or a path that cannot seek, is read
 whole into one buffer first.  One sweep checks every piece (and fills the
-edge offsets where they are wanted); a file it refuses is walked line by
-line only to raise the error of its first bad line.  Then one parse of each
-piece's ids feeds one of two sinks: read_hypergraph fills a token array and
-ends in core.checked, while read_degrees and read_edge_sizes hand the ids
-to core.counted, so they hold no token array.  Either way core.counted is
-the one check that ids cover 0..max.
+edge offsets where they are wanted); only a piece it refuses is walked
+line by line, by the same check, to name its first bad line.  Then one
+parse of each piece's ids feeds one of two sinks: read_hypergraph fills a
+token array and ends in core.checked, while read_degrees and
+read_edge_sizes hand the ids to core.counted, so they hold no token array.
+Either way core.counted is the one check that ids cover 0..max.
 """
 
 from __future__ import annotations
@@ -59,19 +59,18 @@ __all__ = [
 ]
 
 
-def _lines(f):
-    """The numbered lines of a binary file, as every reader splits its
+def _line_text(line: bytes) -> bytes:
+    """A line of a binary file without its end, as every reader splits its
     input: a line ends at '\n', and one '\r' just before it is dropped."""
-    for lineno, line in enumerate(f, start=1):
-        yield lineno, line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
+    return line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
 
 
 def _text_lines(source: str):
     """The numbered lines of a file, or of stdin for '-', as UTF-8 text."""
     with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as f:
-        for lineno, line in _lines(f):
+        for lineno, line in enumerate(f, start=1):
             try:
-                yield lineno, line.decode()
+                yield lineno, _line_text(line).decode()
             except UnicodeDecodeError as e:
                 raise ValueError(f"line {lineno}: {e}") from None
 
@@ -174,16 +173,18 @@ COMMENT_LINE = re.compile(rb"^[ \t]*#.*\n?", re.MULTILINE)   # with its own newl
 
 def _pieces(f):
     """Consecutive pieces of a binary file from its start, each of at least
-    READ_PIECE bytes up to and including a newline, or the rest of it;
-    without their comment lines, and none left empty."""
+    READ_PIECE bytes up to and including a newline, or the rest of it: each
+    without its comment lines, none left empty, with the piece as read and
+    the number of comment lines before it."""
     f.seek(0)
-    while piece := f.read(READ_PIECE):
-        if not piece.endswith(b"\n"):
-            piece += f.readline()
-        if b"#" in piece:
-            piece = COMMENT_LINE.sub(b"", piece)
+    comments = 0
+    while raw := f.read(READ_PIECE):
+        if not raw.endswith(b"\n"):
+            raw += f.readline()
+        piece, dropped = COMMENT_LINE.subn(b"", raw) if b"#" in raw else (raw, 0)
         if piece:
-            yield piece
+            yield piece, raw, comments
+        comments += dropped
 
 
 def _piece_line_ends(data: bytes) -> tuple[np.ndarray | None, int]:
@@ -214,14 +215,13 @@ def _piece_line_ends(data: bytes) -> tuple[np.ndarray | None, int]:
     return ends_in_ids, digits
 
 
-def _raise_line_error(f) -> None:
-    """Raise the ValueError of the first line of a seekable binary file that
-    _parse_bulk refuses, naming the line."""
-    f.seek(0)
-    for lineno, line in _lines(f):
-        if COMMENT_LINE.match(line):
+def _raise_line_error(raw: bytes, lineno: int) -> None:
+    """Raise the ValueError of the first line that _piece_line_ends refuses
+    in a piece as read whose first line is line lineno, naming the line."""
+    for lineno, line in enumerate(BytesIO(raw), start=lineno):
+        if COMMENT_LINE.match(line) or _piece_line_ends(line)[0] is not None:
             continue
-        tokens = [tok for tok in line.replace(b"\t", b" ").split(b" ") if tok]
+        tokens = re.findall(rb"[^ \t]+", _line_text(line))
         if not tokens:
             raise ValueError(f"line {lineno}: empty hyperedge")
         for tok in tokens:
@@ -232,7 +232,7 @@ def _raise_line_error(f) -> None:
                 raise ValueError(f"line {lineno}: negative vertex id {tok.decode()}")
             if not tok.isdigit():
                 raise ValueError(f"line {lineno}: non-integer token {repr(tok)[1:]}")
-    raise AssertionError("the bulk parser refused a well-formed file")
+    raise AssertionError("the bulk parser refused a piece of well-formed lines")
 
 
 def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, type]:
@@ -242,13 +242,13 @@ def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, type]:
     a line other than a comment is not one or more ids of 1 to
     MAX_BULK_DIGITS ASCII digits, separated by spaces or tabs, or a carriage
     return is not at a line end, _raise_line_error names the first such
-    line: _piece_line_ends on each piece is the one refusal.
+    line of the refused piece: _piece_line_ends is the one judge of a line.
     """
     ids = line = digits = 0
-    for piece in _pieces(f):
+    for piece, raw, comments in _pieces(f):
         ends_in_ids, width = _piece_line_ends(piece)
         if ends_in_ids is None:
-            _raise_line_error(f)
+            _raise_line_error(raw, line + comments + 1)
         if offsets is not None:
             offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + ids
         line, ids = line + len(ends_in_ids), ids + int(ends_in_ids[-1])
@@ -261,7 +261,7 @@ def _offsets(f) -> tuple[np.ndarray, type]:
     of its size, and the dtype of its ids (see _line_ends): one sweep
     counts bytes and lines to size the offsets, a second fills them."""
     size = num_lines = 0
-    for piece in _pieces(f):
+    for piece, _, _ in _pieces(f):
         size += len(piece)
         # a last line with no newline counts too
         num_lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
@@ -272,7 +272,7 @@ def _offsets(f) -> tuple[np.ndarray, type]:
 def _id_pieces(f, dtype: type):
     """The ids of each piece of a file that _line_ends accepted, in the
     dtype it gave."""
-    for piece in _pieces(f):
+    for piece, _, _ in _pieces(f):
         yield np.fromstring(piece, dtype=dtype, sep=" ")
 
 
@@ -343,6 +343,8 @@ def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[
     first-seen order, and labels[i] is the label of id i.  Singleton
     records are kept (cardinality-1 edges).
     """
+    if not delimiter:
+        raise ValueError("delimiter must be non-empty")
     ids: dict[str, int] = {}
     edges: list[list[int]] = []
     for lineno, line in _text_lines(source):

@@ -66,6 +66,18 @@ class TestDegreeHistogram:
             k: c for k, c in Counter(degrees).items() if k > 0}
         assert hist.values.dtype == hist.counts.dtype == np.int64
 
+    def test_from_degrees_refuses_a_negative_value(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DegreeHistogram.from_degrees(np.array([3, -2]))
+
+    def test_from_degrees_memory(self):
+        """int32 input is counted with no int64 copy: the traced peak is the
+        count array, far below the 4 bytes per input value."""
+        sizes = np.random.default_rng(3).integers(1, 30, 10**6).astype(np.int32)
+        hist, peak = traced_peak(DegreeHistogram.from_degrees, sizes)
+        assert hist.total_vertices == len(sizes)
+        assert peak < sizes.nbytes // 10
+
     def test_restrict(self):
         hist = histogram({2: 1, 3: 4, 7: 2})
         assert dict(hist.restrict(3).items_sorted()) == {3: 4, 7: 2}

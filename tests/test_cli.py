@@ -263,6 +263,12 @@ class TestPipelines:
         assert main(["ingest", "--in", str(rec), "--out", "-"]) == 2
         assert "empty record" in capsys.readouterr().err
 
+    def test_ingest_empty_delimiter(self, tmp_path, capsys):
+        rec = tmp_path / "rec.txt"
+        rec.write_text("ann;bob\n")
+        assert main(["ingest", "--in", str(rec), "--out", "-", "--delimiter", ""]) == 2
+        assert capsys.readouterr().err == "error: --delimiter must be non-empty\n"
+
 
 class TestCompare:
     def test_outputs_and_analytic_lines(self, tmp_path, capsys):

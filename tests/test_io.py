@@ -220,11 +220,32 @@ def test_last_piece_is_checked(tmp_path, tail, bulk_takes):
     for piece in (64, len(BODY) - 8, len(BODY)):
         with mock.patch.object(io, "READ_PIECE", piece), open(path, "rb") as f:
             # the tail is in the last piece of what the parser keeps
-            pieces = list(io._pieces(f))
+            pieces = [stripped for stripped, _, _ in io._pieces(f)]
             kept = sum(map(len, pieces))
             assert len(pieces) > 1 and kept - len(pieces[-1]) <= len(BODY)
             assert _walked(lambda: _parse_bulk(f)) == (expected, not bulk_takes)
             assert _outcome(lambda: read_hypergraph(str(path))) == expected
+
+
+def test_line_walk_reads_only_the_refused_piece(tmp_path):
+    """A bad line after comment lines in earlier pieces is named as the
+    reference reader names it, by a walk over the one piece the parser
+    refused: bytes of at most READ_PIECE and one line."""
+    body = b"".join(b"# note %d\n0 1 2\n  # indented\n2 0 1\n" % i for i in range(8000))
+    data = body + b"1 2\n0 +1\n# after\n0 1\n"
+    path = tmp_path / "h.txt"
+    path.write_bytes(data)
+    expected = _outcome(lambda: reference_read(data))
+    assert expected == f"error: line {4 * 8000 + 2}: non-integer token '+1'"
+    longest = max(map(len, data.splitlines(keepends=True)))
+    for piece in (1, 7, 64, io.READ_PIECE):
+        with mock.patch.object(io, "READ_PIECE", piece), \
+                mock.patch.object(io, "_raise_line_error",
+                                  wraps=io._raise_line_error) as walk:
+            assert _outcome(lambda: read_degrees(str(path))) == expected
+        (raw, _), = [call.args for call in walk.call_args_list]
+        assert isinstance(raw, bytes) and b"0 +1\n" in raw
+        assert len(raw) <= piece + longest
 
 
 def test_pieces_of_a_generated_file(tmp_path):
@@ -443,6 +464,13 @@ class TestIngest:
         path.write_text("a,b\nc,a\n")
         h, _ = ingest_labeled(str(path), delimiter=",")
         assert h.num_vertices == 3
+
+    @pytest.mark.parametrize("text", ["a;b\n", ""])
+    def test_empty_delimiter(self, tmp_path, text):
+        path = tmp_path / "records.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^delimiter must be non-empty$"):
+            ingest_labeled(str(path), "")
 
     def test_label_order_independence(self, tmp_path):
         lines = ["a;b;c", "b;d", "d;e;a", "c;c"]
