@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, count_ids, size_classes
+from .core import Hypergraph, add_at, count_ids, index_dtype, size_classes
 
 __all__ = [
     "DegreeHistogram",
@@ -66,7 +66,7 @@ class DegreeHistogram:
             raise ValueError(f"degrees must be non-negative, got {degrees.min()}")
         counts = count_ids(degrees, int(degrees.max(initial=0)) + 1)
         values = np.flatnonzero(counts[1:]) + 1
-        return cls(values, counts[values])
+        return cls(values, counts[values].astype(np.int64))
 
     @property
     def total_vertices(self) -> int:
@@ -172,10 +172,15 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
 def projected_degrees(h: Hypergraph) -> np.ndarray:
     """project(h).degrees() without the pair array: each occurrence of v in
     an edge of size c adds c - 1 (so a self loop adds 2), per size class of
-    a piece of edges (core.size_classes)."""
-    deg = np.zeros(h.num_vertices, dtype=np.int64)
+    a piece of edges (core.size_classes).  The degrees take index_dtype of
+    their sum, sum c(c - 1), as project(h).degrees() does."""
+    sizes = np.diff(h.offsets)
+    # the sum of c * c in int64, with no int64 copy of the sizes
+    total = int(np.einsum("i,i->", sizes, sizes, dtype=np.int64)) - h.total_degree
+    del sizes                   # not beside the counts
+    deg = np.zeros(h.num_vertices, dtype=index_dtype(total))
     for _, _, _, rows in size_classes(h.tokens, h.offsets):
-        np.add.at(deg, rows.ravel(), rows.shape[1] - 1)
+        add_at(deg, rows.ravel(), rows.shape[1] - 1)
     return deg
 
 

@@ -249,6 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="independent seeded runs (out becomes a prefix)")
     run.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
+    read = argparse.ArgumentParser(add_help=False)
+    read.add_argument("--in", dest="input", default="-",
+                      help="hypergraph file, or '-' for stdin; stdin or a pipe is "
+                           "first copied to a temporary file, so it needs temporary "
+                           "disk space the size of its input")
+
     g = sub.add_parser("generate", parents=[run],
                        help="run the hypergraph evolution process")
     g.add_argument("--size", default="const:3",
@@ -270,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit N rows 'p,beta_graph,beta_hypergraph' for p in (0, 1]")
     a.set_defaults(func=cmd_analytic)
 
-    d = sub.add_parser("degrees", help="degree histogram of a hypergraph file")
-    d.add_argument("--in", dest="input", default="-", help="hypergraph file")
+    d = sub.add_parser("degrees", parents=[read],
+                       help="degree histogram of a hypergraph file")
     d.add_argument("--out", default="-", help="histogram CSV")
     d.set_defaults(func=cmd_degrees)
 
-    pr = sub.add_parser("project", help="clique-expansion graph of a hypergraph")
-    pr.add_argument("--in", dest="input", default="-", help="hypergraph file")
+    pr = sub.add_parser("project", parents=[read],
+                        help="clique-expansion graph of a hypergraph")
     pr.add_argument("--out", default="-", help="edge-list output")
     pr.add_argument("--simple", action="store_true",
                     help="collapse duplicate edges and drop self loops")
@@ -288,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--kmin", default="5", help="tail cutoff, integer or 'auto'")
     f.set_defaults(func=cmd_fit)
 
-    e = sub.add_parser("edge-sizes", help="hyperedge-size histogram")
-    e.add_argument("--in", dest="input", default="-", help="hypergraph file")
+    e = sub.add_parser("edge-sizes", parents=[read], help="hyperedge-size histogram")
     e.add_argument("--out", default="-", help="histogram CSV")
     e.add_argument("--min-size", type=int, default=3,
                    help="smallest cardinality to keep (default 3)")

@@ -1,7 +1,9 @@
 """Hypergraph data model: a flat token array plus edge offsets.
 
 A hypergraph is stored as two index arrays, int32 while their values fit
-and int64 above (index_dtype; count_ids counts ids without widening them).
+and int64 above (index_dtype).  A count per vertex takes the same rule,
+from the largest count it can hold: count_ids and counted count ids with
+no int64 copy of them, into int32 counts while their total fits.
 `tokens` lists every vertex occurrence, edge after edge in arrival order,
 with the members of each edge sorted; edge i is
 tokens[offsets[i]:offsets[i + 1]].  The token array is the repeated-token
@@ -32,14 +34,23 @@ INDEX_LIMIT = 2**31     # values below it fit int32
 
 
 def index_dtype(top: int) -> type:
-    """The dtype of an array of ids or positions whose largest value is top."""
+    """The dtype of an array of ids, positions or counts whose largest
+    value is top."""
     return np.int32 if top < INDEX_LIMIT else np.int64
 
 
+def add_at(counts: np.ndarray, ids: np.ndarray, w: int) -> None:
+    """np.add.at(counts, ids, w), with w as a scalar of counts' dtype: given
+    a Python int, numpy (2.4) adds into int32 counts by its generic ufunc.at
+    loop, about 30 times slower than the typed one."""
+    np.add.at(counts, ids, counts.dtype.type(w))
+
+
 def count_ids(ids: np.ndarray, n: int) -> np.ndarray:
-    """Occurrences of each id 0..n-1, int64, with no int64 copy of the ids."""
-    counts = np.zeros(n, dtype=np.int64)
-    np.add.at(counts, ids, 1)
+    """Occurrences of each id 0..n-1, in index_dtype of len(ids), the most
+    any id can occur, with no int64 copy of the ids."""
+    counts = np.zeros(n, dtype=index_dtype(len(ids)))
+    add_at(counts, ids, 1)
     return counts
 
 
@@ -58,7 +69,7 @@ def size_classes(tokens: np.ndarray, offsets: np.ndarray):
                 yield e0, None, None, tokens[bounds[0]:bounds[-1]].reshape(-1, s)
             else:
                 which = np.flatnonzero(sizes == s)
-                slots = bounds[which][:, None] + np.arange(s)
+                slots = bounds[which][:, None] + np.arange(s, dtype=bounds.dtype)
                 yield e0, which, slots, tokens[slots]
 
 
@@ -83,11 +94,12 @@ def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
 
 def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
     """The occurrences of each id 0..max of arrays of non-negative ids,
-    n ids in all, int64; raises ValueError naming the smallest missing id
-    unless the ids cover 0..max.  Among n ids, one past n leaves a gap at
-    or below n either way, so it is clipped to n: the count, which grows by
-    doubling as the pieces come, never takes more than n + 1 entries."""
-    counts, size = np.zeros(0, dtype=np.int64), 0
+    n ids in all, in index_dtype(n); raises ValueError naming the smallest
+    missing id unless the ids cover 0..max.  Among n ids, one past n leaves
+    a gap at or below n either way, so it is clipped to n: the count, which
+    grows by doubling as the pieces come, never takes more than n + 1
+    entries."""
+    counts, size = np.zeros(0, dtype=index_dtype(n)), 0
     for ids in pieces:
         top = int(ids.max(initial=-1))
         if top > n:
@@ -95,7 +107,7 @@ def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
         size = max(size, top + 1)
         if size > len(counts):
             counts.resize(min(max(size, 2 * len(counts)), n + 1), refcheck=False)
-        np.add.at(counts, ids, 1)
+        add_at(counts, ids, 1)
     counts.resize(size, refcheck=False)
     if not counts.all():
         raise ValueError(f"vertex id gap: id {counts.argmin()} never appears")

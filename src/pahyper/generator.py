@@ -287,8 +287,10 @@ def evolve(config: GeneratorConfig) -> Hypergraph:
     rng = np.random.default_rng(config.seed)
     is_vertex, sizes = _draw_events(config, rng)
     tokens, offsets = _fill_stream(rng, config.y0, sizes, is_vertex)
+    num_vertices = 1 + int(is_vertex.sum())
+    del is_vertex, sizes        # not beside the member sort
     sort_members(tokens, offsets)
-    return Hypergraph(1 + int(is_vertex.sum()), tokens, offsets)
+    return Hypergraph(num_vertices, tokens, offsets)
 
 
 def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:

@@ -22,8 +22,9 @@ its text never exists whole.  Every output goes as UTF-8 bytes through one
 function, to a file in binary or to '-' through sys.stdout's text layer.
 The reader parses a regular file from disk with numpy in newline-aligned
 pieces of about READ_PIECE bytes, so that beside its output arrays it needs
-memory for one piece; stdin for '-', or a path that cannot seek, is read
-whole into one buffer first.  One sweep checks every piece (and fills the
+memory for one piece; stdin for '-', or a path that cannot seek, is first
+copied to a temporary file, so a pipe needs temporary disk space the size
+of its input, not memory.  One sweep checks every piece (and fills the
 edge offsets where they are wanted); only a piece it refuses is walked
 line by line, by the same check, to name its first bad line.  Then one
 parse of each piece's ids feeds one of two sinks: read_hypergraph fills a
@@ -35,7 +36,9 @@ Either way core.counted is the one check that ids cover 0..max.
 from __future__ import annotations
 
 import re
+import shutil
 import sys
+import tempfile
 from contextlib import nullcontext
 from io import BytesIO
 
@@ -298,13 +301,15 @@ def _parse_bulk(f) -> Hypergraph:
 
 def _seekable(source: str, parse):
     """parse(f) of a seekable binary file: the file at source, or, for '-'
-    or a path that cannot seek (a FIFO, /dev/stdin), a buffer holding all
-    of stdin or of the file, since every parse reads its input more than
-    once."""
-    if source == "-":
-        return parse(BytesIO(sys.stdin.buffer.read()))
-    with open(source, "rb") as f:
-        return parse(f if f.seekable() else BytesIO(f.read()))
+    or a path that cannot seek (a FIFO, /dev/stdin), a temporary file that
+    stdin or the file is first copied to, since every parse reads its input
+    more than once."""
+    with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as f:
+        if source != "-" and f.seekable():
+            return parse(f)
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(f, spool)
+            return parse(spool)
 
 
 def read_hypergraph(source: str) -> Hypergraph:
@@ -312,7 +317,8 @@ def read_hypergraph(source: str) -> Hypergraph:
 
     A regular file is parsed from disk in pieces (see _parse_bulk), and a
     malformed one raises a ValueError naming its first bad line; stdin for
-    '-', or a path that cannot seek, is read whole first (_seekable).
+    '-', or a path that cannot seek, is copied to a temporary file first
+    (_seekable).
     """
     return _seekable(source, _parse_bulk)
 

@@ -248,6 +248,16 @@ def test_project_memory():
     assert peak <= 18 * g.num_edges
 
 
+def test_projected_degrees_memory():
+    """projected_degrees holds 4 bytes per vertex (int32 degrees) beside the
+    arrays of one piece: at most 48 bytes per edge of a piece that mixes
+    sizes 2 and 3, as the first of a capped const:3 run does."""
+    h = evolve(GeneratorConfig(p=1.0, steps=200_000, size_dist=Constant(3), seed=7))
+    degrees, peak = traced_peak(projected_degrees, h)
+    assert degrees.dtype == np.int32
+    assert peak <= 4 * h.num_vertices + 48 * core.SORT_PIECE
+
+
 def test_simple_projection_key_passes_int32():
     """With int32 ids and over 46,341 vertices, a * n + b passes 2**31."""
     n = 50_000
@@ -260,14 +270,14 @@ def test_simple_projection_key_passes_int32():
 
 @pytest.mark.parametrize("build", [lambda h: h, project], ids=["Hypergraph", "ObservedGraph"])
 def test_degrees_make_no_int64_copy_of_int32_ids(build):
-    """Counting int32 ids needs the int64 counts, not an int64 copy of the
-    ids as np.bincount makes."""
+    """Counting int32 ids needs the counts, in the index dtype, not an int64
+    copy of the ids as np.bincount makes."""
     structure = build(evolve(GeneratorConfig(p=0.5, steps=200_000,
                                              size_dist=Constant(3), seed=7)))
     ids = structure.tokens if isinstance(structure, Hypergraph) else structure.edges
     assert ids.dtype == np.int32
     degrees, peak = traced_peak(structure.degrees)
-    assert degrees.dtype == np.int64
+    assert degrees.dtype == core.index_dtype(ids.size)
     assert peak < degrees.nbytes + ids.nbytes
 
 

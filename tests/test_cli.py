@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface (in-process main calls)."""
 
+import io as stdio
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -587,6 +589,19 @@ def test_degrees_of_fifo_as_of_file(tmp_path, capsys, data):
     writer.join(timeout=60)
     assert not writer.is_alive()
     assert (code, capsys.readouterr()) == from_file
+
+
+@pytest.mark.parametrize("command", ["degrees", "project", "edge-sizes"])
+def test_unusable_temporary_directory_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                         command):
+    """Stdin is copied to a temporary file before it is read: a temporary
+    directory that does not exist ends in one error line and exit 1."""
+    monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(b"0 1\n1 0\n")))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert main([command, "--in", "-", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_exits_quietly():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pahyper import (Constant, GeneratorConfig, Hypergraph, UniformInt, evolve,
-                     evolve_graph_baseline, project, read_hypergraph, write_hypergraph)
+                     evolve_graph_baseline, project, projected_degrees, read_degrees,
+                     read_hypergraph, write_hypergraph)
 from pahyper import core
 from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
 from reference import EdgeList, reference_from_edges, sample_preferential
@@ -281,12 +282,31 @@ def test_int64_index_arrays_equal_int32(monkeypatch, tmp_path):
         write_hypergraph(h, str(path))
         read = read_hypergraph(str(path))
         built = Hypergraph.from_edges(h.hyperedges)
+        graph = evolve_graph_baseline(0.5, 5_000, seed=3)
         return [h.tokens, h.offsets, read.tokens, read.offsets, built.tokens,
                 built.offsets, project(h).edges, project(h, simple=True).edges,
-                evolve_graph_baseline(0.5, 5_000, seed=3).edges]
+                graph.edges, h.degrees(), read_degrees(str(path)), projected_degrees(h),
+                project(h).degrees(), graph.degrees()]
 
     narrow = index_arrays()
     monkeypatch.setattr(core, "INDEX_LIMIT", 0)
     for a, b in zip(narrow, index_arrays(), strict=True):
         assert (a.dtype, b.dtype) == (np.int32, np.int64)
         assert np.array_equal(a, b)
+
+
+def test_count_dtype_follows_the_count_bound(monkeypatch, tmp_path):
+    """A count per vertex takes index_dtype of the most it can reach, not of
+    the ids: with core.INDEX_LIMIT below one vertex's degree, that degree
+    is counted exactly, in int64, from int32 ids."""
+    h = Hypergraph.from_edges([(0, 1)] * 150 + [(2,)])
+    path = tmp_path / "h.txt"
+    write_hypergraph(h, str(path))
+    monkeypatch.setattr(core, "INDEX_LIMIT", 100)
+    assert h.tokens.dtype == np.int32
+    for counts, want in [(h.degrees(), [150, 150, 1]),
+                         (read_degrees(str(path)), [150, 150, 1]),
+                         (projected_degrees(h), [150, 150, 0]),
+                         (project(h).degrees(), [150, 150, 0])]:
+        assert counts.dtype == np.int64
+        assert counts.tolist() == want

@@ -2,8 +2,10 @@
 
 import contextlib
 import io as stdio
+import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -300,6 +302,30 @@ def test_degrees_read_memory(tmp_path):
     degrees, peak = traced_peak(read_degrees, str(path))
     assert degrees.tolist() == h.degrees().tolist()
     assert peak <= bound
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_degrees_of_fifo_read_memory(tmp_path):
+    """A FIFO is copied to a temporary file, not into memory: read_degrees
+    of one stays within test_degrees_read_memory's bound for a file."""
+    cfg = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
+    h = evolve(cfg)
+    path, fifo = tmp_path / "h.txt", tmp_path / "h.fifo"
+    write_hypergraph(h, str(path))
+    data = path.read_bytes()
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    degrees, peak = traced_peak(read_degrees, str(fifo))
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert degrees.tolist() == h.degrees().tolist()
+    assert peak <= 16 * h.num_vertices + 4 * io.READ_PIECE
 
 
 def test_stdin_read_memory(monkeypatch, tmp_path):
