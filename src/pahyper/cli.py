@@ -3,7 +3,8 @@
 Subcommands wire generation, projection, analysis, and ingestion into
 reproducible pipelines; all data outputs are plain text (see io module),
 '-' means stdin/stdout, and diagnostics go to stderr.  Exit codes: 0 on
-success, 2 for usage or validation problems, 1 for I/O failures and
+success, 2 for usage or validation problems, 1 for I/O failures (reading
+or writing '-' with stdin or stdout closed at start among them) and
 resource failures (an array too large for memory), and
 EXIT_CLOSED_STDOUT (141, as for a process ended by SIGPIPE) without any
 message when the reader of stdout has gone, as in `pahyper generate ... |
@@ -251,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     read = argparse.ArgumentParser(add_help=False)
     read.add_argument("--in", dest="input", default="-",
-                      help="hypergraph file, or '-' for stdin; stdin or a pipe is "
-                           "first copied to a temporary file, so it needs temporary "
-                           "disk space the size of its input")
+                      help="hypergraph file, or '-' for stdin; a pipe, a FIFO or a "
+                           "terminal is first copied to a temporary file, so it needs "
+                           "temporary disk space the size of its input")
 
     g = sub.add_parser("generate", parents=[run],
                        help="run the hypergraph evolution process")
@@ -317,8 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Closed:
+    """Stands for sys.stdin or sys.stdout, which Python sets to None when
+    its file descriptor is closed at start: any use but a flush raises
+    OSError, so reading or writing '-' ends in one error line, as print to
+    None would not."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise OSError(f"{self.name} is closed")
+
+    def flush(self) -> None:
+        pass
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in ("stdin", "stdout"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, _Closed(name))
     try:
         rc = args.func(args)
         sys.stdout.flush()

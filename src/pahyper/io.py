@@ -15,22 +15,26 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
                     (coauthorship-style corpora); labels are trimmed and
                     case-sensitive, duplicates within a record are kept.
 
-Hypergraph and graph files and histogram CSVs go through one numpy codec
-over bytes, with no Python int or str per id: every id comes from a table
-of digit pairs, and a (hyper)graph goes in pieces of ROW_PIECE edges, so
-its text never exists whole.  Every output goes as UTF-8 bytes through one
-function, to a file in binary or to '-' through sys.stdout's text layer.
-The reader parses a regular file from disk with numpy in newline-aligned
-pieces of about READ_PIECE bytes, so that beside its output arrays it needs
-memory for one piece; stdin for '-', or a path that cannot seek, is first
-copied to a temporary file, so a pipe needs temporary disk space the size
-of its input, not memory.  One sweep checks every piece (and fills the
-edge offsets where they are wanted); only a piece it refuses is walked
-line by line, by the same check, to name its first bad line.  Then one
-parse of each piece's ids feeds one of two sinks: read_hypergraph fills a
-token array and ends in core.checked, while read_degrees and
-read_edge_sizes hand the ids to core.counted, so they hold no token array.
-Either way core.counted is the one check that ids cover 0..max.
+Hypergraph and graph files, and the histogram CSV writer, go through one
+numpy codec over bytes, with no Python int or str per id: every id comes
+from a table of digit pairs, and a (hyper)graph goes in pieces of ROW_PIECE
+edges, so its text never exists whole.  Every output goes as UTF-8 bytes
+through one function, to a file in binary or to '-' through sys.stdout's
+text layer.
+The hypergraph readers take one byte path in.  A file or stdin that can
+seek and stands at its start is parsed where it is; any other input (a
+pipe, a FIFO, a terminal, a stdin past its start) is first copied, from
+where it stands, to a temporary file, so it needs temporary disk space the
+size of its input, not memory.  The input is then read twice, in
+newline-aligned pieces of about READ_PIECE bytes, so that beside its output
+arrays a reader needs memory for one piece.  The first sweep judges every
+piece (and fills the edge offsets where they are wanted); only a piece it
+refuses is walked line by line, by the same check, to name its first bad
+line.  The second parses each piece's ids into one of two sinks:
+read_hypergraph fills a token array and ends in core.checked, while
+read_degrees and read_edge_sizes hand the ids to core.counted, so they hold
+no token array.  Either way core.counted is the one check that ids cover
+0..max.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import nullcontext
-from io import BytesIO
+from io import SEEK_END, BytesIO
 
 import numpy as np
 
@@ -238,38 +242,32 @@ def _raise_line_error(raw: bytes, lineno: int) -> None:
     raise AssertionError("the bulk parser refused a piece of well-formed lines")
 
 
-def _line_ends(f, offsets: np.ndarray | None = None) -> tuple[int, type]:
-    """The number of ids in a seekable binary hypergraph file and the dtype
-    that holds any id of as many digits as its longest, and, if offsets is
-    given, the number of ids up to the end of each line in offsets[1:].  If
-    a line other than a comment is not one or more ids of 1 to
+def _line_ends(f, offsets: bool = False) -> tuple[int, type, np.ndarray | None]:
+    """The number of ids in a seekable binary hypergraph file, the dtype
+    that holds any id of as many digits as its longest, and, if offsets,
+    its edge offsets (the number of ids up to the end of each line), in
+    index_dtype of its size and grown by doubling as the pieces come.  If a
+    line other than a comment is not one or more ids of 1 to
     MAX_BULK_DIGITS ASCII digits, separated by spaces or tabs, or a carriage
     return is not at a line end, _raise_line_error names the first such
     line of the refused piece: _piece_line_ends is the one judge of a line.
     """
+    ends = np.zeros(1, dtype=index_dtype(f.seek(0, SEEK_END))) if offsets else None
     ids = line = digits = 0
     for piece, raw, comments in _pieces(f):
         ends_in_ids, width = _piece_line_ends(piece)
         if ends_in_ids is None:
             _raise_line_error(raw, line + comments + 1)
-        if offsets is not None:
-            offsets[line + 1:line + 1 + len(ends_in_ids)] = ends_in_ids + ids
-        line, ids = line + len(ends_in_ids), ids + int(ends_in_ids[-1])
+        top = line + 1 + len(ends_in_ids)
+        if ends is not None:
+            if top > len(ends):
+                ends.resize(max(top, 2 * len(ends)), refcheck=False)
+            ends[line + 1:top] = ends_in_ids + ids
+        line, ids = top - 1, ids + int(ends_in_ids[-1])
         digits = max(digits, width)
-    return ids, index_dtype(10**digits - 1)
-
-
-def _offsets(f) -> tuple[np.ndarray, type]:
-    """The edge offsets of a seekable binary hypergraph file, in index_dtype
-    of its size, and the dtype of its ids (see _line_ends): one sweep
-    counts bytes and lines to size the offsets, a second fills them."""
-    size = num_lines = 0
-    for piece, _, _ in _pieces(f):
-        size += len(piece)
-        # a last line with no newline counts too
-        num_lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
-    offsets = np.zeros(num_lines + 1, dtype=index_dtype(size))
-    return offsets, _line_ends(f, offsets)[1]
+    if ends is not None:
+        ends.resize(line + 1, refcheck=False)
+    return ids, index_dtype(10**digits - 1), ends
 
 
 def _id_pieces(f, dtype: type):
@@ -284,14 +282,14 @@ def _parse_bulk(f) -> Hypergraph:
     line raises the error of _line_ends; the result goes through
     core.checked, so ids that do not cover 0..max raise its error.
 
-    The file is read in the pieces of _pieces three times: two sweeps fill
-    the edge offsets (_offsets), and the third parses each piece's ids into
-    its slice of one token array.  Beside the output arrays, the parser
-    holds a few arrays the size of one piece and, in the final check, a
-    count per vertex and a flag per token.
+    The file is read in the pieces of _pieces twice: one sweep checks each
+    piece and fills the edge offsets (_line_ends), and a second parses each
+    piece's ids into its slice of one token array.  Beside the output
+    arrays, the parser holds a few arrays the size of one piece and, in the
+    final check, a count per vertex and a flag per token.
     """
-    offsets, dtype = _offsets(f)
-    tokens = np.empty(offsets[-1], dtype=dtype)
+    n, dtype, offsets = _line_ends(f, offsets=True)
+    tokens = np.empty(n, dtype=dtype)
     filled = 0
     for ids in _id_pieces(f, dtype):
         tokens[filled:filled + len(ids)] = ids
@@ -300,12 +298,13 @@ def _parse_bulk(f) -> Hypergraph:
 
 
 def _seekable(source: str, parse):
-    """parse(f) of a seekable binary file: the file at source, or, for '-'
-    or a path that cannot seek (a FIFO, /dev/stdin), a temporary file that
-    stdin or the file is first copied to, since every parse reads its input
-    more than once."""
+    """parse(f) of a seekable binary file that stands at its start: the
+    file at source, or stdin for '-', in place.  A source that cannot seek
+    (a pipe, a FIFO, a terminal) or a stdin at a later offset is first
+    copied, from where it stands, to a temporary file, since every parse
+    reads its input twice from the start."""
     with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as f:
-        if source != "-" and f.seekable():
+        if f.seekable() and f.tell() == 0:
             return parse(f)
         with tempfile.TemporaryFile() as spool:
             shutil.copyfileobj(f, spool)
@@ -315,10 +314,10 @@ def _seekable(source: str, parse):
 def read_hypergraph(source: str) -> Hypergraph:
     """Inverse of write_hypergraph; read(write(h)) == h.
 
-    A regular file is parsed from disk in pieces (see _parse_bulk), and a
-    malformed one raises a ValueError naming its first bad line; stdin for
-    '-', or a path that cannot seek, is copied to a temporary file first
-    (_seekable).
+    A file or stdin that can seek and stands at its start is parsed in
+    place in pieces (see _parse_bulk), and a malformed one raises a
+    ValueError naming its first bad line; any other input is copied to a
+    temporary file first (_seekable).
     """
     return _seekable(source, _parse_bulk)
 
@@ -327,7 +326,7 @@ def read_degrees(source: str) -> np.ndarray:
     """read_hypergraph(source).degrees(), or its error, with no token array:
     one sweep checks the file, a second counts each piece's ids."""
     def degrees(f):
-        n, dtype = _line_ends(f)
+        n, dtype, _ = _line_ends(f)
         return counted(_id_pieces(f, dtype), n)
     return _seekable(source, degrees)
 
@@ -336,8 +335,8 @@ def read_edge_sizes(source: str) -> np.ndarray:
     """The edge sizes of read_hypergraph(source), or its error, with no
     token array: the offsets, and a count per vertex for the gap check."""
     def sizes(f):
-        offsets, dtype = _offsets(f)
-        counted(_id_pieces(f, dtype), int(offsets[-1]))
+        n, dtype, offsets = _line_ends(f, offsets=True)
+        counted(_id_pieces(f, dtype), n)
         return np.diff(offsets)
     return _seekable(source, sizes)
 

@@ -19,19 +19,32 @@ vertex 0 at step 0) has, after step T,
     Var[d] = d_b^2 (C_T / C_b - (A_T / A_b)^2) + d_b C_T / A_b (G_T - G_b).
 
 d(t) A_b / A_t is Móri's martingale (Combin. Probab. Comput. 14, 2005).
+
+Those means cannot see a draw that lands on its own step's block, which is
+O(m_t / S_{t-1}) per step.  At a tiny T it is O(1), and the law of the
+whole process is small enough to enumerate: exact_law walks every degree
+vector step by step, and criterion_13 tests evolve's runs against it.
 """
 
+from collections import Counter, defaultdict
+from itertools import product
+from math import prod
 from statistics import NormalDist
 
 import numpy as np
+from scipy import stats
 
-from pahyper import GeneratorConfig, Hypergraph, evolve
+from pahyper import Constant, GeneratorConfig, Hypergraph, UniformInt, evolve
 
 # criterion 12's runs and family level, fixed so that the criterion and its
 # mutant rows (tests/test_mutants.py) test the same statistic
 STEPS = 10_000
 SEEDS = range(1700, 1740)
 LEVEL = 0.001
+
+# criterion 13's runs, at p=0.5 with y0 = 3 and no cap; its level is LEVEL
+LAW_STEPS = 3
+LAW_SEEDS = range(13_000, 17_000)
 
 
 def arrival_events(h: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,3 +118,66 @@ def criterion_12(size_dist) -> tuple[float, int, float]:
     z = arrival_cell_z(evolve(GeneratorConfig(0.5, STEPS, size_dist, seed=s))
                        for s in SEEDS)
     return float(np.abs(z).max()), len(z), bonferroni_bound(len(z))
+
+
+def size_pmf(size) -> dict[int, float]:
+    """{y: P(Y = y)} of a Constant or UniformInt edge-size distribution."""
+    if isinstance(size, Constant):
+        return {size.d: 1.0}
+    if isinstance(size, UniformInt):
+        return dict.fromkeys(range(size.lo, size.hi + 1), 1.0 / (size.hi - size.lo + 1))
+    raise TypeError(f"no pmf for {size!r}")
+
+
+def exact_law(p: float, size, y0: int, steps: int) -> dict[tuple[int, ...], float]:
+    """{degree vector: probability} after steps steps of evolve with no
+    cap, each vector indexed by vertex id and every probability positive.
+
+    The walk starts from (y0,).  Each step draws its size Y from size's
+    pmf; with probability p it appends a vertex of degree 1 and makes Y - 1
+    draws, else Y draws; each draw picks vertex i with probability d_i / S,
+    with repetition, from the degrees d before the step, S their sum.
+    Equal vectors add their probabilities."""
+    law, pmf = {(y0,): 1.0}, size_pmf(size)
+    for _ in range(steps):
+        after: dict[tuple[int, ...], float] = defaultdict(float)
+        for d, mass in law.items():
+            total = sum(d)
+            for (y, q), (arrival, w) in product(pmf.items(), ((1, p), (0, 1.0 - p))):
+                if not w:
+                    continue
+                for picks in product(range(len(d)), repeat=y - arrival):
+                    hits = Counter(picks)
+                    grown = tuple(k + hits[i] for i, k in enumerate(d)) + (1,) * arrival
+                    after[grown] += mass * q * w * prod(d[i] for i in picks) / total ** len(picks)
+        law = dict(after)
+    return law
+
+
+def law_chi_square(vectors, law: dict[tuple[int, ...], float]) -> tuple[float, int]:
+    """(Pearson's chi-square, cells) of observed degree vectors against
+    law, the cells whose expected count is below 5 pooled into one; inf if
+    a vector has probability 0 under law."""
+    observed = Counter(vectors)
+    runs = sum(observed.values())
+    expected = {v: runs * mass for v, mass in law.items()}
+    small = [v for v, e in expected.items() if e < 5]
+    cells = [(observed[v], e) for v, e in expected.items() if e >= 5]
+    if small:
+        cells.append((sum(observed[v] for v in small), sum(expected[v] for v in small)))
+    if not observed.keys() <= law.keys():
+        return float("inf"), len(cells)
+    return sum((o - e) ** 2 / e for o, e in cells), len(cells)
+
+
+def criterion_13(size_dist) -> tuple[float, int, float]:
+    """Criterion 13's statistic on evolve at p=0.5, y0 = 3 and no cap:
+    law_chi_square of the degree vectors after LAW_STEPS steps, one run per
+    seed in LAW_SEEDS, against exact_law; the number of cells; and the
+    chi-square bound at level LEVEL."""
+    law = exact_law(0.5, size_dist, 3, LAW_STEPS)
+    vectors = (tuple(evolve(GeneratorConfig(0.5, LAW_STEPS, size_dist, seed=s,
+                                            enforce_cap=False)).degrees().tolist())
+               for s in LAW_SEEDS)
+    chi2, cells = law_chi_square(vectors, law)
+    return chi2, cells, float(stats.chi2.isf(LEVEL, cells - 1))

@@ -9,7 +9,9 @@ so at k_min=5 both fits are provably biased below their target windows, while
 at k_min=20 the predicted estimates (2.94 and 2.49 at these run lengths) sit
 inside them with stable tails.  Criterion 12 tests evolve's own draws
 against the exact mean degree of every vertex by its arrival step
-(oracles.criterion_12, which tests/test_mutants.py also runs).
+(oracles.criterion_12, which tests/test_mutants.py also runs), and
+criterion 13 tests the whole process at three steps against its exact law
+(oracles.criterion_13, run there too).
 """
 
 import time
@@ -21,7 +23,7 @@ import pytest
 from scipy import stats
 
 import pahyper as ph
-from oracles import criterion_12
+from oracles import criterion_12, criterion_13
 from reference import EdgeList, sample_power_law, sample_preferential
 
 STEPS = 100_000
@@ -207,3 +209,16 @@ def test_criterion_12_mean_degree_by_arrival_step():
         details.append(f"{name}: max |z| {max_z:.2f} <= {bound:.2f} over {cells} cells")
     _report(12, "exact mean degree by arrival step", ok,
             "; ".join(details) + " (p=0.5, cap on, 10^4 steps x 40 seeds)")
+
+
+def test_criterion_13_exact_law_at_three_steps():
+    details = []
+    ok = True
+    for name, size_dist in [("const:3", ph.Constant(3)),
+                            ("uniform:2:3", ph.UniformInt(2, 3))]:
+        chi2, cells, bound = criterion_13(size_dist)
+        ok &= chi2 <= bound
+        details.append(f"{name}: chi-square {chi2:.2f} <= {bound:.2f} over {cells} cells")
+    _report(13, "exact law of the degree vector", ok,
+            "; ".join(details) + " (p=0.5, y0=3, no cap, 3 steps x 4000 seeds; "
+            "inf if a run reaches a vector of probability 0)")

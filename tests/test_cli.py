@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ import pahyper
 from pahyper import GeneratorConfig, analytic_beta, analytic_mk, cli, evolve
 from pahyper.cli import EXIT_CLOSED_STDOUT, main, parse_size_dist
 from pahyper.generator import Constant, TruncatedZipf, UniformInt
+from feed import fed
 from memory import traced_peak
 
 TOO_BIG = "99999999999999999999"
@@ -478,13 +478,21 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
-def _run_cli(args, stdin=b""):
-    """(exit code, stdout, stderr) of `python -m pahyper.cli *args`."""
+def _run_cli(args, stdin=b"", closed=()):
+    """(exit code, stdout, stderr) of `python -m pahyper.cli *args`, with
+    the file descriptors in closed (0 for stdin, 1 for stdout) closed in
+    the child before it starts, as `<&-` and `>&-` close them."""
     src = str(Path(pahyper.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+    def close():
+        for fd in closed:
+            os.close(fd)
+
     proc = subprocess.run([sys.executable, "-m", "pahyper.cli", *args], input=stdin,
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=env, timeout=120,
+                          preexec_fn=close if closed else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -576,32 +584,46 @@ def test_degrees_of_fifo_as_of_file(tmp_path, capsys, data):
         path.write_bytes(data)
     code = main(["degrees", "--in", str(path), "--out", "-"])
     from_file = code, capsys.readouterr()
-    fifo = tmp_path / "h.fifo"
-    os.mkfifo(fifo)
-
-    def write():
-        with open(fifo, "wb") as f:
-            f.write(data)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    code = main(["degrees", "--in", str(fifo), "--out", "-"])
-    writer.join(timeout=60)
-    assert not writer.is_alive()
+    with fed(data, tmp_path / "h.fifo") as fifo:
+        code = main(["degrees", "--in", str(fifo), "--out", "-"])
     assert (code, capsys.readouterr()) == from_file
 
 
 @pytest.mark.parametrize("command", ["degrees", "project", "edge-sizes"])
 def test_unusable_temporary_directory_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                          command):
-    """Stdin is copied to a temporary file before it is read: a temporary
-    directory that does not exist ends in one error line and exit 1."""
-    monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(b"0 1\n1 0\n")))
+    """A pipe on stdin is copied to a temporary file before it is read: a
+    temporary directory that does not exist ends in one error line and exit
+    1."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    assert main([command, "--in", "-", "--out", str(tmp_path / "out")]) == 1
+    with fed(b"0 1\n1 0\n") as pipe:
+        monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(pipe))
+        assert main([command, "--in", "-", "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, fd", [
+    (["degrees", "--in", "-"], 0),
+    (["fit", "--in", "-"], 0),
+    (["generate", "--steps", "10", "--p", "0.5"], 1),
+    (["analytic", "--p", "0.5", "--mu", "3"], 1),
+], ids=["degrees-stdin", "fit-stdin", "generate-stdout", "analytic-stdout"])
+def test_closed_stdio_is_one_error_line(args, fd):
+    """Python sets sys.stdin or sys.stdout to None when its descriptor is
+    closed at start; reading or writing '-' then ends in one error line."""
+    code, _, err = _run_cli(args, closed=(fd,))
+    assert code == 1 and err.startswith(b"error: ") and err.count(b"\n") == 1
+
+
+def test_closed_stdio_spares_outputs_to_files(tmp_path):
+    path, got, want = tmp_path / "h.txt", tmp_path / "got.csv", tmp_path / "want.csv"
+    path.write_bytes(b"0 0 0\n0 1 2\n2 1\n")
+    assert _run_cli(["degrees", "--in", str(path), "--out", str(got)],
+                    closed=(0, 1)) == (0, b"", b"")
+    assert main(["degrees", "--in", str(path), "--out", str(want)]) == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_closed_stdout_exits_quietly():

@@ -5,7 +5,6 @@ import io as stdio
 import os
 import re
 import tempfile
-import threading
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +22,7 @@ from pahyper import (Constant, FitReport, GeneratorConfig,
                      write_observed_graph)
 from pahyper import io
 from pahyper.io import _parse_bulk
+from feed import fed
 from memory import traced_peak
 from reference import (EdgeList, histogram, reference_ccdf_csv,
                        reference_histogram_csv, reference_read, reference_rows)
@@ -312,18 +312,8 @@ def test_degrees_of_fifo_read_memory(tmp_path):
     h = evolve(cfg)
     path, fifo = tmp_path / "h.txt", tmp_path / "h.fifo"
     write_hypergraph(h, str(path))
-    data = path.read_bytes()
-    os.mkfifo(fifo)
-
-    def write():
-        with open(fifo, "wb") as f:
-            f.write(data)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    degrees, peak = traced_peak(read_degrees, str(fifo))
-    writer.join(timeout=60)
-    assert not writer.is_alive()
+    with fed(path.read_bytes(), fifo):
+        degrees, peak = traced_peak(read_degrees, str(fifo))
     assert degrees.tolist() == h.degrees().tolist()
     assert peak <= 16 * h.num_vertices + 4 * io.READ_PIECE
 
@@ -338,6 +328,66 @@ def test_stdin_read_memory(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(data)))
     h, peak = traced_peak(read_hypergraph, "-")
     assert peak - len(data) <= 1.2 * 8 * (len(h.tokens) + len(h.offsets))
+
+
+READERS = [read_hypergraph, read_degrees, read_edge_sizes]
+
+
+def _same_result(got, want) -> bool:
+    """Equal hypergraphs, or equal arrays of one dtype."""
+    if isinstance(want, Hypergraph):
+        return (got == want and got.tokens.dtype == want.tokens.dtype
+                and got.offsets.dtype == want.offsets.dtype)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
+def test_reader_sweeps_a_file_twice(tmp_path, monkeypatch, read):
+    """One sweep judges each piece (and fills the offsets where they are
+    wanted), a second parses it: the file is read in pieces twice."""
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"# c\n0 0 0\n0 1 2\n2 1\n")
+    sweeps = []
+    pieces = io._pieces
+
+    def counted_pieces(f):
+        sweeps.append(f)
+        return pieces(f)
+
+    monkeypatch.setattr(io, "_pieces", counted_pieces)
+    read(str(path))
+    assert len(sweeps) == 2
+
+
+@pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
+def test_seekable_stdin_read_in_place(tmp_path, monkeypatch, read):
+    """A stdin that is a regular file at its start is parsed where it is,
+    with no temporary file, into what the path gives."""
+    cfg = GeneratorConfig(p=0.5, steps=20_000, size_dist=Constant(3), seed=7)
+    path = tmp_path / "h.txt"
+    write_hypergraph(evolve(cfg), str(path))
+    want = read(str(path))
+
+    def no_spool(*args, **kwargs):
+        raise AssertionError("a seekable stdin was copied to a temporary file")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
+    with open(path, "rb") as f:
+        monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(f))
+        assert _same_result(read("-"), want)
+
+
+@pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
+def test_stdin_at_a_later_offset_reads_from_there(tmp_path, monkeypatch, read):
+    """A stdin that stands past its start is read from where it stands,
+    as a pipe would be."""
+    path, rest = tmp_path / "h.txt", tmp_path / "rest.txt"
+    path.write_bytes(b"9 9 9\n0 0 0\n0 1 2\n2 1\n")
+    rest.write_bytes(path.read_bytes()[6:])
+    with open(path, "rb") as f:
+        f.seek(6)
+        monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(f))
+        assert _same_result(read("-"), read(str(rest)))
 
 
 @pytest.mark.parametrize("top, dtype", [(999_999_999, np.int32), (9_999_999_999, np.int64)])

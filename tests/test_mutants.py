@@ -14,7 +14,7 @@ from typing import Callable
 import pytest
 
 from pahyper import Constant, generator
-from oracles import criterion_12
+from oracles import criterion_12, criterion_13
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,13 @@ MUTANTS = [
            "np.repeat(np.full(t1 - t0, base), sizes[t0:t1] - vertex)",
            {"CHUNK_SLOTS": 192},
            lambda: criterion_12(Constant(3))),
+    # a draw of an arrival step may land on the step's own new vertex, the
+    # first slot of its block, which criterion 12's means cannot see
+    Mutant("own-block-draws", generator, "_fill_stream",
+           "np.repeat(block_starts, sizes[t0:t1] - vertex)",
+           "np.repeat(block_starts + vertex, sizes[t0:t1] - vertex)",
+           {},
+           lambda: criterion_13(Constant(3))),
 ]
 
 

@@ -1,6 +1,8 @@
 """Tests for the exact oracles of tests/oracles.py: the events read off a
-hypergraph, and each vertex's degree mean and variance given them."""
+hypergraph, each vertex's degree mean and variance given them, and the law
+of the degree vector at a tiny number of steps."""
 
+from collections import Counter, defaultdict
 from itertools import product
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from pahyper import (Constant, GeneratorConfig, Hypergraph, TruncatedZipf, UniformInt,
                      evolve, generator, ingest_labeled)
-from oracles import arrival_cell_z, arrival_events, degree_moments
+from oracles import arrival_cell_z, arrival_events, degree_moments, exact_law
 
 
 @pytest.mark.parametrize("size_dist", [Constant(3), UniformInt(2, 4)],
@@ -74,6 +76,42 @@ def test_moments_equal_enumeration(y0, steps):
     assert born.tolist() == [0] + [t for t, (arrival, _) in enumerate(steps, 1) if arrival]
     np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(var, want_var, rtol=1e-12, atol=1e-14)
+
+
+def _slot_law(p: float, pmf: dict, y0: int, steps: int) -> dict:
+    """{degree vector: probability} over every event, size and slot choice:
+    a token stream of y0 slots of vertex 0 grows by one block per step, and
+    each draw copies one of the slots before its block, each with
+    probability 1 / (their number)."""
+    law: dict = defaultdict(float)
+
+    def walk(slots, next_id, t, mass):
+        if t == steps:
+            count = Counter(slots)
+            law[tuple(count[v] for v in range(next_id))] += mass
+            return
+        for (arrival, w), (y, q) in product(((1, p), (0, 1 - p)), pmf.items()):
+            if w:
+                for choice in product(range(len(slots)), repeat=y - arrival):
+                    walk(slots + [next_id] * arrival + [slots[i] for i in choice],
+                         next_id + arrival, t + 1, mass * w * q / len(slots) ** len(choice))
+
+    walk([0] * y0, 1, 0, 1.0)
+    return law
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+@pytest.mark.parametrize("p, size, pmf, y0", [
+    (0.5, Constant(3), {3: 1.0}, 3),
+    (0.5, UniformInt(2, 3), {2: 0.5, 3: 0.5}, 3),
+    (1.0, UniformInt(2, 3), {2: 0.5, 3: 0.5}, 1),
+], ids=["const:3", "uniform:2:3", "uniform-p1-y0=1"])
+def test_exact_law_equals_every_slot_choice(p, size, pmf, y0, steps):
+    law, want = exact_law(p, size, y0, steps), _slot_law(p, pmf, y0, steps)
+    assert law.keys() == want.keys()
+    for vector, mass in want.items():
+        assert law[vector] == pytest.approx(mass, rel=1e-12, abs=0)
+    assert sum(law.values()) == pytest.approx(1.0, rel=0, abs=1e-15)
 
 
 def test_two_new_ids_in_one_record_rejected(tmp_path):
