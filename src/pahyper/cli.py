@@ -2,10 +2,11 @@
 
 Subcommands wire generation, projection, analysis, and ingestion into
 reproducible pipelines; all data outputs are plain text (see io module),
-'-' means stdin/stdout, and diagnostics go to stderr.  Exit codes: 0 on
-success, 2 for usage or validation problems, 1 for I/O failures (reading
-or writing '-' with stdin or stdout closed at start among them) and
-resource failures (an array too large for memory), and
+'-' means stdin/stdout, and diagnostics go to stderr, or nowhere when it
+is closed or cannot be written, with no change to the exit code.  Exit
+codes: 0 on success, 2 for usage or validation problems, 1 for I/O
+failures (reading or writing '-' with stdin or stdout closed at start
+among them) and resource failures (an array too large for memory), and
 EXIT_CLOSED_STDOUT (141, as for a process ended by SIGPIPE) without any
 message when the reader of stdout has gone, as in `pahyper generate ... |
 head -1`.
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import locale  # noqa: F401  (argparse's gettext would load it at the first parse)
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import analysis, io
@@ -49,6 +50,16 @@ def parse_size_dist(text: str) -> EdgeSizeDistribution:
                    "(expected const:<d> | uniform:<lo>:<hi> | zipf:<exp>:<lo>:<hi>)")
 
 
+def _note(line: str) -> None:
+    """Print a diagnostic line to stderr.  A stderr that cannot take it
+    drops it, and every later line, since the command's data outputs are
+    written by then."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        sys.stderr = _Closed("stderr")      # nor fail the flush at exit
+
+
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise CLIError(message)
@@ -70,6 +81,8 @@ def _run_trials(fn, args, config: GeneratorConfig, *extra, out: str) -> list:
     workers = min(args.jobs, len(tasks))
     if workers == 1:
         return [fn(*task) for task in tasks]
+    # imported here, so that a run without a pool loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
@@ -118,7 +131,7 @@ def cmd_generate(args) -> int:
     _check(args.trials == 1 or args.out != "-",
            "--trials > 1 requires --out to be a file prefix")
     for line in _run_trials(_generate_one, args, config, out=args.out):
-        print(line, file=sys.stderr)
+        _note(line)
     return 0
 
 
@@ -163,7 +176,7 @@ def cmd_project(args) -> int:
     h = io.read_hypergraph(args.input)
     g = analysis.project(h, simple=args.simple)
     io.write_observed_graph(g, args.out)
-    print(f"num_vertices={g.num_vertices} num_edges={g.num_edges}", file=sys.stderr)
+    _note(f"num_vertices={g.num_vertices} num_edges={g.num_edges}")
     return 0
 
 
@@ -173,7 +186,7 @@ def cmd_fit(args) -> int:
     report = analysis.fit_power_law(hist, k_min)
     io.write_fit_report(report, args.out)
     if args.out != "-":
-        print(f"beta_hat={report.beta_hat:#.6g} k_min={report.k_min}", file=sys.stderr)
+        _note(f"beta_hat={report.beta_hat:#.6g} k_min={report.k_min}")
     return 0
 
 
@@ -190,7 +203,7 @@ def cmd_ingest(args) -> int:
     io.write_hypergraph(h, args.out)
     if args.labels_out is not None:
         io.write_label_map(labels, args.labels_out)
-    print(f"num_vertices={h.num_vertices} num_edges={h.num_edges}", file=sys.stderr)
+    _note(f"num_vertices={h.num_vertices} num_edges={h.num_edges}")
     return 0
 
 
@@ -319,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Closed:
-    """Stands for sys.stdin or sys.stdout, which Python sets to None when
-    its file descriptor is closed at start: any use but a flush raises
-    OSError, so reading or writing '-' ends in one error line, as print to
-    None would not."""
+    """Stands for sys.stdin, sys.stdout or sys.stderr, which Python sets to
+    None when its file descriptor is closed at start: any use but a flush
+    raises OSError, so reading or writing '-' ends in one error line, as
+    print to None would not, and a diagnostic line is dropped (_note), where
+    print to None would write it to stdout."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -336,7 +350,7 @@ class _Closed:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name in ("stdin", "stdout"):
+    for name in ("stdin", "stdout", "stderr"):
         if getattr(sys, name) is None:
             setattr(sys, name, _Closed(name))
     try:
@@ -344,7 +358,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return rc
     except (CLIError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _note(f"error: {err}")
         return 2
     except BrokenPipeError:
         try:
@@ -354,7 +368,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
     except (OSError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _note(f"error: {err}")
         return 1
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = ["Hypergraph"]
 
-SORT_PIECE = 1 << 15    # edges per pass, so that a piece stays in cache
+SORT_PIECE = 1 << 14    # edges per pass, so that a piece stays in cache
 NETWORK_MAX = 4
 INDEX_LIMIT = 2**31     # values below it fit int32
 
@@ -52,6 +52,19 @@ def count_ids(ids: np.ndarray, n: int) -> np.ndarray:
     counts = np.zeros(n, dtype=index_dtype(len(ids)))
     add_at(counts, ids, 1)
     return counts
+
+
+def spans(offsets: np.ndarray, budget: int):
+    """(e0, e1) for consecutive runs of the edges of offsets, in order, each
+    of at most budget ids or of one larger edge."""
+    ends = offsets[1:]
+    e0 = 0
+    while e0 < len(ends):
+        # a needle in the offsets' dtype: searchsorted would copy them to int64
+        limit = offsets.dtype.type(min(int(offsets[e0]) + budget, int(ends[-1])))
+        e1 = max(int(np.searchsorted(ends, limit, side="right")), e0 + 1)
+        yield e0, e1
+        e0 = e1
 
 
 def size_classes(tokens: np.ndarray, offsets: np.ndarray):

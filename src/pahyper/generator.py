@@ -8,24 +8,25 @@ Draws are independent, with repetition, and always use degrees as of the end
 of the previous step.  Y_t comes from a configurable edge-size distribution.
 
 The implementation is vectorized and works on the token array of core.py.
-For a fixed seed it first draws every event bit (EVENT_PIECE uniforms at a
-time, into one buffer, so no float array of the stream's length is built)
-and every edge size, then fills the token array in arrival-ordered chunks
-of at most CHUNK_SLOTS slots, so each chunk's arrays stay in cache whatever
-the edge sizes.  Each chunk
-draws its slot indices in one call; since every draw references a slot
+The event bits are the first `steps` draws of the seed's stream, one
+double each.  For a fixed seed, evolve skips them on its main generator
+(PCG64's advance), draws every edge size, turns the sizes into the edge
+offsets and frees them; then it fills the token array in arrival-ordered
+chunks of at most CHUNK_SLOTS slots, so each chunk's arrays stay in cache
+whatever the edge sizes.  Each chunk draws its own event bits from a
+second generator of the same seed, which stands at the stream's start,
+and its slot indices in one call; since every draw references a slot
 before its own step's block, a draw that lands before the chunk is a direct
 lookup in the finished prefix (the back-pointer resolution of Sanders &
 Schulz, IPL 2016), and only the few that land inside it chain, which
 pointer doubling over those draws alone resolves in O(log depth) sweeps.
-No array of the stream's full length is built besides the tokens.  The
-per-step arrays held through the fill are the edge offsets (in the tokens'
-dtype), the event bits and the sizes, in the smallest unsigned dtype that
-holds the largest size: at int32 tokens and sizes up to 255, 4 bytes per
-token and 6 per step.  Members are sorted once every chunk is filled, since
-later draws index the slots in arrival order.  No per-edge Python object is
-built.  Random numbers are consumed in a fixed order (event bits, edge
-sizes, member draws in slot order), and splitting the member draws into
+No array of the stream's full length is built besides the tokens, and the
+only per-step array held through the fill is the edge offsets, in the
+tokens' dtype: at int32 tokens, 4 bytes per token and 4 per step.  Members
+are sorted once every chunk is filled, since later draws index the slots
+in arrival order.  No per-edge Python object is built.  Random numbers are
+consumed in a fixed order of the one stream (event bits, edge sizes,
+member draws in slot order), and splitting the event and member draws into
 chunks does not change them, so identical configs give bit-identical
 results.
 """
@@ -38,7 +39,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy would load it inside the first evolve)
 
 from .analysis import ObservedGraph
-from .core import Hypergraph, index_dtype, sort_members
+from .core import Hypergraph, index_dtype, sort_members, spans
 
 __all__ = [
     "EdgeSizeDistribution",
@@ -183,27 +184,20 @@ def _size_dtype(top: int) -> type:
     return np.int64
 
 
-EVENT_PIECE = 1 << 15
+def _size_rng(config: GeneratorConfig) -> np.random.Generator:
+    """The run's generator past the event bits, its first config.steps
+    outputs (one per double of rng.random), where the sizes start."""
+    rng = np.random.default_rng(config.seed)
+    rng.bit_generator.advance(config.steps)
+    return rng
 
 
-def _event_bits(rng: np.random.Generator, steps: int, p: float) -> np.ndarray:
-    """rng.random(steps) < p, drawn EVENT_PIECE uniforms at a time into one
-    buffer: the same draws, with no float array of the stream's length."""
-    is_vertex = np.empty(steps, dtype=bool)
-    uniforms = np.empty(min(steps, EVENT_PIECE))
-    for i in range(0, steps, EVENT_PIECE):
-        piece = uniforms[:min(EVENT_PIECE, steps - i)]
-        np.less(rng.random(out=piece), p, out=is_vertex[i:i + len(piece)])
-    return is_vertex
-
-
-def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
-    """Consume the event-bit and size portions of the random stream.
+def _draw_sizes(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Consume the size portion of the random stream from rng.
 
     The sizes come back in _size_dtype of the sample's largest value,
     clamped in place when the cap is on: the distribution's sample itself
     when it is a fresh array in that dtype, else a copy of it."""
-    is_vertex = _event_bits(rng, config.steps, config.p)
     sample = config.size_dist.sample(rng, config.steps)
     top = int(sample.max(initial=2))
     sizes = sample.astype(_size_dtype(top), copy=not sample.flags.owndata)
@@ -213,10 +207,10 @@ def _draw_events(config: GeneratorConfig, rng: np.random.Generator):
         np.maximum(sizes, 2, out=sizes)
         head = sizes[:len(cap)]
         np.minimum(head, cap.astype(sizes.dtype), out=head)
-    return is_vertex, sizes
+    return sizes
 
 
-CHUNK_SLOTS = 1 << 15
+CHUNK_SLOTS = 1 << 14
 
 
 def _stream_offsets(y0: int, sizes: np.ndarray, dtype=None) -> np.ndarray:
@@ -235,35 +229,34 @@ def _stream_offsets(y0: int, sizes: np.ndarray, dtype=None) -> np.ndarray:
     return offsets
 
 
-def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
-                 is_vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex ids of a token stream and its edge offsets, of index_dtype.
+def _fill_stream(rng: np.random.Generator, events: np.random.Generator, p: float,
+                 offsets: np.ndarray) -> tuple[np.ndarray, int]:
+    """Vertex ids of the token stream bounded by offsets (_stream_offsets),
+    in their dtype, and its number of vertices.
 
-    The stream holds `y0` slots of vertex 0, then one block of sizes[t]
-    slots per step t.  In a vertex-arrival step the block's first slot holds
-    the new vertex; every other slot copies a uniform draw among the slots
-    before its block, drawn in slot order.
+    The stream holds offsets[1] slots of vertex 0, then one block per step
+    t, offsets[t + 1]:offsets[t + 2].  Step t is a vertex arrival when the
+    t-th uniform of events is below p; the block's first slot then holds
+    the new vertex.  Every other slot copies a uniform draw of rng among the
+    slots before its block, drawn in slot order.
 
     Steps are filled in chunks of at most CHUNK_SLOTS slots (a larger step
-    is one chunk), with one draw call per chunk.  New vertex ids, and draws
-    that land before the chunk, go straight into its slice of tokens.  A
-    draw that lands inside marks its slot with -1 - its index among such
-    draws, and pointer doubling over those draws alone moves each one's
-    target along its chain to the first slot that holds an id.
+    is one chunk), with one event draw and one member draw call per chunk;
+    a chunk's sizes are its slice of the offsets' differences.  New vertex
+    ids, and draws that land before the chunk, go straight into its slice
+    of tokens.  A draw that lands inside marks its slot with -1 - its index
+    among such draws, and pointer doubling over those draws alone moves
+    each one's target along its chain to the first slot that holds an id.
     """
-    offsets = _stream_offsets(y0, sizes)
     starts, ends = offsets[1:-1], offsets[2:]   # each step's block
     tokens = np.zeros(offsets[-1], dtype=offsets.dtype)
     next_id = 1
-    t0 = 0
-    while t0 < len(sizes):
-        base = starts[t0]
-        # a needle in the offsets' dtype: searchsorted would copy them to int64
-        limit = offsets.dtype.type(min(int(base) + CHUNK_SLOTS, int(offsets[-1])))
-        t1 = max(int(np.searchsorted(ends, limit, side="right")), t0 + 1)
-        block_starts, vertex = starts[t0:t1], is_vertex[t0:t1]
+    for t0, t1 in spans(offsets[1:], CHUNK_SLOTS):
+        base, block_starts = starts[t0], starts[t0:t1]
+        vertex = events.random(t1 - t0) < p
+        sizes = ends[t0:t1] - block_starts
         chunk = tokens[base:ends[t1 - 1]]
-        drawn = rng.integers(0, np.repeat(block_starts, sizes[t0:t1] - vertex))
+        drawn = rng.integers(0, np.repeat(block_starts, sizes - vertex))
         sources = block_starts[vertex] - base
         is_draw = np.ones(len(chunk), dtype=bool)
         is_draw[sources] = False
@@ -276,19 +269,20 @@ def _fill_stream(rng: np.random.Generator, y0: int, sizes: np.ndarray,
         while len(hops := np.flatnonzero(chunk[target] < 0)):
             target[hops] = target[-1 - chunk[target[hops]]]
         chunk[slots] = chunk[target]
-        t0 = t1
-    return tokens, offsets
+    return tokens, next_id
 
 
 def evolve(config: GeneratorConfig) -> Hypergraph:
     """Run the evolution for config.steps steps from the seed hypergraph.
 
-    Raises ValueError when the token count does not fit int64."""
-    rng = np.random.default_rng(config.seed)
-    is_vertex, sizes = _draw_events(config, rng)
-    tokens, offsets = _fill_stream(rng, config.y0, sizes, is_vertex)
-    num_vertices = 1 + int(is_vertex.sum())
-    del is_vertex, sizes        # not beside the member sort
+    The event bits come from a second generator of the same seed, at the
+    stream's start, and the sizes are freed once the offsets hold them, so
+    the fill holds no per-step array besides the offsets.  Raises
+    ValueError when the token count does not fit int64."""
+    rng = _size_rng(config)
+    offsets = _stream_offsets(config.y0, _draw_sizes(config, rng))
+    tokens, num_vertices = _fill_stream(rng, np.random.default_rng(config.seed),
+                                        config.p, offsets)
     sort_members(tokens, offsets)
     return Hypergraph(num_vertices, tokens, offsets)
 
@@ -296,12 +290,12 @@ def evolve(config: GeneratorConfig) -> Hypergraph:
 def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     """Total degree S_t after each step of one run, starting at S_0 = y0.
 
-    Uses the same random stream prefix as evolve(), so the trace matches the
-    hypergraph an equal-seed evolve() call produces.  Raises ValueError when
-    the token count does not fit int64, as evolve() does.
+    Uses the same random stream prefix as evolve(): it skips the event bits
+    with no draw, then draws the sizes, so the trace matches the hypergraph
+    an equal-seed evolve() call produces.  Raises ValueError when the token
+    count does not fit int64, as evolve() does.
     """
-    rng = np.random.default_rng(config.seed)
-    _, sizes = _draw_events(config, rng)
+    sizes = _draw_sizes(config, _size_rng(config))
     return _stream_offsets(config.y0, sizes, np.int64)[1:]
 
 

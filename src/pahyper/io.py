@@ -17,10 +17,11 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
 
 Hypergraph and graph files, and the histogram CSV writer, go through one
 numpy codec over bytes, with no Python int or str per id: every id comes
-from a table of digit pairs, and a (hyper)graph goes in pieces of ROW_PIECE
-edges, so its text never exists whole.  Every output goes as UTF-8 bytes
-through one function, to a file in binary or to '-' through sys.stdout's
-text layer.
+from a table of digit pairs, and a (hyper)graph goes in pieces of whole
+edges of at most ROW_IDS ids, or of one larger edge, so its text never
+exists whole and a piece's arrays are bounded whatever the edge sizes.
+Every output goes as UTF-8 bytes through one function, to a file in binary
+or to '-' through sys.stdout's text layer.
 The hypergraph readers take one byte path in.  A file or stdin that can
 seek and stands at its start is parsed where it is; any other input (a
 pipe, a FIFO, a terminal, a stdin past its start) is first copied, from
@@ -49,7 +50,7 @@ from io import SEEK_END, BytesIO
 import numpy as np
 
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hypergraph, checked, counted, index_dtype
+from .core import Hypergraph, checked, counted, index_dtype, spans
 
 __all__ = [
     "read_hypergraph",
@@ -86,7 +87,7 @@ def _text_lines(source: str):
 # hypergraph files
 
 WRITE_CHUNK = 1 << 20
-ROW_PIECE = 1 << 14
+ROW_IDS = 1 << 14
 
 
 def _write(destination: str, pieces) -> None:
@@ -107,9 +108,10 @@ def _write(destination: str, pieces) -> None:
 
 
 def _row_pieces(tokens: np.ndarray, offsets: np.ndarray):
-    """The lines of _encode_rows, ROW_PIECE edges at a time."""
-    for e0 in range(0, len(offsets) - 1, ROW_PIECE):
-        bounds = offsets[e0:e0 + ROW_PIECE + 1]
+    """The lines of _encode_rows, in runs of edges of at most ROW_IDS ids
+    or of one larger edge (core.spans)."""
+    for e0, e1 in spans(offsets, ROW_IDS):
+        bounds = offsets[e0:e1 + 1]
         yield _encode_rows(tokens[bounds[0]:bounds[-1]], bounds - bounds[0], " ")
 
 
@@ -169,8 +171,9 @@ def _encode_pairs(pairs: np.ndarray, sep: str) -> bytes:
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
     """Write a graph in the hypergraph line format (two ids per line)."""
-    _write(destination, (_encode_pairs(g.edges[e0:e0 + ROW_PIECE], " ")
-                         for e0 in range(0, g.num_edges, ROW_PIECE)))
+    pairs = ROW_IDS // 2
+    _write(destination, (_encode_pairs(g.edges[e0:e0 + pairs], " ")
+                         for e0 in range(0, g.num_edges, pairs)))
 
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64

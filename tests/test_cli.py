@@ -408,7 +408,7 @@ def test_pool_has_one_worker_per_trial_at_most(tmp_path, capsys, monkeypatch,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
 
     def run(trials, jobs):
         name = tmp_path / f"t{trials}j{jobs}" / "run"
@@ -422,6 +422,21 @@ def test_pool_has_one_worker_per_trial_at_most(tmp_path, capsys, monkeypatch,
     assert sizes == [2]
     assert run("1", "8") == run("1", "1")
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("config", [
+    GeneratorConfig(0.5, 200_000, Constant(3), seed=7),
+    GeneratorConfig(0.5, 20_000, UniformInt(2, 200), seed=7, enforce_cap=False),
+], ids=["const:3", "uniform:2:200"])
+def test_generate_peak_is_its_output_and_a_piece(tmp_path, config):
+    """generate's traced peak is its tokens and offsets and within a
+    megabyte more: no per-step array beside the offsets through the fill,
+    and writer pieces of a bounded number of ids, whatever the edge sizes."""
+    h = evolve(config)
+    output = h.tokens.nbytes + h.offsets.nbytes
+    del h
+    _, peak = traced_peak(cli._generate_one, config, str(tmp_path / "h.txt"))
+    assert peak <= output + 2**20
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -480,8 +495,9 @@ def test_unknown_command_exits_two():
 
 def _run_cli(args, stdin=b"", closed=()):
     """(exit code, stdout, stderr) of `python -m pahyper.cli *args`, with
-    the file descriptors in closed (0 for stdin, 1 for stdout) closed in
-    the child before it starts, as `<&-` and `>&-` close them."""
+    the file descriptors in closed (0 for stdin, 1 for stdout, 2 for
+    stderr) closed in the child before it starts, as `<&-`, `>&-` and `2>&-`
+    close them."""
     src = str(Path(pahyper.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -624,6 +640,68 @@ def test_closed_stdio_spares_outputs_to_files(tmp_path):
                     closed=(0, 1)) == (0, b"", b"")
     assert main(["degrees", "--in", str(path), "--out", str(want)]) == 0
     assert got.read_bytes() == want.read_bytes()
+
+
+def _stderr_runs(tmp_path):
+    """{name: args but --out} of generate, project and fit, which end in a
+    diagnostic line, with their input files made, and of an I/O error and
+    a usage error."""
+    h, d = tmp_path / "h.txt", tmp_path / "d.csv"
+    assert main(["generate", "--steps", "2000", "--p", "0.5", "--seed", "3",
+                 "--out", str(h)]) == 0
+    assert main(["degrees", "--in", str(h), "--out", str(d)]) == 0
+    return {"generate": ["generate", "--steps", "2000", "--p", "0.5", "--seed", "3"],
+            "project": ["project", "--in", str(h)],
+            "fit": ["fit", "--in", str(d), "--kmin", "auto"],
+            "io-error": ["degrees", "--in", str(tmp_path / "missing.txt")],
+            "usage-error": ["generate", "--steps", "-1", "--p", "0.5"]}
+
+
+STDERR_RUNS = [("generate", 0), ("project", 0), ("fit", 0), ("io-error", 1),
+               ("usage-error", 2)]
+
+
+@pytest.mark.parametrize("command, code", STDERR_RUNS)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, capsys, command, code):
+    """With fd 2 closed a diagnostic line is dropped, not written to
+    stdout: a command exits 0 with its output written, an error with its
+    own exit code and no output."""
+    args = _stderr_runs(tmp_path)[command]
+    got, want = tmp_path / "got", tmp_path / "want"
+    assert _run_cli(args + ["--out", str(got)], closed=(2,)) == (code, b"", b"")
+    assert main(args + ["--out", str(want)]) == code
+    assert capsys.readouterr().err != ""
+    assert got.exists() == want.exists() == (code == 0)
+    assert code or got.read_bytes() == want.read_bytes()
+
+
+class _Unwritable:
+    """A stderr whose every write and flush fails, as one open on a file
+    that is not open for writing."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    flush = write
+
+
+@pytest.mark.parametrize("command, code", STDERR_RUNS)
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, monkeypatch, command, code):
+    """A diagnostic line that cannot be written fails neither the command
+    nor the handler of a real error, which returns its own exit code."""
+    args = _stderr_runs(tmp_path)[command]
+    monkeypatch.setattr(sys, "stderr", _Unwritable())
+    assert main(args + ["--out", str(tmp_path / "out")]) == code
+    assert (tmp_path / "out").exists() == (code == 0)
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    """The process pool is imported by a run that uses one, not by the CLI
+    import: no multiprocessing module, nor concurrent.futures.process."""
+    probe = ("import sys, pahyper.cli; print(sorted(m for m in sys.modules if "
+             "m.lstrip('_').split('.')[0] == 'multiprocessing' "
+             "or m == 'concurrent.futures.process'))")
+    assert _probe(probe, tmp_path) == b"[]\n"
 
 
 def test_closed_stdout_exits_quietly():

@@ -4,16 +4,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pahyper import (Constant, EdgeSizeDistribution, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, evolve,
                      evolve_graph_baseline, project, sum_sizes_trace)
 from pahyper import generator
-from pahyper.generator import CHUNK_SLOTS, EVENT_PIECE, _draw_events, _event_bits
+from pahyper.generator import CHUNK_SLOTS, _draw_sizes, _size_rng
 from pahyper.io import write_hypergraph
 from memory import traced_peak
+from oracles import arrival_events
 from reference import EdgeList, reference_evolve
 
 
@@ -176,14 +177,26 @@ def test_evolve_matches_reference_across_chunks(p, size_dist):
     assert h == reference_evolve(cfg)
 
 
-@pytest.mark.parametrize("budget", [1, 7, 64])
+@pytest.mark.parametrize("budget", [1, 7, 64, 192])
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 1.0), steps=st.integers(0, 600), size_dist=SIZE_DISTS,
        y0=st.integers(1, 5), cap=st.booleans(), seed=st.integers(0, 2 ** 32))
+@example(p=0.5, steps=0, size_dist=Constant(3), y0=3, cap=True, seed=1)
+@example(p=0.5, steps=1, size_dist=Constant(3), y0=3, cap=True, seed=2)
+# the first draws have bound 1, and numpy takes no output for them
+@example(p=0.5, steps=400, size_dist=Constant(3), y0=1, cap=True, seed=3)
+@example(p=0.4, steps=400, size_dist=UniformInt(2, 4), y0=1, cap=True, seed=4)
+@example(p=1.0, steps=3_000, size_dist=Constant(3), y0=3, cap=True, seed=5)
+@example(p=0.3, steps=3_000, size_dist=UniformInt(2, 4), y0=3, cap=True, seed=6)
+@example(p=0.6, steps=3_000, size_dist=TruncatedZipf(2.5, 2, 20), y0=3, cap=True,
+         seed=7)
 def test_evolve_matches_reference_in_small_chunks(budget, p, steps, size_dist, y0,
                                                   cap, seed):
     """With a small slot budget a run crosses many chunks, steps larger than
-    the budget are chunks of their own, and draws chain inside a chunk."""
+    the budget are chunks of their own, and draws chain inside a chunk: the
+    event bits from a second generator at the stream's start, the sizes
+    past them and the member draws in slot order are the reference's one
+    stream, whatever the chunks."""
     cfg = GeneratorConfig(p=p, steps=steps, size_dist=size_dist, y0=y0,
                           seed=seed, enforce_cap=cap)
     with mock.patch.object(generator, "CHUNK_SLOTS", budget):
@@ -209,31 +222,33 @@ def test_cap_clamps_like_the_whole_array(exponent, size_dist):
     raw = size_dist.sample(np.random.default_rng(4), steps)
     cfg = GeneratorConfig(p=0.5, steps=steps, size_dist=Cached(raw.copy()),
                           cap_exponent=exponent)
-    _, sizes = _draw_events(cfg, np.random.default_rng(0))
+    sizes = _draw_sizes(cfg, np.random.default_rng(0))
     t = np.arange(1, steps + 1, dtype=np.float64)
     cap = np.maximum(np.floor(t ** exponent + 1e-9).astype(np.int64), 2)
     assert np.array_equal(sizes, np.clip(raw, 2, cap))
     assert np.array_equal(cfg.size_dist.sizes, raw)     # the sample is not written
 
 
-@pytest.mark.parametrize("steps", [0, 1, EVENT_PIECE, 2 * EVENT_PIECE + 5])
+@pytest.mark.parametrize("steps", [0, 1, 1 << 15, (1 << 16) + 5])   # several chunks
 def test_event_bits_in_pieces_are_one_draw(steps):
-    """The event bits drawn in pieces are rng.random(steps) < p, and the
-    generator is left in the same state, so the sizes draw the same."""
-    pieced, whole = np.random.default_rng(11), np.random.default_rng(11)
-    assert np.array_equal(_event_bits(pieced, steps, 0.3), whole.random(steps) < 0.3)
-    assert pieced.bit_generator.state == whole.bit_generator.state
+    """The event bits drawn chunk by chunk in the fill are rng.random(steps)
+    < p, and the size generator skips them to the same state, so the sizes
+    draw the same."""
+    cfg = GeneratorConfig(p=0.3, steps=steps, size_dist=Constant(2), seed=11)
+    whole = np.random.default_rng(11)
+    arrival, _, _ = arrival_events(evolve(cfg))
+    assert np.array_equal(arrival, whole.random(steps) < 0.3)
+    assert _size_rng(cfg).bit_generator.state == whole.bit_generator.state
 
 
-def test_draw_events_memory():
-    """Event bits and const:3 sizes take a byte per step each: the traced
-    peak stays under 2 bytes per step and one piece of uniforms, where a
-    float64 array of the event uniforms alone would take 8."""
+def test_draw_sizes_memory():
+    """const:3 sizes take a byte per step, and no event bit is drawn beside
+    them: the traced peak stays under 2 bytes per step, where a float64
+    array of the event uniforms alone would take 8."""
     cfg = GeneratorConfig(p=0.5, steps=1_000_000, size_dist=Constant(3), seed=7)
-    (is_vertex, sizes), peak = traced_peak(_draw_events, cfg,
-                                           np.random.default_rng(cfg.seed))
-    assert is_vertex.dtype == bool and sizes.dtype == np.uint8
-    assert peak <= 2 * cfg.steps + 8 * EVENT_PIECE
+    sizes, peak = traced_peak(_draw_sizes, cfg, _size_rng(cfg))
+    assert sizes.dtype == np.uint8
+    assert peak <= 2 * cfg.steps
 
 
 @pytest.mark.parametrize("size_dist, exponent, dtype", [
@@ -252,7 +267,7 @@ def test_sizes_in_the_smallest_dtype(size_dist, exponent, dtype):
     steps = 140_000
     cfg = GeneratorConfig(p=0.5, steps=steps, size_dist=size_dist, seed=3,
                           cap_exponent=exponent)
-    _, sizes = _draw_events(cfg, np.random.default_rng(cfg.seed))
+    sizes = _draw_sizes(cfg, _size_rng(cfg))
     rng = np.random.default_rng(cfg.seed)
     rng.random(steps)
     raw = size_dist.sample(rng, steps)
@@ -333,17 +348,18 @@ def _evolve_peak_per_token(config):
 
 
 def test_evolve_memory():
-    """Under 2**31 tokens, evolve holds int32 tokens and offsets beside its
-    per-step and per-chunk arrays, sizes among them in one byte per step
-    for const:3; the bound is in bytes per token."""
+    """Under 2**31 tokens, evolve holds int32 tokens and offsets (5.33
+    bytes per token at const:3) beside one chunk's arrays, and no event bit
+    or size per step through the fill; the bound is in bytes per token."""
     config = GeneratorConfig(p=0.5, steps=200_000, size_dist=Constant(3), seed=7)
-    assert _evolve_peak_per_token(config) <= 17
+    assert _evolve_peak_per_token(config) <= 7
 
 
 def test_evolve_memory_at_large_edge_sizes():
     """A chunk is a number of slots, not of steps, so its arrays do not grow
-    with the edge sizes: 2*10^4 steps of up to 200 slots stay in the bound
-    of const:3."""
+    with the edge sizes: 2*10^4 steps of up to 200 slots hold 4.04 bytes
+    per token of tokens and offsets, and the chunk's arrays stay within
+    about a megabyte beside them."""
     config = GeneratorConfig(p=0.5, steps=20_000, size_dist=UniformInt(2, 200),
                              seed=7, enforce_cap=False)
-    assert _evolve_peak_per_token(config) <= 17
+    assert _evolve_peak_per_token(config) <= 4.75

@@ -461,6 +461,24 @@ def test_write_hypergraph_matches_reference(edges):
     assert _written(write_hypergraph, h) == reference_rows(tokens, offsets).encode()
 
 
+@pytest.mark.parametrize("budget", [1, 3, 7])
+@settings(max_examples=40, deadline=None)
+@given(edges=EDGES)
+@example(edges=[[0], [0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8], [1, 9]])
+def test_write_hypergraph_in_pieces_of_ids(budget, edges):
+    """Under a budget of 1, 3 and 7 ids each piece holds whole edges, at
+    most budget ids or one larger edge, and the file is the reference's."""
+    tokens = np.array([v for e in edges for v in e], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
+    h = Hypergraph(int(tokens.max(initial=-1)) + 1, tokens, offsets)
+    with mock.patch.object(io, "ROW_IDS", budget):
+        pieces = list(io._row_pieces(tokens, offsets))
+        assert _written(write_hypergraph, h) == reference_rows(tokens, offsets).encode()
+    assert b"".join(pieces) == reference_rows(tokens, offsets).encode()
+    for piece in pieces:
+        assert piece.count(b"\n") == 1 or len(piece.split()) <= budget
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(IDS, IDS).map(sorted), max_size=12))
 @example([])
@@ -470,18 +488,18 @@ def test_write_observed_graph_matches_reference(pairs):
     offsets = np.arange(0, 2 * len(pairs) + 1, 2)
     assert (_written(write_observed_graph, g)
             == reference_rows(edges.ravel(), offsets).encode())
-    with mock.patch.object(io, "ROW_PIECE", 3):     # several pieces
+    with mock.patch.object(io, "ROW_IDS", 6):       # several pieces
         assert (_written(write_observed_graph, g)
                 == reference_rows(edges.ravel(), offsets).encode())
 
 
 def test_write_observed_graph_peak_memory(tmp_path):
-    """The writer holds one piece of ROW_PIECE edges at a time: its traced
-    peak stays under 64 bytes per id of a piece, less than the edges take.
-    Line ends for all edges at once (8 bytes per id) would exceed it."""
+    """The writer holds one piece of ROW_IDS ids at a time: its traced peak
+    stays under 64 bytes per id of a piece, less than the edges take. Line
+    ends for all edges at once (8 bytes per id) would exceed it."""
     g = project(evolve(GeneratorConfig(p=1.0, steps=500_000, size_dist=Constant(3),
                                        y0=3, seed=7)))
-    bound = 64 * 2 * io.ROW_PIECE
+    bound = 64 * io.ROW_IDS
     assert bound < g.edges.nbytes
     _, peak = traced_peak(write_observed_graph, g, str(tmp_path / "g.txt"))
     assert peak < bound

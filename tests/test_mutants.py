@@ -32,15 +32,15 @@ MUTANTS = [
     # every draw of a 192-slot chunk is uniform over the slots before the
     # chunk: degrees as of the chunk's start, not of the step's
     Mutant("stale-chunk-degrees", generator, "_fill_stream",
-           "np.repeat(block_starts, sizes[t0:t1] - vertex)",
-           "np.repeat(np.full(t1 - t0, base), sizes[t0:t1] - vertex)",
+           "np.repeat(block_starts, sizes - vertex)",
+           "np.repeat(np.full(t1 - t0, base), sizes - vertex)",
            {"CHUNK_SLOTS": 192},
            lambda: criterion_12(Constant(3))),
     # a draw of an arrival step may land on the step's own new vertex, the
     # first slot of its block, which criterion 12's means cannot see
     Mutant("own-block-draws", generator, "_fill_stream",
-           "np.repeat(block_starts, sizes[t0:t1] - vertex)",
-           "np.repeat(block_starts + vertex, sizes[t0:t1] - vertex)",
+           "np.repeat(block_starts, sizes - vertex)",
+           "np.repeat(block_starts + vertex, sizes - vertex)",
            {},
            lambda: criterion_13(Constant(3))),
 ]

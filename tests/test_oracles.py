@@ -28,7 +28,8 @@ def test_means_sum_to_total_degree(size_dist):
     GeneratorConfig(0.05, 2_000, Constant(2), y0=2, seed=4, enforce_cap=False),
 ], ids=["const:3", "zipf-cap", "uniform-p1", "const:2-nocap"])
 def test_events_read_off_the_file_are_the_drawn_ones(config):
-    is_vertex, sizes = generator._draw_events(config, np.random.default_rng(config.seed))
+    is_vertex = np.random.default_rng(config.seed).random(config.steps) < config.p
+    sizes = generator._draw_sizes(config, generator._size_rng(config))
     arrival, got_sizes, before = arrival_events(evolve(config))
     assert np.array_equal(arrival, is_vertex)
     assert np.array_equal(got_sizes, sizes)
