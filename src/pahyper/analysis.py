@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, add_at, count_ids, index_dtype, size_classes
+from .core import Hypergraph, add_at, count_ids, index_dtype, size_classes, spans
 
 __all__ = [
     "DegreeHistogram",
@@ -379,7 +379,8 @@ def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
     its suffix of one grid (the union of {k..k+10} over the values and
     cuts k), evaluates zeta once per q from them, and its distances at all
     its points then come from array operations.
-    Lanes go in pieces of whole lanes of about KS_PIECE tail points.
+    Lanes go in runs of whole lanes of at most KS_PIECE tail points, or of
+    one larger lane (core.spans).
     """
     values = hist.values
     cum = np.cumsum(hist.counts)                # items of value <= t
@@ -391,12 +392,10 @@ def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
     grid = _distinct(keys[:, None] + np.arange(11, dtype=np.uint64))
     gi = np.searchsorted(grid, qs)              # (q + i)^-beta is at grid[gi + i]
     qs, grid = qs.astype(np.float64), grid.astype(np.float64)
-    ends = np.cumsum(len(values) - first)       # each tail's end among all points
-    starts = ends - (len(values) - first)
+    # each tail's bounds among all points
+    bounds = np.cumsum(np.concatenate(([0], len(values) - first)))
     out = np.empty(len(cuts))
-    j = 0
-    while j < len(cuts):
-        stop = max(j + 1, int(np.searchsorted(ends, starts[j] + KS_PIECE, side="right")))
+    for j, stop in spans(bounds, KS_PIECE):
         f, q0, x = first[j:stop], ci[j:stop], betas[j:stop]
         g0 = gi[q0]
         # each lane's powers over the grid from its cut on, then its zetas at
@@ -415,7 +414,6 @@ def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
         dist = np.maximum(np.abs((cum[m] - low) / nl - (1.0 - z[zm + 1] / denom)),
                           np.abs((before[m] - low) / nl - (1.0 - z[zm] / denom)))
         out[j:stop] = np.maximum.reduceat(dist, pstart)
-        j = stop
     return out
 
 

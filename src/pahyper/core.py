@@ -17,6 +17,10 @@ of all vertex degrees equals the sum of all hyperedge cardinalities.
 
 The gap rule, that ids cover 0..max, is one function, counted: checked
 applies it to a token array, io's counting readers to a file's id pieces.
+
+One walk, spans, cuts runs of whole edges: evolve's fill and io's writers
+take runs of PIECE_IDS ids, read when each runs, so one patch of it moves
+them all, and analysis' KS distances take runs of KS_PIECE tail points.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 __all__ = ["Hypergraph"]
 
 SORT_PIECE = 1 << 14    # edges per pass, so that a piece stays in cache
+PIECE_IDS = 1 << 14     # ids per run of spans in the fill and the writers
 NETWORK_MAX = 4
 INDEX_LIMIT = 2**31     # values below it fit int32
 

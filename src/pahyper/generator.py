@@ -12,14 +12,15 @@ The event bits are the first `steps` draws of the seed's stream, one
 double each.  For a fixed seed, evolve skips them on its main generator
 (PCG64's advance), draws every edge size, turns the sizes into the edge
 offsets and frees them; then it fills the token array in arrival-ordered
-chunks of at most CHUNK_SLOTS slots, so each chunk's arrays stay in cache
-whatever the edge sizes.  Each chunk draws its own event bits from a
-second generator of the same seed, which stands at the stream's start,
-and its slot indices in one call; since every draw references a slot
-before its own step's block, a draw that lands before the chunk is a direct
-lookup in the finished prefix (the back-pointer resolution of Sanders &
-Schulz, IPL 2016), and only the few that land inside it chain, which
-pointer doubling over those draws alone resolves in O(log depth) sweeps.
+chunks of at most core.PIECE_IDS slots (core.spans), so each chunk's
+arrays stay in cache whatever the edge sizes.  Each chunk draws its own
+event bits from a second generator of the same seed, which stands at the
+stream's start, and its slot indices in one call; since every draw
+references a slot before its own step's block, a draw that lands before
+the chunk is a direct lookup in the finished prefix (the back-pointer
+resolution of Sanders & Schulz, IPL 2016), and only the few that land
+inside it chain, which pointer doubling over those draws alone resolves in
+O(log depth) sweeps.
 No array of the stream's full length is built besides the tokens, and the
 only per-step array held through the fill is the edge offsets, in the
 tokens' dtype: at int32 tokens, 4 bytes per token and 4 per step.  Members
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  (numpy would load it inside the first evolve)
 
+from . import core
 from .analysis import ObservedGraph
 from .core import Hypergraph, index_dtype, sort_members, spans
 
@@ -74,7 +76,7 @@ class Constant(EdgeSizeDistribution):
             raise ValueError(f"d must be in [2, 2**63), got {self.d}")
 
     def sample(self, rng, n):
-        return np.full(n, self.d, dtype=_size_dtype(self.d))
+        return np.full(n, self.d, dtype=np.int64)
 
     def mean(self):
         return float(self.d)
@@ -175,15 +177,6 @@ def _capped_prefix(steps: int, exponent: float, top: int) -> np.ndarray:
         n = min(2 * n, steps)
 
 
-def _size_dtype(top: int) -> type:
-    """The smallest unsigned dtype that holds sizes up to top, else int64:
-    np.repeat and a cumsum into signed offsets do not take uint64."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if top <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
 def _size_rng(config: GeneratorConfig) -> np.random.Generator:
     """The run's generator past the event bits, its first config.steps
     outputs (one per double of rng.random), where the sizes start."""
@@ -195,22 +188,19 @@ def _size_rng(config: GeneratorConfig) -> np.random.Generator:
 def _draw_sizes(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
     """Consume the size portion of the random stream from rng.
 
-    The sizes come back in _size_dtype of the sample's largest value,
-    clamped in place when the cap is on: the distribution's sample itself
-    when it is a fresh array in that dtype, else a copy of it."""
+    The sizes come back in int64, clamped in place when the cap is on: the
+    distribution's sample itself when it is a fresh int64 array, else a
+    copy of it.  evolve frees them before the fill allocates the tokens, two
+    or more per step, so 8 bytes per step do not raise its peak."""
     sample = config.size_dist.sample(rng, config.steps)
-    top = int(sample.max(initial=2))
-    sizes = sample.astype(_size_dtype(top), copy=not sample.flags.owndata)
+    sizes = sample.astype(np.int64, copy=not sample.flags.owndata)
     if config.enforce_cap:
-        cap = _capped_prefix(config.steps, config.cap_exponent, top)
-        np.clip(cap, 2, top, out=cap)       # so that the cast below holds it
-        np.maximum(sizes, 2, out=sizes)
+        cap = _capped_prefix(config.steps, config.cap_exponent,
+                             int(sizes.max(initial=2)))
         head = sizes[:len(cap)]
-        np.minimum(head, cap.astype(sizes.dtype), out=head)
+        np.minimum(head, cap, out=head)
+        np.maximum(sizes, 2, out=sizes)     # after the cap, which starts at 1
     return sizes
-
-
-CHUNK_SLOTS = 1 << 14
 
 
 def _stream_offsets(y0: int, sizes: np.ndarray, dtype=None) -> np.ndarray:
@@ -240,8 +230,8 @@ def _fill_stream(rng: np.random.Generator, events: np.random.Generator, p: float
     the new vertex.  Every other slot copies a uniform draw of rng among the
     slots before its block, drawn in slot order.
 
-    Steps are filled in chunks of at most CHUNK_SLOTS slots (a larger step
-    is one chunk), with one event draw and one member draw call per chunk;
+    Steps are filled in chunks of at most core.PIECE_IDS slots (a larger
+    step is one chunk), with one event draw and one member draw call per chunk;
     a chunk's sizes are its slice of the offsets' differences.  New vertex
     ids, and draws that land before the chunk, go straight into its slice
     of tokens.  A draw that lands inside marks its slot with -1 - its index
@@ -251,7 +241,7 @@ def _fill_stream(rng: np.random.Generator, events: np.random.Generator, p: float
     starts, ends = offsets[1:-1], offsets[2:]   # each step's block
     tokens = np.zeros(offsets[-1], dtype=offsets.dtype)
     next_id = 1
-    for t0, t1 in spans(offsets[1:], CHUNK_SLOTS):
+    for t0, t1 in spans(offsets[1:], core.PIECE_IDS):
         base, block_starts = starts[t0], starts[t0:t1]
         vertex = events.random(t1 - t0) < p
         sizes = ends[t0:t1] - block_starts

@@ -18,8 +18,8 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
 Hypergraph and graph files, and the histogram CSV writer, go through one
 numpy codec over bytes, with no Python int or str per id: every id comes
 from a table of digit pairs, and a (hyper)graph goes in pieces of whole
-edges of at most ROW_IDS ids, or of one larger edge, so its text never
-exists whole and a piece's arrays are bounded whatever the edge sizes.
+edges of at most core.PIECE_IDS ids, or of one larger edge, so its text
+never exists whole and a piece's arrays are bounded whatever the edge sizes.
 Every output goes as UTF-8 bytes through one function, to a file in binary
 or to '-' through sys.stdout's text layer.
 The hypergraph readers take one byte path in.  A file or stdin that can
@@ -49,6 +49,7 @@ from io import SEEK_END, BytesIO
 
 import numpy as np
 
+from . import core
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
 from .core import Hypergraph, checked, counted, index_dtype, spans
 
@@ -87,7 +88,6 @@ def _text_lines(source: str):
 # hypergraph files
 
 WRITE_CHUNK = 1 << 20
-ROW_IDS = 1 << 14
 
 
 def _write(destination: str, pieces) -> None:
@@ -108,9 +108,9 @@ def _write(destination: str, pieces) -> None:
 
 
 def _row_pieces(tokens: np.ndarray, offsets: np.ndarray):
-    """The lines of _encode_rows, in runs of edges of at most ROW_IDS ids
-    or of one larger edge (core.spans)."""
-    for e0, e1 in spans(offsets, ROW_IDS):
+    """The lines of _encode_rows, in runs of edges of at most
+    core.PIECE_IDS ids or of one larger edge (core.spans)."""
+    for e0, e1 in spans(offsets, core.PIECE_IDS):
         bounds = offsets[e0:e1 + 1]
         yield _encode_rows(tokens[bounds[0]:bounds[-1]], bounds - bounds[0], " ")
 
@@ -170,8 +170,9 @@ def _encode_pairs(pairs: np.ndarray, sep: str) -> bytes:
 
 
 def write_observed_graph(g: ObservedGraph, destination: str) -> None:
-    """Write a graph in the hypergraph line format (two ids per line)."""
-    pairs = ROW_IDS // 2
+    """Write a graph in the hypergraph line format (two ids per line), in
+    pieces of core.PIECE_IDS // 2 pairs."""
+    pairs = core.PIECE_IDS // 2
     _write(destination, (_encode_pairs(g.edges[e0:e0 + pairs], " ")
                          for e0 in range(0, g.num_edges, pairs)))
 

@@ -13,7 +13,7 @@ from scipy.special import zeta
 from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, analytic_beta, analytic_mk,
                      ccdf, degree_histogram, edge_size_histogram, evolve, fit_power_law,
-                     project, projected_degrees)
+                     evolve_graph_baseline, project, projected_degrees)
 from pahyper import analysis, core
 from pahyper.analysis import MIN_TAIL, _mle_betas
 from memory import traced_peak
@@ -520,6 +520,30 @@ def test_auto_fit_is_fixed_fit_at_its_cutoff(counts):
     except ValueError:
         return
     assert fit_power_law(hist, report.k_min) == report
+
+
+def _fit_bits(report):
+    """A FitReport's fields, the floats as their exact hex."""
+    return (report.beta_hat.hex(), report.k_min, report.n_tail, report.ks_stat.hex())
+
+
+@pytest.mark.parametrize("side", ["hypergraph", "graph"])
+def test_ks_pieces_do_not_change_the_fit(side):
+    """The KS distances walk their lanes in runs of KS_PIECE tail points
+    (core.spans): runs of 1 and 7 points, one lane each or a few, give the
+    default's auto and fixed-cutoff reports bit for bit, on either
+    histogram of a 10^5-step compare run."""
+    if side == "hypergraph":
+        degrees = projected_degrees(evolve(GeneratorConfig(1.0, 100_000, Constant(3),
+                                                           seed=7)))
+    else:
+        degrees = evolve_graph_baseline(1.0, 100_000, seed=7).degrees()
+    hist = DegreeHistogram.from_degrees(degrees)
+    reports = {}
+    for piece in (1, 7, analysis.KS_PIECE):
+        with mock.patch.object(analysis, "KS_PIECE", piece):
+            reports[piece] = [_fit_bits(fit_power_law(hist, k)) for k in ("auto", 5)]
+    assert reports[1] == reports[7] == reports[analysis.KS_PIECE]
 
 
 @pytest.mark.parametrize("counts", [

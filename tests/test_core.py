@@ -12,8 +12,8 @@ from scipy import stats
 
 from pahyper import (Constant, GeneratorConfig, Hypergraph, UniformInt, evolve,
                      evolve_graph_baseline, project, projected_degrees, read_degrees,
-                     read_hypergraph, write_hypergraph)
-from pahyper import core
+                     read_hypergraph, write_hypergraph, write_observed_graph)
+from pahyper import core, generator, io
 from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
 from reference import EdgeList, reference_from_edges, sample_preferential
 
@@ -212,6 +212,59 @@ def test_sort_members_across_pieces(lo, hi):
     edges = [e.tolist() for e in np.split(flat, np.cumsum(sizes)[:-1])]
     got, want = _sorted_per_edge(edges)
     assert got == want
+
+
+def _reference_spans(sizes, budget):
+    """The runs of core.spans by a plain walk: each run takes edges while
+    its ids stay within budget, and always its first edge."""
+    runs, e0 = [], 0
+    while e0 < len(sizes):
+        e1, ids = e0 + 1, sizes[e0]
+        while e1 < len(sizes) and ids + sizes[e1] <= budget:
+            ids, e1 = ids + sizes[e1], e1 + 1
+        runs.append((e0, e1))
+        e0 = e1
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 20), max_size=40), budget=st.integers(1, 64),
+       at_int32_top=st.booleans())
+@example(sizes=[], budget=5, at_int32_top=False)                # no edges
+@example(sizes=[3, 1, 2], budget=1, at_int32_top=False)         # budget 1
+@example(sizes=[2, 9, 1, 1], budget=4, at_int32_top=False)      # an edge past it
+@example(sizes=[4, 4, 4], budget=64, at_int32_top=True)         # the needle clamps
+def test_spans_match_a_plain_walk(sizes, budget, at_int32_top):
+    """core.spans over offsets from 0 in int64, or in int32 ending at
+    2**31 - 1, where offsets[e0] + budget passes int32 and the needle is
+    clamped: whole edges, each run within budget or one larger edge,
+    covering every edge in order."""
+    base = 2**31 - 1 - sum(sizes) if at_int32_top else 0
+    offsets = base + np.cumsum([0] + sizes, dtype=np.int64)
+    offsets = offsets.astype(np.int32 if at_int32_top else np.int64)
+    runs = list(core.spans(offsets, budget))
+    assert runs == _reference_spans(sizes, budget)
+    assert [e for e0, e1 in runs for e in range(e0, e1)] == list(range(len(sizes)))
+    for e0, e1 in runs:
+        assert e1 == e0 + 1 or sum(sizes[e0:e1]) <= budget
+
+
+def test_one_piece_budget_for_the_fill_and_the_writers(tmp_path):
+    """One patch of core.PIECE_IDS sets the chunks of evolve's fill, the
+    runs of the hypergraph writer and the PIECE_IDS // 2 pairs of each
+    piece of the graph writer."""
+    config = GeneratorConfig(p=0.5, steps=300, size_dist=Constant(3), seed=1)
+    h = evolve(config)
+    g = project(h)
+    with (mock.patch.object(core, "PIECE_IDS", 8),
+          mock.patch.object(generator, "spans", wraps=core.spans) as fill,
+          mock.patch.object(io, "spans", wraps=core.spans) as rows,
+          mock.patch.object(io, "_encode_pairs", wraps=io._encode_pairs) as pairs):
+        assert evolve(config) == h
+        write_hypergraph(h, str(tmp_path / "h.txt"))
+        write_observed_graph(g, str(tmp_path / "g.txt"))
+    assert fill.call_args.args[1] == rows.call_args.args[1] == 8
+    assert pairs.call_count == -(-g.num_edges // 4)
 
 
 class TestSamplePreferential:

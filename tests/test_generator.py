@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pahyper import (Constant, EdgeSizeDistribution, GeneratorConfig,
                      Hypergraph, TruncatedZipf, UniformInt, evolve,
                      evolve_graph_baseline, project, sum_sizes_trace)
-from pahyper import generator
-from pahyper.generator import CHUNK_SLOTS, _draw_sizes, _size_rng
+from pahyper import core
+from pahyper.generator import _draw_sizes, _size_rng
 from pahyper.io import write_hypergraph
 from memory import traced_peak
 from oracles import arrival_events
@@ -173,7 +173,7 @@ def test_evolve_matches_step_by_step_reference(p, steps, size_dist, y0, cap, see
 def test_evolve_matches_reference_across_chunks(p, size_dist):
     cfg = GeneratorConfig(p=p, steps=70_000, size_dist=size_dist, seed=23)
     h = evolve(cfg)
-    assert h.total_degree > 2 * CHUNK_SLOTS
+    assert h.total_degree > 2 * core.PIECE_IDS
     assert h == reference_evolve(cfg)
 
 
@@ -199,7 +199,7 @@ def test_evolve_matches_reference_in_small_chunks(budget, p, steps, size_dist, y
     stream, whatever the chunks."""
     cfg = GeneratorConfig(p=p, steps=steps, size_dist=size_dist, y0=y0,
                           seed=seed, enforce_cap=cap)
-    with mock.patch.object(generator, "CHUNK_SLOTS", budget):
+    with mock.patch.object(core, "PIECE_IDS", budget):
         h = evolve(cfg)
     assert h == reference_evolve(cfg)
 
@@ -242,28 +242,28 @@ def test_event_bits_in_pieces_are_one_draw(steps):
 
 
 def test_draw_sizes_memory():
-    """const:3 sizes take a byte per step, and no event bit is drawn beside
-    them: the traced peak stays under 2 bytes per step, where a float64
-    array of the event uniforms alone would take 8."""
+    """const:3 sizes take 8 bytes per step, the int64 sample clamped in
+    place, and no event bit is drawn beside them: the traced peak stays
+    under 9 bytes per step, where a float64 array of the event uniforms
+    would add 8."""
     cfg = GeneratorConfig(p=0.5, steps=1_000_000, size_dist=Constant(3), seed=7)
     sizes, peak = traced_peak(_draw_sizes, cfg, _size_rng(cfg))
-    assert sizes.dtype == np.uint8
-    assert peak <= 2 * cfg.steps
+    assert sizes.dtype == np.int64
+    assert peak <= 9 * cfg.steps
 
 
-@pytest.mark.parametrize("size_dist, exponent, dtype", [
-    (Constant(2), 1 / 3, np.uint8),
-    (UniformInt(2, 300), 1 / 3, np.uint16),
-    (TruncatedZipf(2.5, 2, 20), 1 / 3, np.uint8),
-    (UniformInt(2, 2**33), 1 / 3, np.int64),
-    # the cap's prefix runs past 255 here, so it must be cut to the
-    # largest size before its cast to uint8
-    (Constant(255), 0.49, np.uint8),
-    (Constant(256), 0.49, np.uint16),
-    (Constant(2**32 - 1), 0.49, np.uint32),
-    (Constant(2**32), 0.49, np.int64),
+@pytest.mark.parametrize("size_dist, exponent", [
+    (Constant(2), 1 / 3),
+    (UniformInt(2, 300), 1 / 3),
+    (TruncatedZipf(2.5, 2, 20), 1 / 3),
+    (UniformInt(2, 2**33), 1 / 3),
+    # the cap's prefix runs past the largest size here
+    (Constant(255), 0.49),
+    (Constant(256), 0.49),
+    (Constant(2**32 - 1), 0.49),
+    (Constant(2**32), 0.49),
 ], ids=repr)
-def test_sizes_in_the_smallest_dtype(size_dist, exponent, dtype):
+def test_sizes_clipped_to_the_cap(size_dist, exponent):
     steps = 140_000
     cfg = GeneratorConfig(p=0.5, steps=steps, size_dist=size_dist, seed=3,
                           cap_exponent=exponent)
@@ -273,7 +273,6 @@ def test_sizes_in_the_smallest_dtype(size_dist, exponent, dtype):
     raw = size_dist.sample(rng, steps)
     t = np.arange(1, steps + 1, dtype=np.float64)
     cap = np.maximum(np.floor(t ** exponent + 1e-9).astype(np.int64), 2)
-    assert sizes.dtype == dtype
     assert np.array_equal(sizes, np.clip(raw, 2, cap))
     trace = sum_sizes_trace(cfg)
     assert trace.dtype == np.int64

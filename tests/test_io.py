@@ -20,7 +20,7 @@ from pahyper import (Constant, FitReport, GeneratorConfig,
                      read_hypergraph, write_ccdf_csv, write_fit_report,
                      write_histogram_csv, write_hypergraph, write_label_map,
                      write_observed_graph)
-from pahyper import io
+from pahyper import core, io
 from pahyper.io import _parse_bulk
 from feed import fed
 from memory import traced_peak
@@ -471,7 +471,7 @@ def test_write_hypergraph_in_pieces_of_ids(budget, edges):
     tokens = np.array([v for e in edges for v in e], dtype=np.int64)
     offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
     h = Hypergraph(int(tokens.max(initial=-1)) + 1, tokens, offsets)
-    with mock.patch.object(io, "ROW_IDS", budget):
+    with mock.patch.object(core, "PIECE_IDS", budget):
         pieces = list(io._row_pieces(tokens, offsets))
         assert _written(write_hypergraph, h) == reference_rows(tokens, offsets).encode()
     assert b"".join(pieces) == reference_rows(tokens, offsets).encode()
@@ -488,18 +488,18 @@ def test_write_observed_graph_matches_reference(pairs):
     offsets = np.arange(0, 2 * len(pairs) + 1, 2)
     assert (_written(write_observed_graph, g)
             == reference_rows(edges.ravel(), offsets).encode())
-    with mock.patch.object(io, "ROW_IDS", 6):       # several pieces
+    with mock.patch.object(core, "PIECE_IDS", 6):       # several pieces
         assert (_written(write_observed_graph, g)
                 == reference_rows(edges.ravel(), offsets).encode())
 
 
 def test_write_observed_graph_peak_memory(tmp_path):
-    """The writer holds one piece of ROW_IDS ids at a time: its traced peak
-    stays under 64 bytes per id of a piece, less than the edges take. Line
-    ends for all edges at once (8 bytes per id) would exceed it."""
+    """The writer holds one piece of core.PIECE_IDS ids at a time: its
+    traced peak stays under 64 bytes per id of a piece, less than the edges
+    take. Line ends for all edges at once (8 bytes per id) would exceed it."""
     g = project(evolve(GeneratorConfig(p=1.0, steps=500_000, size_dist=Constant(3),
                                        y0=3, seed=7)))
-    bound = 64 * io.ROW_IDS
+    bound = 64 * core.PIECE_IDS
     assert bound < g.edges.nbytes
     _, peak = traced_peak(write_observed_graph, g, str(tmp_path / "g.txt"))
     assert peak < bound

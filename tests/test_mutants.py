@@ -1,10 +1,11 @@
 """Kernel mutants that a statistical acceptance criterion must catch.
 
-Each row rewrites one line of one library function, sets module constants,
-and runs a criterion's own statistic function on the mutated library; the
-row passes when the statistic exceeds the criterion's bound.  The mutant is
-built from the live source of the function, so a row whose line no longer
-exists fails instead of testing the unchanged code.
+Each row rewrites one line of one library function, sets constants on the
+modules that declare them, and runs a criterion's own statistic function on
+the mutated library; the row passes when the statistic exceeds the
+criterion's bound.  The mutant is built from the live source of the
+function, so a row whose line no longer exists fails instead of testing the
+unchanged code.
 """
 
 import inspect
@@ -13,7 +14,7 @@ from typing import Callable
 
 import pytest
 
-from pahyper import Constant, generator
+from pahyper import Constant, core, generator
 from oracles import criterion_12, criterion_13
 
 
@@ -24,7 +25,7 @@ class Mutant:
     function: str
     old: str            # text found once in the function, replaced by new
     new: str
-    constants: dict     # module constants set for the row
+    constants: tuple    # (module, name, value) of each constant set for the row
     statistic: Callable[[], tuple[float, int, float]]   # (value, cells, bound)
 
 
@@ -34,14 +35,14 @@ MUTANTS = [
     Mutant("stale-chunk-degrees", generator, "_fill_stream",
            "np.repeat(block_starts, sizes - vertex)",
            "np.repeat(np.full(t1 - t0, base), sizes - vertex)",
-           {"CHUNK_SLOTS": 192},
+           ((core, "PIECE_IDS", 192),),
            lambda: criterion_12(Constant(3))),
     # a draw of an arrival step may land on the step's own new vertex, the
     # first slot of its block, which criterion 12's means cannot see
     Mutant("own-block-draws", generator, "_fill_stream",
            "np.repeat(block_starts, sizes - vertex)",
            "np.repeat(block_starts + vertex, sizes - vertex)",
-           {},
+           (),
            lambda: criterion_13(Constant(3))),
 ]
 
@@ -59,7 +60,7 @@ def _mutated(mutant: Mutant):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_criterion_fails_on_mutant(mutant, monkeypatch):
     monkeypatch.setattr(mutant.module, mutant.function, _mutated(mutant))
-    for name, value in mutant.constants.items():
-        monkeypatch.setattr(mutant.module, name, value)
+    for module, name, value in mutant.constants:
+        monkeypatch.setattr(module, name, value)
     value, _, bound = mutant.statistic()
     assert value > bound, f"{mutant.name} passes: {value:.2f} <= {bound:.2f}"
