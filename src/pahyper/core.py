@@ -111,14 +111,15 @@ def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
 
 
 def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """The occurrences of each id 0..max of arrays of non-negative ids,
-    n ids in all, in index_dtype(n); raises ValueError naming the smallest
-    missing id unless the ids cover 0..max.  Among n ids, one past n leaves
-    a gap at or below n either way, so it is clipped to n: the count, which
-    grows by doubling as the pieces come, never takes more than n + 1
-    entries."""
-    counts, size = np.zeros(0, dtype=index_dtype(n)), 0
+    """The occurrences of each id 0..max of arrays of non-negative ids, at
+    most n ids in all, in index_dtype of their number; raises ValueError
+    naming the smallest missing id unless the ids cover 0..max.  Among at
+    most n ids, one past n leaves a gap below n either way, so it is
+    clipped to n: the count, which grows by doubling as the pieces come,
+    in index_dtype(n), never takes more than n + 1 entries."""
+    counts, size, total = np.zeros(0, dtype=index_dtype(n)), 0, 0
     for ids in pieces:
+        total += len(ids)
         top = int(ids.max(initial=-1))
         if top > n:
             ids, top = np.minimum(ids, n), n
@@ -129,7 +130,7 @@ def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
     counts.resize(size, refcheck=False)
     if not counts.all():
         raise ValueError(f"vertex id gap: id {counts.argmin()} never appears")
-    return counts
+    return counts.astype(index_dtype(total), copy=False)
 
 
 def checked(tokens: np.ndarray, offsets: np.ndarray) -> "Hypergraph":

@@ -250,12 +250,13 @@ def _fill_stream(rng: np.random.Generator, events: np.random.Generator, p: float
         sources = block_starts[vertex] - base
         is_draw = np.ones(len(chunk), dtype=bool)
         is_draw[sources] = False
-        chunk[is_draw] = tokens[drawn]      # only draws before base are final
-        chunk[sources] = np.arange(next_id, next_id + len(sources))
+        draws = np.flatnonzero(is_draw)
+        chunk[draws] = tokens[drawn]        # only draws before base are final
+        chunk[sources] = np.arange(next_id, next_id + len(sources), dtype=chunk.dtype)
         next_id += len(sources)
         inside = np.flatnonzero(drawn >= base)
-        slots, target = np.flatnonzero(is_draw)[inside], drawn[inside] - base
-        chunk[slots] = -1 - np.arange(len(inside))     # marks each such draw
+        slots, target = draws[inside], drawn[inside] - base
+        chunk[slots] = -1 - np.arange(len(inside), dtype=chunk.dtype)  # marks each such draw
         while len(hops := np.flatnonzero(chunk[target] < 0)):
             target[hops] = target[-1 - chunk[target[hops]]]
         chunk[slots] = chunk[target]

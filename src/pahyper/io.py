@@ -15,26 +15,32 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
                     (coauthorship-style corpora); labels are trimmed and
                     case-sensitive, duplicates within a record are kept.
 
-Hypergraph and graph files, and the histogram CSV writer, go through one
-numpy codec over bytes, with no Python int or str per id: every id comes
-from a table of digit pairs, and a (hyper)graph goes in pieces of whole
-edges of at most core.PIECE_IDS ids, or of one larger edge, so its text
-never exists whole and a piece's arrays are bounded whatever the edge sizes.
+Hypergraph and graph files, and the histogram and CCDF CSV writers, go
+through one numpy codec over bytes, with no Python int or str per id: every
+id is laid out in 4-byte cells of three digits from a table of digit
+groups, one divmod by 1000 per cell, with its separator in the fourth byte
+of its last cell, and a (hyper)graph goes in pieces of whole edges of at
+most core.PIECE_IDS ids, or of one larger edge, so its text never exists
+whole and a piece's arrays are bounded whatever the edge sizes.
 Every output goes as UTF-8 bytes through one function, to a file in binary
 or to '-' through sys.stdout's text layer.
 The hypergraph readers take one byte path in.  A file or stdin that can
 seek and stands at its start is parsed where it is; any other input (a
 pipe, a FIFO, a terminal, a stdin past its start) is first copied, from
 where it stands, to a temporary file, so it needs temporary disk space the
-size of its input, not memory.  The input is then read twice, in
-newline-aligned pieces of about READ_PIECE bytes, so that beside its output
-arrays a reader needs memory for one piece.  The first sweep judges every
-piece (and fills the edge offsets where they are wanted); only a piece it
-refuses is walked line by line, by the same check, to name its first bad
-line.  The second parses each piece's ids into one of two sinks:
-read_hypergraph fills a token array and ends in core.checked, while
-read_degrees and read_edge_sizes hand the ids to core.counted, so they hold
-no token array.  Either way core.counted is the one check that ids cover
+size of its input, not memory.  The input is then read in newline-aligned
+pieces of about READ_PIECE bytes, so that beside its output arrays a reader
+needs memory for about READ_THREADS pieces.  READ_THREADS worker threads
+take the pieces in turn; each judges its piece (_piece_line_ends) and,
+for the counting readers, parses its ids while it is still in cache, and
+the calling thread takes the results in file order.  Only a piece the
+judge refuses is walked line by line, by the same check, to name its first
+bad line.  read_degrees and read_edge_sizes read their input once: they
+hand each piece's ids to core.counted, so they hold no token array, and
+read_edge_sizes fills the edge offsets on the way.  read_hypergraph reads
+twice: a first sweep judges every piece and fills the offsets, which size
+one token array, and a second parses the ids into it and ends in
+core.checked.  Either way core.counted is the one check that ids cover
 0..max.
 """
 
@@ -44,7 +50,8 @@ import re
 import shutil
 import sys
 import tempfile
-from contextlib import nullcontext
+import threading
+from contextlib import closing, nullcontext
 from io import SEEK_END, BytesIO
 
 import numpy as np
@@ -115,35 +122,43 @@ def _row_pieces(tokens: np.ndarray, offsets: np.ndarray):
         yield _encode_rows(tokens[bounds[0]:bounds[-1]], bounds - bounds[0], " ")
 
 
-def _pair_table() -> np.ndarray:
-    """The 2-byte cells of _encode_rows: entry r < 100 is r as two digits;
-    entry 100 + r is r as the leading pair of an id, with a pad byte (NUL)
-    for a leading zero and two pad bytes for a pair left of the id."""
-    two = [f"{r:02d}" for r in range(100)]
-    lead = ["\0\0"] + [str(r).rjust(2, "\0") for r in range(1, 100)]
-    return np.frombuffer("".join(two + lead).encode("ascii"), dtype="<u2")
+def _group_table() -> np.ndarray:
+    """The 4-byte cells of _fill_digits: entry r < 1000 is r as three
+    digits; entry 1000 + r is r as the leading group of an id, with a pad
+    byte (NUL) for each leading zero and three for a group left of the id.
+    The fourth byte of every cell is a pad byte, for a separator to fill."""
+    three = [f"{r:03d}\0" for r in range(1000)]
+    lead = ["\0" * 4] + [str(r).rjust(3, "\0") + "\0" for r in range(1, 1000)]
+    return np.frombuffer("".join(three + lead).encode("ascii"), dtype="<u4")
 
 
-_PAIRS = _pair_table()
-_UNITS = _PAIRS.copy()              # the last pair of an id: id 0 reads "0"
-_UNITS[100] = ord("0") << 8
+_GROUPS = _group_table()
+_UNITS = _GROUPS.copy()             # the last group of an id: id 0 reads "0"
+_UNITS[1000] = ord("0") << 16
+
+
+def _byte4(char: str) -> np.uint32:
+    """char in the fourth byte of a cell of _fill_digits."""
+    return np.uint32(ord(char) << 24)
 
 
 def _id_width(ids: np.ndarray) -> int:
     """The cells of _fill_digits that the largest of non-negative ids needs."""
-    return (len(str(int(ids.max()))) + 1) // 2
+    return (len(str(int(ids.max()))) + 2) // 3
 
 
-def _fill_digits(cells: np.ndarray, ids: np.ndarray) -> None:
+def _fill_digits(cells: np.ndarray, ids: np.ndarray, sep: str) -> None:
     """Lay out each non-negative id in decimal, right-aligned in its row of
-    2-byte cells, one per pair of digits; cells left of the id get pad
-    bytes, which one translate drops."""
-    width = cells.shape[1]
-    q, r = np.divmod(ids, 100)
-    cells[:, width - 1] = _UNITS[r + 100 * (q == 0)]
-    for j in range(width - 2, -1, -1):
-        q, r = np.divmod(q, 100)
-        cells[:, j] = _PAIRS[r + 100 * (q == 0)]
+    4-byte cells, one per group of three digits, with sep in the fourth
+    byte of its last cell; cells left of the id, and the other cells'
+    fourth bytes, get pad bytes, which one translate drops."""
+    q, table = ids, _UNITS
+    for j in range(cells.shape[1] - 1, 0, -1):
+        q, r = np.divmod(q, 1000)
+        cells[:, j] = table[r + 1000 * (q == 0)]
+        table = _GROUPS
+    cells[:, 0] = table[q + 1000]       # a leading group: q < 1000 by the width
+    cells[:, -1] |= _byte4(sep)
 
 
 def _encode_rows(tokens: np.ndarray, offsets: np.ndarray, sep: str) -> bytes:
@@ -153,10 +168,9 @@ def _encode_rows(tokens: np.ndarray, offsets: np.ndarray, sep: str) -> bytes:
     if not len(tokens):
         return b""
     width = _id_width(tokens)
-    cells = np.empty((len(tokens), width + 1), dtype="<u2")
-    cells[:, width] = ord(sep)
-    cells[offsets[1:] - 1, width] = ord("\n")
-    _fill_digits(cells[:, :width], tokens)
+    cells = np.empty((len(tokens), width), dtype="<u4")
+    _fill_digits(cells, tokens, sep)
+    cells[offsets[1:] - 1, width - 1] ^= _byte4(sep) ^ _byte4("\n")   # sep to '\n'
     return cells.tobytes().translate(None, b"\0")
 
 
@@ -179,6 +193,7 @@ def write_observed_graph(g: ObservedGraph, destination: str) -> None:
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64
 READ_PIECE = 1 << 17    # bytes per piece of the bulk parser, then to a newline
+READ_THREADS = 2        # pieces judged, and parsed, at once (_judged)
 COMMENT_LINE = re.compile(rb"^[ \t]*#.*\n?", re.MULTILINE)   # with its own newline
 
 
@@ -200,27 +215,40 @@ def _pieces(f):
 
 def _piece_line_ends(data: bytes) -> tuple[np.ndarray | None, int]:
     """The number of ids up to the end of each line of a piece of bulk
-    data, or None if a byte is not an ASCII digit, space, tab, CR or LF, an
-    id has over MAX_BULK_DIGITS digits, a line has no id or a carriage
-    return does not end a line; and the most digits of an id."""
+    data, or None if a byte is not an ASCII digit, space, tab, CR or LF, a
+    carriage return does not end a line, an id has over MAX_BULK_DIGITS
+    digits or a line has no id; and the most digits of an id.
+
+    Beside the piece it holds two bool masks, or one and an int64 per id
+    and per line, at a time: READ_THREADS workers judge at once."""
     if data.translate(None, b"0123456789 \t\r\n"):
         return None, 0
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None, 0                          # a bare carriage return
     piece = np.frombuffer(data, dtype=np.uint8)
-    digit = np.zeros(len(piece) + 2, dtype=bool)
-    np.greater(piece, ord(" "), out=digit[1:-1])
-    # an id starts where the digit mask turns on and ends where it turns off
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts = bounds[0::2]
-    digits = int((bounds[1::2] - starts).max(initial=0))
-    if digits > MAX_BULK_DIGITS:
-        return None, digits
-    newline, cr = piece == ord("\n"), piece == ord("\r")
-    if cr[-1] or (cr[:-1] > newline[1:]).any():
-        return None, digits                     # a bare carriage return
-    line_ends = np.flatnonzero(newline)
+    digit = np.zeros(len(piece) + 1, dtype=bool)    # digit[1 + i]: byte i is a digit
+    np.greater(piece, ord(" "), out=digit[1:])
+    # run[i]: byte i starts a run of more than `digits` digits
+    mask, digits = digit[1:].copy(), 0
+    run = mask
+    while run.any():
+        digits += 1
+        if digits > MAX_BULK_DIGITS:
+            return None, digits
+        np.logical_and(run[:-1], digit[1 + digits:], out=run[:-1])
+        run = run[:-1]
+    np.greater(digit[1:], digit[:-1], out=mask)     # where an id starts,
+    del digit, run
+    mask |= piece == ord("\n")                     # or a line ends
+    events = np.flatnonzero(mask)
+    del mask
+    newline = piece[events] == ord("\n")
+    del events
+    # a line's end has as many ids before it as events, less the line ends
+    ends_in_ids = np.flatnonzero(newline)
+    ends_in_ids -= np.arange(len(ends_in_ids))
     if piece[-1] != ord("\n"):
-        line_ends = np.append(line_ends, len(piece))
-    ends_in_ids = np.searchsorted(starts, line_ends)
+        ends_in_ids = np.append(ends_in_ids, len(newline) - len(ends_in_ids))
     if not np.diff(ends_in_ids, prepend=0).all():
         return None, digits                     # a blank line
     return ends_in_ids, digits
@@ -246,56 +274,155 @@ def _raise_line_error(raw: bytes, lineno: int) -> None:
     raise AssertionError("the bulk parser refused a piece of well-formed lines")
 
 
-def _line_ends(f, offsets: bool = False) -> tuple[int, type, np.ndarray | None]:
-    """The number of ids in a seekable binary hypergraph file, the dtype
-    that holds any id of as many digits as its longest, and, if offsets,
-    its edge offsets (the number of ids up to the end of each line), in
-    index_dtype of its size and grown by doubling as the pieces come.  If a
-    line other than a comment is not one or more ids of 1 to
-    MAX_BULK_DIGITS ASCII digits, separated by spaces or tabs, or a carriage
-    return is not at a line end, _raise_line_error names the first such
-    line of the refused piece: _piece_line_ends is the one judge of a line.
+def _judge(piece: bytes, parse: bool) -> tuple[np.ndarray | None, int, np.ndarray | None]:
+    """_piece_line_ends of a piece and, if it accepts the piece and parse,
+    the piece's ids in the dtype that holds an id of its most digits, while
+    the piece is still in cache."""
+    ends_in_ids, digits = _piece_line_ends(piece)
+    if not parse or ends_in_ids is None:
+        return ends_in_ids, digits, None
+    return ends_in_ids, digits, np.fromstring(piece, dtype=index_dtype(10**digits - 1),
+                                              sep=" ")
+
+
+def _judged(f, parse: bool):
+    """_judge's (ends_in_ids, digits, ids) of each piece of a seekable
+    binary hypergraph file (_pieces), in file order.
+
+    READ_THREADS worker threads take the pieces in turn, each reading its
+    next piece under one lock and judging it outside: the judge's numpy
+    loops release the GIL, so they overlap each other and np.fromstring.
+    At most READ_THREADS pieces are read and not yet done with.  Results
+    are taken in file order on the calling thread, so the first refused
+    piece raises the ValueError of its first bad line (_raise_line_error):
+    if a line other than a comment is not one or more ids of 1 to
+    MAX_BULK_DIGITS ASCII digits, separated by spaces or tabs, or a
+    carriage return is not at a line end.  _piece_line_ends is the one
+    judge of a line.  A worker's error is raised in its piece's place.
+    The workers are joined when the generator ends or is closed, so none
+    outlives the sweep.
     """
-    ends = np.zeros(1, dtype=index_dtype(f.seek(0, SEEK_END))) if offsets else None
-    ids = line = digits = 0
-    for piece, raw, comments in _pieces(f):
-        ends_in_ids, width = _piece_line_ends(piece)
-        if ends_in_ids is None:
-            _raise_line_error(raw, line + comments + 1)
-        top = line + 1 + len(ends_in_ids)
-        if ends is not None:
-            if top > len(ends):
-                ends.resize(max(top, 2 * len(ends)), refcheck=False)
-            ends[line + 1:top] = ends_in_ids + ids
-        line, ids = top - 1, ids + int(ends_in_ids[-1])
-        digits = max(digits, width)
+    pieces = _pieces(f)
+    turn = threading.Condition()        # guards the reading and the names below
+    room = threading.Semaphore(READ_THREADS)
+    outcomes: dict[int, tuple | Exception] = {}     # by piece index
+    read, ended, stop = 0, False, False
+
+    def judge_next() -> bool:
+        """Read the next piece under the lock, judge it and keep its
+        outcome; False once there is none or the sweep stops."""
+        nonlocal read, ended
+        with turn:
+            if stop or ended:
+                return False
+            i = read
+            try:
+                piece, raw, comments = next(pieces)
+                read += 1
+            except StopIteration:
+                ended = True
+            except Exception as e:      # raised again in the piece's place
+                outcomes[i], ended = e, True
+            turn.notify()
+            if ended:
+                return False
+        try:
+            outcome = _judge(piece, parse), raw, comments
+        except Exception as e:          # raised again in the piece's place
+            outcome = e
+        with turn:
+            outcomes[i] = outcome
+            turn.notify()
+        return True
+
+    def work() -> None:
+        while room.acquire() and judge_next():
+            pass
+
+    workers = [threading.Thread(target=work, name="pahyper-read")
+               for _ in range(READ_THREADS)]
+    for worker in workers:
+        worker.start()
+    i = line = 0
+    try:
+        while True:
+            with turn:
+                turn.wait_for(lambda: i in outcomes or (ended and i == read))
+                outcome = outcomes.pop(i, None)
+            if outcome is None:
+                return
+            if isinstance(outcome, Exception):
+                raise outcome
+            (ends_in_ids, digits, ids), raw, comments = outcome
+            if ends_in_ids is None:
+                _raise_line_error(raw, line + comments + 1)
+            line += len(ends_in_ids)
+            yield ends_in_ids, digits, ids
+            del outcome, raw, ends_in_ids, ids      # done with, before a new piece
+            room.release()
+            i += 1
+    finally:
+        with turn:
+            stop = True
+        for _ in workers:
+            room.release()
+        for worker in workers:
+            worker.join()
+
+
+def _sweep(f, offsets: bool = False, parse: bool = False
+           ) -> tuple[int, type, np.ndarray | None, np.ndarray | None]:
+    """One sweep of a seekable binary hypergraph file (_judged): the number
+    of its ids; the dtype that holds any id of as many digits as its
+    longest; if offsets, its edge offsets (the number of ids up to the end
+    of each line), in index_dtype of its size and grown by doubling as the
+    pieces come; and, if parse, the occurrences of each id, by
+    core.counted, which raises its gap error."""
+    size = f.seek(0, SEEK_END)
+    ends = np.zeros(1, dtype=index_dtype(size)) if offsets else None
+    n = line = digits = 0
+
+    def ids():
+        nonlocal n, line, digits
+        for ends_in_ids, width, piece_ids in judged:
+            top = line + 1 + len(ends_in_ids)
+            if ends is not None:
+                if top > len(ends):
+                    ends.resize(max(top, 2 * len(ends)), refcheck=False)
+                ends[line + 1:top] = ends_in_ids + n
+            line, n = top - 1, n + int(ends_in_ids[-1])
+            digits = max(digits, width)
+            yield piece_ids
+
+    counts = None
+    with closing(_judged(f, parse)) as judged:
+        if parse:
+            # every id but the last is followed by a separator
+            counts = counted(ids(), (size + 1) // 2)
+        else:
+            for _ in ids():
+                pass
     if ends is not None:
         ends.resize(line + 1, refcheck=False)
-    return ids, index_dtype(10**digits - 1), ends
-
-
-def _id_pieces(f, dtype: type):
-    """The ids of each piece of a file that _line_ends accepted, in the
-    dtype it gave."""
-    for piece, _, _ in _pieces(f):
-        yield np.fromstring(piece, dtype=dtype, sep=" ")
+    return n, index_dtype(10**digits - 1), ends, counts
 
 
 def _parse_bulk(f) -> Hypergraph:
     """Parse a seekable binary hypergraph file with numpy.  A malformed
-    line raises the error of _line_ends; the result goes through
-    core.checked, so ids that do not cover 0..max raise its error.
+    line raises the error of _sweep; the result goes through core.checked,
+    so ids that do not cover 0..max raise its error.
 
     The file is read in the pieces of _pieces twice: one sweep checks each
-    piece and fills the edge offsets (_line_ends), and a second parses each
-    piece's ids into its slice of one token array.  Beside the output
-    arrays, the parser holds a few arrays the size of one piece and, in the
-    final check, a count per vertex and a flag per token.
+    piece and fills the edge offsets (_sweep), and a second parses each
+    piece's ids into its slice of one token array, sized by the first.
+    Beside the output arrays, the parser holds a few arrays the size of a
+    piece and, in the final check, a count per vertex and a flag per token.
     """
-    n, dtype, offsets = _line_ends(f, offsets=True)
+    n, dtype, offsets, _ = _sweep(f, offsets=True)
     tokens = np.empty(n, dtype=dtype)
     filled = 0
-    for ids in _id_pieces(f, dtype):
+    for piece, _, _ in _pieces(f):
+        ids = np.fromstring(piece, dtype=dtype, sep=" ")
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
     return checked(tokens, offsets)
@@ -306,7 +433,7 @@ def _seekable(source: str, parse):
     file at source, or stdin for '-', in place.  A source that cannot seek
     (a pipe, a FIFO, a terminal) or a stdin at a later offset is first
     copied, from where it stands, to a temporary file, since every parse
-    reads its input twice from the start."""
+    takes the input's size and reads it from the start."""
     with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as f:
         if f.seekable() and f.tell() == 0:
             return parse(f)
@@ -328,21 +455,15 @@ def read_hypergraph(source: str) -> Hypergraph:
 
 def read_degrees(source: str) -> np.ndarray:
     """read_hypergraph(source).degrees(), or its error, with no token array:
-    one sweep checks the file, a second counts each piece's ids."""
-    def degrees(f):
-        n, dtype, _ = _line_ends(f)
-        return counted(_id_pieces(f, dtype), n)
-    return _seekable(source, degrees)
+    one sweep checks each piece and counts its ids."""
+    return _seekable(source, lambda f: _sweep(f, parse=True)[3])
 
 
 def read_edge_sizes(source: str) -> np.ndarray:
     """The edge sizes of read_hypergraph(source), or its error, with no
-    token array: the offsets, and a count per vertex for the gap check."""
-    def sizes(f):
-        n, dtype, offsets = _line_ends(f, offsets=True)
-        counted(_id_pieces(f, dtype), n)
-        return np.diff(offsets)
-    return _seekable(source, sizes)
+    token array: one sweep fills the offsets, and a count per vertex for
+    the gap check."""
+    return _seekable(source, lambda f: np.diff(_sweep(f, offsets=True, parse=True)[2]))
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:
@@ -416,8 +537,8 @@ def write_ccdf_csv(ccdf: tuple[np.ndarray, np.ndarray], destination: str) -> Non
     """Write analysis.ccdf's (degrees, probabilities) as CSV rows; degrees
     must be non-negative, as a histogram's are.
 
-    Each row is a row of 2-byte cells: the degree laid out by _fill_digits,
-    then ',', the probability's text and '\n'.
+    Each row is a row of 4-byte cells: the degree laid out by _fill_digits,
+    with ',' after it, then the probability's text and '\n'.
     A dense degree range repeats each probability in a run of rows, so its
     text is formatted once per run of equal float bits (0.0 and -0.0 print
     apart) into a table of cells that the rows gather from.
@@ -427,13 +548,13 @@ def write_ccdf_csv(ccdf: tuple[np.ndarray, np.ndarray], destination: str) -> Non
         return _write(destination, [b"degree,ccdf\n"])
     bits = probs.view(np.int64)
     first = np.concatenate(([True], bits[1:] != bits[:-1]))
-    texts = [f",{prob:.10g}\n" for prob in probs[first].tolist()]
-    cell_bytes = 2 * ((max(map(len, texts)) + 1) // 2)
+    texts = [f"{prob:.10g}\n" for prob in probs[first].tolist()]
+    cell_bytes = 4 * ((max(map(len, texts)) + 3) // 4)
     table = np.frombuffer("".join(t.ljust(cell_bytes, "\0") for t in texts).encode(),
-                          dtype="<u2").reshape(len(texts), -1)
+                          dtype="<u4").reshape(len(texts), -1)
     width = _id_width(degrees)
-    cells = np.empty((len(degrees), width + table.shape[1]), dtype="<u2")
-    _fill_digits(cells[:, :width], degrees)
+    cells = np.empty((len(degrees), width + table.shape[1]), dtype="<u4")
+    _fill_digits(cells[:, :width], degrees, ",")
     cells[:, width:] = table[np.cumsum(first) - 1]
     _write(destination, [b"degree,ccdf\n" + cells.tobytes().translate(None, b"\0")])
 

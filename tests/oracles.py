@@ -34,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy import stats
 
-from pahyper import Constant, GeneratorConfig, Hypergraph, UniformInt, evolve
+from pahyper import Constant, GeneratorConfig, Hypergraph, TruncatedZipf, UniformInt, evolve
 
 # criterion 12's runs and family level, fixed so that the criterion and its
 # mutant rows (tests/test_mutants.py) test the same statistic
@@ -121,11 +121,17 @@ def criterion_12(size_dist) -> tuple[float, int, float]:
 
 
 def size_pmf(size) -> dict[int, float]:
-    """{y: P(Y = y)} of a Constant or UniformInt edge-size distribution."""
+    """{y: P(Y = y)} of a Constant, UniformInt or TruncatedZipf edge-size
+    distribution, from its definition: the Zipf weights are y^-exponent
+    on [lo, hi], normalized."""
     if isinstance(size, Constant):
         return {size.d: 1.0}
     if isinstance(size, UniformInt):
         return dict.fromkeys(range(size.lo, size.hi + 1), 1.0 / (size.hi - size.lo + 1))
+    if isinstance(size, TruncatedZipf):
+        weights = {y: y ** -size.exponent for y in range(size.lo, size.hi + 1)}
+        total = sum(weights.values())
+        return {y: w / total for y, w in weights.items()}
     raise TypeError(f"no pmf for {size!r}")
 
 
@@ -181,3 +187,41 @@ def criterion_13(size_dist) -> tuple[float, int, float]:
                for s in LAW_SEEDS)
     chi2, cells = law_chi_square(vectors, law)
     return chi2, cells, float(stats.chi2.isf(LEVEL, cells - 1))
+
+
+def capped_size_law(size, steps: int) -> dict[int, float]:
+    """{y: the expected share of steps 1..steps whose edge has size y}
+    under the default cap: step t's size is Y (size_pmf) clamped into
+    [2, max(2, c)], c the integer cube root of t, found exactly."""
+    t = np.arange(1, steps + 1)
+    c = np.floor(np.cbrt(t)).astype(np.int64)
+    c += (c + 1) ** 3 <= t                      # no floating-point floor error
+    c -= c ** 3 > t
+    law: dict[int, float] = defaultdict(float)
+    pmf = size_pmf(size)
+    for cap, count in zip(*np.unique(np.maximum(c, 2), return_counts=True)):
+        for y, q in pmf.items():
+            law[min(y, int(cap))] += q * int(count) / steps
+    return dict(law)
+
+
+def criterion_14(size_dist) -> tuple[tuple[float, int, float], tuple[float, int, float]]:
+    """Criterion 14's two statistics on criterion 12's runs (p=0.5, cap
+    on), the arrival bits and sizes that criteria 12 and 13 condition on,
+    each as (value, cells, bound) at level LEVEL / 2:
+
+    - the arrivals' distance from their mean under
+      Binomial(STEPS * len(SEEDS), 0.5), and the half-width of its central
+      interval;
+    - law_chi_square of the sizes against capped_size_law, and the
+      chi-square bound."""
+    arrivals, sizes = 0, Counter()
+    for s in SEEDS:
+        arrival, size, _ = arrival_events(evolve(GeneratorConfig(0.5, STEPS, size_dist, seed=s)))
+        arrivals += int(arrival.sum())
+        sizes.update(dict(enumerate(np.bincount(size).tolist())))
+    n = STEPS * len(SEEDS)
+    lo, hi = stats.binom.interval(1.0 - LEVEL / 2, n, 0.5)
+    chi2, cells = law_chi_square(+sizes, capped_size_law(size_dist, STEPS))
+    return ((abs(arrivals - n / 2), 1, float(max(hi - n / 2, n / 2 - lo))),
+            (chi2, cells, float(stats.chi2.isf(LEVEL / 2, cells - 1))))

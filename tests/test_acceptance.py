@@ -11,7 +11,9 @@ inside them with stable tails.  Criterion 12 tests evolve's own draws
 against the exact mean degree of every vertex by its arrival step
 (oracles.criterion_12, which tests/test_mutants.py also runs), and
 criterion 13 tests the whole process at three steps against its exact law
-(oracles.criterion_13, run there too).
+(oracles.criterion_13, run there too).  Both condition on each step's
+arrival bit and edge size; criterion 14 tests those of criterion 12's runs
+against their laws (oracles.criterion_14, run there too).
 """
 
 import time
@@ -23,7 +25,7 @@ import pytest
 from scipy import stats
 
 import pahyper as ph
-from oracles import criterion_12, criterion_13
+from oracles import LEVEL, criterion_12, criterion_13, criterion_14
 from reference import EdgeList, sample_power_law, sample_preferential
 
 STEPS = 100_000
@@ -222,3 +224,16 @@ def test_criterion_13_exact_law_at_three_steps():
     _report(13, "exact law of the degree vector", ok,
             "; ".join(details) + " (p=0.5, y0=3, no cap, 3 steps x 4000 seeds; "
             "inf if a run reaches a vector of probability 0)")
+
+
+def test_criterion_14_arrival_rate_and_capped_sizes():
+    details = []
+    ok = True
+    for name, size_dist in [("const:3", ph.Constant(3)),
+                            ("zipf:2.5:2:20", ph.TruncatedZipf(2.5, 2, 20))]:
+        (gap, _, gap_bound), (chi2, cells, chi2_bound) = criterion_14(size_dist)
+        ok &= gap <= gap_bound and chi2 <= chi2_bound
+        details.append(f"{name}: arrivals {gap:.0f} from their mean <= {gap_bound:.0f}, "
+                       f"size chi-square {chi2:.2f} <= {chi2_bound:.2f} over {cells} cells")
+    _report(14, "arrival rate and capped edge sizes", ok,
+            "; ".join(details) + f" (criterion 12's runs, p=0.5, each test at level {LEVEL / 2})")

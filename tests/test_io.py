@@ -4,7 +4,9 @@ import contextlib
 import io as stdio
 import os
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pahyper import (Constant, FitReport, GeneratorConfig,
+from pahyper import (Constant, DegreeHistogram, FitReport, GeneratorConfig,
                      Hypergraph, ObservedGraph, TruncatedZipf, UniformInt, ccdf,
                      evolve, ingest_labeled, project, read_degrees,
                      read_edge_sizes, read_histogram_csv,
@@ -341,22 +343,67 @@ def _same_result(got, want) -> bool:
     return got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
-def test_reader_sweeps_a_file_twice(tmp_path, monkeypatch, read):
-    """One sweep judges each piece (and fills the offsets where they are
-    wanted), a second parses it: the file is read in pieces twice."""
+@pytest.mark.parametrize("read, sweeps", [(read_hypergraph, 2), (read_degrees, 1),
+                                           (read_edge_sizes, 1)],
+                         ids=["read_hypergraph", "read_degrees", "read_edge_sizes"])
+def test_reader_sweep_count(tmp_path, monkeypatch, read, sweeps):
+    """The counting readers judge, parse and count each piece in one sweep
+    of the file; read_hypergraph sizes its token array from a first sweep
+    and parses in a second."""
     path = tmp_path / "h.txt"
     path.write_bytes(b"# c\n0 0 0\n0 1 2\n2 1\n")
-    sweeps = []
+    files = []
     pieces = io._pieces
 
     def counted_pieces(f):
-        sweeps.append(f)
+        files.append(f)
         return pieces(f)
 
     monkeypatch.setattr(io, "_pieces", counted_pieces)
     read(str(path))
-    assert len(sweeps) == 2
+    assert len(files) == sweeps
+
+
+@pytest.mark.parametrize("threads", [io.READ_THREADS, 5])
+def test_threaded_sweep_in_small_pieces(tmp_path, threads):
+    """In pieces of a few lines, the readers' workers judge many pieces at
+    once, and results are still taken in file order: of bad lines in two
+    pieces the first is named, and an id gap before a bad line gives the
+    line error, as the reference reader does.  No worker outlives a read,
+    and the counts take h.degrees()'s dtype.  Also with more workers than
+    cores, switching threads every 10 microseconds."""
+    h = evolve(GeneratorConfig(p=0.5, steps=2_000, size_dist=Constant(3), seed=11))
+    path = tmp_path / "h.txt"
+    write_hypergraph(h, str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    gap = b"%d\n" % (h.num_vertices + 1)
+    variants = {
+        "good": lines,
+        "two-bad-pieces": lines[:600] + [b"0 +1\n"] + lines[600:1400] + [b"2 x\n"] + lines[1400:],
+        "gap-then-bad-line": lines[:100] + [gap] + lines[100:1400] + [b" \n"] + lines[1400:],
+        "gap": lines + [gap],
+    }
+    running, interval = threading.active_count(), sys.getswitchinterval()
+    got = {}
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(io, "READ_PIECE", 64), \
+                mock.patch.object(io, "READ_THREADS", threads):
+            for name, v in variants.items():
+                path.write_bytes(b"".join(v))
+                got[name] = tuple(_outcome(lambda: read(str(path))) for read in READERS)
+                assert threading.active_count() == running, name
+    finally:
+        sys.setswitchinterval(interval)
+    assert got["two-bad-pieces"] == ("error: line 601: non-integer token '+1'",) * 3
+    assert got["gap-then-bad-line"] == ("error: line 1402: empty hyperedge",) * 3
+    assert got["gap"] == (f"error: vertex id gap: id {h.num_vertices} never appears",) * 3
+    for name in ("two-bad-pieces", "gap-then-bad-line", "gap"):
+        assert got[name][0] == _outcome(lambda: reference_read(b"".join(variants[name])))
+    hypergraph, degrees, sizes = got["good"]
+    assert hypergraph == h
+    assert degrees.dtype == h.degrees().dtype and np.array_equal(degrees, h.degrees())
+    assert np.array_equal(sizes, np.diff(h.offsets))
 
 
 @pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
@@ -459,6 +506,33 @@ def test_write_hypergraph_matches_reference(edges):
     offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
     h = Hypergraph(int(tokens.max(initial=-1)) + 1, tokens, offsets)
     assert _written(write_hypergraph, h) == reference_rows(tokens, offsets).encode()
+
+
+# ids at each edge of a group of three digits, and past int32
+GROUP_EDGE_IDS = [0, 9, 10, 99, 100, 999, 1000, 999_999, 10**6, 10**9 - 1, 10**9, 2**31,
+                  10**18 - 1]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_writers_at_digit_group_edges(dtype):
+    """Ids at the edges of the writer's groups of three digits are written as
+    str() gives them: alone, beside ids of every other width, and as
+    histogram degrees and counts and ccdf degrees."""
+    ids = [v for v in GROUP_EDGE_IDS if v <= np.iinfo(dtype).max]
+    for edges in [[[v]] for v in ids] + [[[v] for v in ids] + [ids, ids[::-1]]]:
+        tokens = np.array([v for e in edges for v in e], dtype=dtype)
+        offsets = np.cumsum([0] + [len(e) for e in edges], dtype=dtype)
+        h = Hypergraph(max(ids) + 1, tokens, offsets)
+        text = "".join(" ".join(str(v) for v in e) + "\n" for e in edges)
+        assert _written(write_hypergraph, h) == text.encode()
+    degrees, counts = ids[1:], ids[:0:-1]
+    hist = DegreeHistogram(np.array(degrees, dtype=np.int64), np.array(counts, dtype=np.int64))
+    text = "degree,count\n" + "".join(f"{k},{c}\n" for k, c in zip(degrees, counts))
+    assert _written(write_histogram_csv, hist) == text.encode()
+    probs = [1.0 / (i + 1) for i in range(len(ids))]
+    text = "degree,ccdf\n" + "".join(f"{k},{prob:.10g}\n" for k, prob in zip(ids, probs))
+    ccdf_arrays = (np.array(ids, dtype=dtype), np.array(probs))
+    assert _written(write_ccdf_csv, ccdf_arrays) == text.encode()
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])

@@ -9,19 +9,20 @@ unchanged code.
 """
 
 import inspect
+import textwrap
 from dataclasses import dataclass
 from typing import Callable
 
 import pytest
 
-from pahyper import Constant, core, generator
-from oracles import criterion_12, criterion_13
+from pahyper import Constant, TruncatedZipf, core, generator
+from oracles import criterion_12, criterion_13, criterion_14
 
 
 @dataclass(frozen=True)
 class Mutant:
     name: str
-    module: object
+    module: object      # the module, or class, that holds the function
     function: str
     old: str            # text found once in the function, replaced by new
     new: str
@@ -44,16 +45,29 @@ MUTANTS = [
            "np.repeat(block_starts + vertex, sizes - vertex)",
            (),
            lambda: criterion_13(Constant(3))),
+    # 2% fewer arrivals, which criteria 12 and 13 read off the file
+    Mutant("arrival-rate", generator, "_fill_stream",
+           "events.random(t1 - t0) < p",
+           "events.random(t1 - t0) < 0.98 * p",
+           (),
+           lambda: criterion_14(Constant(3))[0]),
+    # Zipf sizes at exponent 2.6 for 2.5
+    Mutant("zipf-exponent", TruncatedZipf, "_weights",
+           "w = k ** -self.exponent",
+           "w = k ** -(self.exponent + 0.1)",
+           (),
+           lambda: criterion_14(TruncatedZipf(2.5, 2, 20))[1]),
 ]
 
 
 def _mutated(mutant: Mutant):
-    """The function with mutant.old replaced, reading the module's globals."""
-    source = inspect.getsource(getattr(mutant.module, mutant.function))
+    """The function with mutant.old replaced, reading its module's globals."""
+    function = getattr(mutant.module, mutant.function)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(mutant.old) == 1, f"{mutant.name}: line not found once"
     scope: dict = {}
-    exec(compile(source.replace(mutant.old, mutant.new), mutant.module.__file__, "exec"),
-         vars(mutant.module), scope)
+    exec(compile(source.replace(mutant.old, mutant.new), function.__code__.co_filename,
+                 "exec"), function.__globals__, scope)
     return scope[mutant.function]
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from pahyper import (Constant, GeneratorConfig, Hypergraph, TruncatedZipf, UniformInt,
                      evolve, generator, ingest_labeled)
-from oracles import arrival_cell_z, arrival_events, degree_moments, exact_law
+from oracles import (arrival_cell_z, arrival_events, capped_size_law, degree_moments,
+                     exact_law)
 
 
 @pytest.mark.parametrize("size_dist", [Constant(3), UniformInt(2, 4)],
@@ -144,3 +145,15 @@ def test_no_floating_point_warning(config):
         degree_moments(evolve(config))
         z = arrival_cell_z([evolve(config)])
     assert np.isfinite(z).all()
+
+
+def test_capped_size_law_clamps_the_pmf_at_the_cube_root():
+    """capped_size_law clamps each step's size into [2, max(2, c)], c the
+    largest integer with c^3 <= t: const:3 has size 2 before step 27."""
+    assert capped_size_law(Constant(3), 10_000) == pytest.approx({2: 26e-4, 3: 9974e-4})
+    steps, want = 200, Counter()
+    for t in range(1, steps + 1):
+        cap = max(2, max(c for c in range(1, 7) if c ** 3 <= t))
+        for y in range(2, 6):
+            want[min(y, cap)] += 0.25 / steps
+    assert capped_size_law(UniformInt(2, 5), steps) == pytest.approx(dict(want))
