@@ -127,6 +127,7 @@ def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
         if size > len(counts):
             counts.resize(min(max(size, 2 * len(counts)), n + 1), refcheck=False)
         add_at(counts, ids, 1)
+        del ids                     # before the next piece is made
     counts.resize(size, refcheck=False)
     if not counts.all():
         raise ValueError(f"vertex id gap: id {counts.argmin()} never appears")

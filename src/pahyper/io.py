@@ -29,19 +29,20 @@ seek and stands at its start is parsed where it is; any other input (a
 pipe, a FIFO, a terminal, a stdin past its start) is first copied, from
 where it stands, to a temporary file, so it needs temporary disk space the
 size of its input, not memory.  The input is then read in newline-aligned
-pieces of about READ_PIECE bytes, so that beside its output arrays a reader
-needs memory for about READ_THREADS pieces.  READ_THREADS worker threads
-take the pieces in turn; each judges its piece (_piece_line_ends) and,
-for the counting readers, parses its ids while it is still in cache, and
-the calling thread takes the results in file order.  Only a piece the
-judge refuses is walked line by line, by the same check, to name its first
-bad line.  read_degrees and read_edge_sizes read their input once: they
-hand each piece's ids to core.counted, so they hold no token array, and
-read_edge_sizes fills the edge offsets on the way.  read_hypergraph reads
-twice: a first sweep judges every piece and fills the offsets, which size
-one token array, and a second parses the ids into it and ends in
-core.checked.  Either way core.counted is the one check that ids cover
-0..max.
+pieces of about READ_PIECE bytes, one at a time, so that beside its output
+arrays a reader needs memory for about one piece.  One function,
+_piece_ids, both checks a piece and parses it: it finds where each id
+starts and each line ends, and reads each id from 8-byte words at its
+start with numpy integer arithmetic, the same words giving its digit
+count.  Only a piece it refuses is walked line by line, by the same
+function, to name its first bad line.  read_degrees and read_edge_sizes
+read their input once: they hand each piece's ids to core.counted, so they
+hold no token array, and read_edge_sizes fills the edge offsets on the
+way.  read_hypergraph reads twice: a first sweep checks every piece and
+fills the offsets, which size one token array, and a second parses the
+ids into it, refusing input that changed in between, and ends in
+core.checked.  Either way core.counted is the one
+check that ids cover 0..max.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ import re
 import shutil
 import sys
 import tempfile
-import threading
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from io import SEEK_END, BytesIO
 
 import numpy as np
@@ -193,7 +193,6 @@ def write_observed_graph(g: ObservedGraph, destination: str) -> None:
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64
 READ_PIECE = 1 << 17    # bytes per piece of the bulk parser, then to a newline
-READ_THREADS = 2        # pieces judged, and parsed, at once (_judged)
 COMMENT_LINE = re.compile(rb"^[ \t]*#.*\n?", re.MULTILINE)   # with its own newline
 
 
@@ -213,52 +212,89 @@ def _pieces(f):
         comments += dropped
 
 
-def _piece_line_ends(data: bytes) -> tuple[np.ndarray | None, int]:
-    """The number of ids up to the end of each line of a piece of bulk
-    data, or None if a byte is not an ASCII digit, space, tab, CR or LF, a
-    carriage return does not end a line, an id has over MAX_BULK_DIGITS
-    digits or a line has no id; and the most digits of an id.
+def _leading_digits(words: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of the leading ASCII digits, at most 8, of the 8-byte
+    little-endian word at each position of words, whose other bytes are
+    spaces, tabs, line ends or zero; and 8 times the number of the word's
+    bytes past those digits.  Both are uint64 arrays, worked in place: the
+    digits are shifted to the top of the word, under zero bytes that read
+    as leading zeros, and reduced by the three multiply-shift steps of
+    8-digit SWAR (Lemire, Number parsing at a gigabyte per second, SPE
+    51(8), 2021)."""
+    value = words[at]
+    past = value & np.uint64(0x1010101010101010)    # bit 4: set in the grammar's digits only
+    past ^= np.uint64(0x1010101010101010)
+    past *= np.uint64(0x0101010101010101)   # each byte: 0x10 times the non-digits to it
+    past += np.uint64(0x7070707070707070)   # high bit: at or past the first non-digit
+    past >>= np.uint64(7)
+    past &= np.uint64(0x0101010101010101)
+    past *= np.uint64(0x0101010101010101)   # top byte: the bytes past the digits
+    past >>= np.uint64(56 - 3)              # times 8: the bits below it are zero
+    value ^= np.uint64(0x3030303030303030)  # '0' to 0
+    value <<= past                          # the digits to the top, zeros below
+    # each step joins neighbouring groups of 1, 2, then 4 digits: 10^k * high + low
+    for shift, keep in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, None)):
+        value *= np.uint64(1 + (10**(shift // 8) << shift))
+        value >>= np.uint64(shift)
+        if keep:
+            value &= np.uint64(keep)
+    return value, past
 
-    Beside the piece it holds two bool masks, or one and an int64 per id
-    and per line, at a time: READ_THREADS workers judge at once."""
+
+def _piece_ids(data: bytes) -> tuple[np.ndarray | None, int, np.ndarray | None]:
+    """The number of ids up to the end of each line of a piece of bulk
+    data, the most digits of an id, and the ids, int64; or None, 0, None
+    if a byte is not an ASCII digit, space, tab, CR or LF, a carriage
+    return does not end a line, a line has no id or an id has over
+    MAX_BULK_DIGITS digits.
+
+    Each id is read from 8-byte words at its start and, past 8 digits, 8
+    and 16 bytes on (_leading_digits).  Beside the piece it holds a padded
+    copy of it and, at most, two bool masks or three arrays per id."""
     if data.translate(None, b"0123456789 \t\r\n"):
-        return None, 0
+        return None, 0, None
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None, 0                          # a bare carriage return
-    piece = np.frombuffer(data, dtype=np.uint8)
-    digit = np.zeros(len(piece) + 1, dtype=bool)    # digit[1 + i]: byte i is a digit
-    np.greater(piece, ord(" "), out=digit[1:])
-    # run[i]: byte i starts a run of more than `digits` digits
-    mask, digits = digit[1:].copy(), 0
-    run = mask
-    while run.any():
-        digits += 1
-        if digits > MAX_BULK_DIGITS:
-            return None, digits
-        np.logical_and(run[:-1], digit[1 + digits:], out=run[:-1])
-        run = run[:-1]
-    np.greater(digit[1:], digit[:-1], out=mask)     # where an id starts,
-    del digit, run
-    mask |= piece == ord("\n")                     # or a line ends
-    events = np.flatnonzero(mask)
-    del mask
+        return None, 0, None                    # a bare carriage return
+    # a zero byte, the piece, a newline (ending a last line that has none), zeros
+    padded = np.frombuffer(b"".join((b"\0", data, b"\n", bytes(7))), dtype=np.uint8)
+    piece = padded[1:len(data) + 1 + (data[-1:] != b"\n")]
+    digit = padded[:len(piece) + 1] > ord(" ")
+    event = digit[1:] > digit[:-1]              # where an id starts,
+    del digit
+    event |= piece == ord("\n")                 # or a line ends
+    events = np.flatnonzero(event)
+    del event
     newline = piece[events] == ord("\n")
-    del events
+    if newline[0] or (newline[1:] & newline[:-1]).any():
+        return None, 0, None                    # a blank line
     # a line's end has as many ids before it as events, less the line ends
     ends_in_ids = np.flatnonzero(newline)
     ends_in_ids -= np.arange(len(ends_in_ids))
-    if piece[-1] != ord("\n"):
-        ends_in_ids = np.append(ends_in_ids, len(newline) - len(ends_in_ids))
-    if not np.diff(ends_in_ids, prepend=0).all():
-        return None, digits                     # a blank line
-    return ends_in_ids, digits
+    starts = events[~newline]
+    del events, newline
+    # words[i]: the 8 bytes from byte i of the piece
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, offset=1, strides=(1,))
+    ids, past = _leading_digits(words, starts)
+    digits = 8 - int(past.min()) // 8
+    longer = np.flatnonzero(past == 0)          # ids of 8 digits so far
+    for more in (8, 16):
+        if not len(longer):
+            break
+        del past
+        rest, past = _leading_digits(words, starts[longer] + more)
+        ids[longer] = ids[longer] * 10 ** (8 - past // 8) + rest     # 10 ** its digits
+        digits = more + 8 - int(past.min()) // 8
+        longer = longer[past == 0]
+    if digits > MAX_BULK_DIGITS:
+        return None, 0, None
+    return ends_in_ids, digits, ids.view(np.int64)
 
 
 def _raise_line_error(raw: bytes, lineno: int) -> None:
-    """Raise the ValueError of the first line that _piece_line_ends refuses
-    in a piece as read whose first line is line lineno, naming the line."""
+    """Raise the ValueError of the first line that _piece_ids refuses in a
+    piece as read whose first line is line lineno, naming the line."""
     for lineno, line in enumerate(BytesIO(raw), start=lineno):
-        if COMMENT_LINE.match(line) or _piece_line_ends(line)[0] is not None:
+        if COMMENT_LINE.match(line) or _piece_ids(line)[0] is not None:
             continue
         tokens = re.findall(rb"[^ \t]+", _line_text(line))
         if not tokens:
@@ -274,137 +310,50 @@ def _raise_line_error(raw: bytes, lineno: int) -> None:
     raise AssertionError("the bulk parser refused a piece of well-formed lines")
 
 
-def _judge(piece: bytes, parse: bool) -> tuple[np.ndarray | None, int, np.ndarray | None]:
-    """_piece_line_ends of a piece and, if it accepts the piece and parse,
-    the piece's ids in the dtype that holds an id of its most digits, while
-    the piece is still in cache."""
-    ends_in_ids, digits = _piece_line_ends(piece)
-    if not parse or ends_in_ids is None:
-        return ends_in_ids, digits, None
-    return ends_in_ids, digits, np.fromstring(piece, dtype=index_dtype(10**digits - 1),
-                                              sep=" ")
+def _sweep(f, offsets: bool = False, count: bool = False
+           ) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
+    """One sweep of a seekable binary hypergraph file, one piece at a time
+    (_pieces, _piece_ids): the number of its ids; the most digits of an
+    id; if offsets, its edge offsets (the number of ids up to the end of
+    each line), in index_dtype of its size and grown by doubling as the
+    pieces come; and, if count, the occurrences of each id, by
+    core.counted, which raises its gap error.
 
-
-def _judged(f, parse: bool):
-    """_judge's (ends_in_ids, digits, ids) of each piece of a seekable
-    binary hypergraph file (_pieces), in file order.
-
-    READ_THREADS worker threads take the pieces in turn, each reading its
-    next piece under one lock and judging it outside: the judge's numpy
-    loops release the GIL, so they overlap each other and np.fromstring.
-    At most READ_THREADS pieces are read and not yet done with.  Results
-    are taken in file order on the calling thread, so the first refused
-    piece raises the ValueError of its first bad line (_raise_line_error):
-    if a line other than a comment is not one or more ids of 1 to
-    MAX_BULK_DIGITS ASCII digits, separated by spaces or tabs, or a
-    carriage return is not at a line end.  _piece_line_ends is the one
-    judge of a line.  A worker's error is raised in its piece's place.
-    The workers are joined when the generator ends or is closed, so none
-    outlives the sweep.
-    """
-    pieces = _pieces(f)
-    turn = threading.Condition()        # guards the reading and the names below
-    room = threading.Semaphore(READ_THREADS)
-    outcomes: dict[int, tuple | Exception] = {}     # by piece index
-    read, ended, stop = 0, False, False
-
-    def judge_next() -> bool:
-        """Read the next piece under the lock, judge it and keep its
-        outcome; False once there is none or the sweep stops."""
-        nonlocal read, ended
-        with turn:
-            if stop or ended:
-                return False
-            i = read
-            try:
-                piece, raw, comments = next(pieces)
-                read += 1
-            except StopIteration:
-                ended = True
-            except Exception as e:      # raised again in the piece's place
-                outcomes[i], ended = e, True
-            turn.notify()
-            if ended:
-                return False
-        try:
-            outcome = _judge(piece, parse), raw, comments
-        except Exception as e:          # raised again in the piece's place
-            outcome = e
-        with turn:
-            outcomes[i] = outcome
-            turn.notify()
-        return True
-
-    def work() -> None:
-        while room.acquire() and judge_next():
-            pass
-
-    workers = [threading.Thread(target=work, name="pahyper-read")
-               for _ in range(READ_THREADS)]
-    for worker in workers:
-        worker.start()
-    i = line = 0
-    try:
-        while True:
-            with turn:
-                turn.wait_for(lambda: i in outcomes or (ended and i == read))
-                outcome = outcomes.pop(i, None)
-            if outcome is None:
-                return
-            if isinstance(outcome, Exception):
-                raise outcome
-            (ends_in_ids, digits, ids), raw, comments = outcome
-            if ends_in_ids is None:
-                _raise_line_error(raw, line + comments + 1)
-            line += len(ends_in_ids)
-            yield ends_in_ids, digits, ids
-            del outcome, raw, ends_in_ids, ids      # done with, before a new piece
-            room.release()
-            i += 1
-    finally:
-        with turn:
-            stop = True
-        for _ in workers:
-            room.release()
-        for worker in workers:
-            worker.join()
-
-
-def _sweep(f, offsets: bool = False, parse: bool = False
-           ) -> tuple[int, type, np.ndarray | None, np.ndarray | None]:
-    """One sweep of a seekable binary hypergraph file (_judged): the number
-    of its ids; the dtype that holds any id of as many digits as its
-    longest; if offsets, its edge offsets (the number of ids up to the end
-    of each line), in index_dtype of its size and grown by doubling as the
-    pieces come; and, if parse, the occurrences of each id, by
-    core.counted, which raises its gap error."""
+    The first piece that _piece_ids refuses raises the ValueError of its
+    first bad line (_raise_line_error): a line other than a comment that
+    is not one or more ids of 1 to MAX_BULK_DIGITS ASCII digits, separated
+    by spaces or tabs, or a carriage return not at a line end."""
     size = f.seek(0, SEEK_END)
     ends = np.zeros(1, dtype=index_dtype(size)) if offsets else None
     n = line = digits = 0
 
     def ids():
         nonlocal n, line, digits
-        for ends_in_ids, width, piece_ids in judged:
+        for piece, raw, comments in _pieces(f):
+            ends_in_ids, width, piece_ids = _piece_ids(piece)
+            if ends_in_ids is None:
+                _raise_line_error(raw, line + comments + 1)
             top = line + 1 + len(ends_in_ids)
             if ends is not None:
                 if top > len(ends):
                     ends.resize(max(top, 2 * len(ends)), refcheck=False)
                 ends[line + 1:top] = ends_in_ids + n
-            line, n = top - 1, n + int(ends_in_ids[-1])
+            line, n = top - 1, n + len(piece_ids)
             digits = max(digits, width)
+            del piece, raw, ends_in_ids     # done with, before a new piece
             yield piece_ids
+            del piece_ids
 
     counts = None
-    with closing(_judged(f, parse)) as judged:
-        if parse:
-            # every id but the last is followed by a separator
-            counts = counted(ids(), (size + 1) // 2)
-        else:
-            for _ in ids():
-                pass
+    if count:
+        # every id but the last is followed by a separator
+        counts = counted(ids(), (size + 1) // 2)
+    else:
+        for _ in ids():
+            pass
     if ends is not None:
         ends.resize(line + 1, refcheck=False)
-    return n, index_dtype(10**digits - 1), ends, counts
+    return n, digits, ends, counts
 
 
 def _parse_bulk(f) -> Hypergraph:
@@ -414,17 +363,25 @@ def _parse_bulk(f) -> Hypergraph:
 
     The file is read in the pieces of _pieces twice: one sweep checks each
     piece and fills the edge offsets (_sweep), and a second parses each
-    piece's ids into its slice of one token array, sized by the first.
-    Beside the output arrays, the parser holds a few arrays the size of a
-    piece and, in the final check, a count per vertex and a flag per token.
+    piece's ids (_piece_ids) into its slice of one token array, sized by
+    the first.  An input that the second sweep finds changed (a piece now
+    refused, longer ids, or other than the first sweep's number of ids)
+    raises a ValueError.  Beside the output arrays, the parser holds a few
+    arrays the size of a piece and, in the final check, a count per vertex
+    and a flag per token.
     """
-    n, dtype, offsets, _ = _sweep(f, offsets=True)
-    tokens = np.empty(n, dtype=dtype)
+    n, digits, offsets, _ = _sweep(f, offsets=True)
+    tokens = np.empty(n, dtype=index_dtype(10**digits - 1))
     filled = 0
+    changed = "the input changed between the reader's two sweeps"
     for piece, _, _ in _pieces(f):
-        ids = np.fromstring(piece, dtype=dtype, sep=" ")
+        ends_in_ids, width, ids = _piece_ids(piece)
+        if ends_in_ids is None or width > digits or filled + len(ids) > n:
+            raise ValueError(changed)
         tokens[filled:filled + len(ids)] = ids
         filled += len(ids)
+    if filled != n:
+        raise ValueError(changed)
     return checked(tokens, offsets)
 
 
@@ -456,14 +413,14 @@ def read_hypergraph(source: str) -> Hypergraph:
 def read_degrees(source: str) -> np.ndarray:
     """read_hypergraph(source).degrees(), or its error, with no token array:
     one sweep checks each piece and counts its ids."""
-    return _seekable(source, lambda f: _sweep(f, parse=True)[3])
+    return _seekable(source, lambda f: _sweep(f, count=True)[3])
 
 
 def read_edge_sizes(source: str) -> np.ndarray:
     """The edge sizes of read_hypergraph(source), or its error, with no
     token array: one sweep fills the offsets, and a count per vertex for
     the gap check."""
-    return _seekable(source, lambda f: np.diff(_sweep(f, offsets=True, parse=True)[2]))
+    return _seekable(source, lambda f: np.diff(_sweep(f, offsets=True, count=True)[2]))
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:

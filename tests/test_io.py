@@ -4,7 +4,6 @@ import contextlib
 import io as stdio
 import os
 import re
-import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -139,6 +138,7 @@ def _outcome(read):
 
 TOKENS = st.one_of(
     st.integers(0, 8).map(str),
+    st.integers(0, 10**18 - 1).map(str),
     st.sampled_from(["+3", "1_0", "007", "\u0661", "-1", "#", "x", "9" * 19,
                      "0" * 19 + "1", "18446744073709551616"]))
 LINES = st.builds(lambda lead, toks, sep, trail: lead + sep.join(toks) + trail,
@@ -364,14 +364,11 @@ def test_reader_sweep_count(tmp_path, monkeypatch, read, sweeps):
     assert len(files) == sweeps
 
 
-@pytest.mark.parametrize("threads", [io.READ_THREADS, 5])
-def test_threaded_sweep_in_small_pieces(tmp_path, threads):
-    """In pieces of a few lines, the readers' workers judge many pieces at
-    once, and results are still taken in file order: of bad lines in two
-    pieces the first is named, and an id gap before a bad line gives the
-    line error, as the reference reader does.  No worker outlives a read,
-    and the counts take h.degrees()'s dtype.  Also with more workers than
-    cores, switching threads every 10 microseconds."""
+def test_sweep_in_small_pieces(tmp_path):
+    """In pieces of a few lines, results still follow file order: of bad
+    lines in two pieces the first is named, and an id gap before a bad
+    line gives the line error, as the reference reader does.  No thread
+    is left running, and the counts take h.degrees()'s dtype."""
     h = evolve(GeneratorConfig(p=0.5, steps=2_000, size_dist=Constant(3), seed=11))
     path = tmp_path / "h.txt"
     write_hypergraph(h, str(path))
@@ -383,18 +380,13 @@ def test_threaded_sweep_in_small_pieces(tmp_path, threads):
         "gap-then-bad-line": lines[:100] + [gap] + lines[100:1400] + [b" \n"] + lines[1400:],
         "gap": lines + [gap],
     }
-    running, interval = threading.active_count(), sys.getswitchinterval()
+    running = threading.active_count()
     got = {}
-    sys.setswitchinterval(1e-5)
-    try:
-        with mock.patch.object(io, "READ_PIECE", 64), \
-                mock.patch.object(io, "READ_THREADS", threads):
-            for name, v in variants.items():
-                path.write_bytes(b"".join(v))
-                got[name] = tuple(_outcome(lambda: read(str(path))) for read in READERS)
-                assert threading.active_count() == running, name
-    finally:
-        sys.setswitchinterval(interval)
+    with mock.patch.object(io, "READ_PIECE", 64):
+        for name, v in variants.items():
+            path.write_bytes(b"".join(v))
+            got[name] = tuple(_outcome(lambda: read(str(path))) for read in READERS)
+            assert threading.active_count() == running, name
     assert got["two-bad-pieces"] == ("error: line 601: non-integer token '+1'",) * 3
     assert got["gap-then-bad-line"] == ("error: line 1402: empty hyperedge",) * 3
     assert got["gap"] == (f"error: vertex id gap: id {h.num_vertices} never appears",) * 3
@@ -404,6 +396,59 @@ def test_threaded_sweep_in_small_pieces(tmp_path, threads):
     assert hypergraph == h
     assert degrees.dtype == h.degrees().dtype and np.array_equal(degrees, h.degrees())
     assert np.array_equal(sizes, np.diff(h.offsets))
+
+
+@pytest.mark.parametrize("second", [b"0 1 2\n0 1\n2 1 0\n", b"0 1 2\n0 1\n2 1 0\n3 3\n4 5\n",
+                                    b"0 1 2\n0 1\n2 1 0\n3 +3\n", b"0 1 2\n0 1\n2 1 0\n3 3333333333\n"],
+                         ids=["shrinks", "grows", "bad-byte", "longer-id"])
+def test_input_changed_between_sweeps(monkeypatch, second):
+    """read_hypergraph sizes its token array by a first sweep: input that
+    the second sweep finds changed raises one error, not ids from an
+    unfilled tail, numpy's broadcast error or a parse of a bad byte."""
+    first = b"0 1 2\n0 1\n2 1 0\n3 3\n"
+    sweeps = []
+    pieces = io._pieces
+
+    def changing_pieces(f):
+        sweeps.append(f)
+        if len(sweeps) == 2:
+            f = stdio.BytesIO(second)
+        return pieces(f)
+
+    monkeypatch.setattr(io, "_pieces", changing_pieces)
+    with pytest.raises(ValueError, match="^the input changed between the reader's two sweeps$"):
+        _parse_bulk(stdio.BytesIO(first))
+    assert len(sweeps) == 2
+
+
+def _kernel_case(data: bytes):
+    """What _piece_ids should give for well-formed data: its ids, its line
+    ends in ids and its most digits, from Python's own split and int."""
+    lines = [line.split() for line in data.splitlines()]
+    ends = np.cumsum([len(tokens) for tokens in lines])
+    tokens = [tok for line in lines for tok in line]
+    return [int(tok) for tok in tokens], ends.tolist(), max(map(len, tokens))
+
+
+def test_kernel_at_word_boundaries():
+    """_piece_ids reads ids of every length up to MAX_BULK_DIGITS, with and
+    without leading zeros, across runs of blanks, CRLF ends and a last line
+    with no newline, and counts the digits of the longest token; an id of
+    one digit more refuses the piece."""
+    for length in range(1, io.MAX_BULK_DIGITS + 1):
+        digits = "918273645546372819"[:length]
+        for token in (digits, "0" * (length - 1) + "7", "0" * length, "9" * length):
+            for data in (f"{token}\n", f"{token}",
+                         f"1 {token}\t\t2\r\n  {token}  \r\n\t{token}",
+                         f"{token} 5\n{token[:-1] or '3'}\t {token}\n",
+                         f"{'1' * 9} {token}\n{token} {'2' * 17}\n"):
+                ends_in_ids, most, ids = io._piece_ids(data.encode())
+                want_ids, want_ends, want_most = _kernel_case(data.encode())
+                assert ids.tolist() == want_ids, data
+                assert ends_in_ids.tolist() == want_ends, data
+                assert most == want_most, data
+        too_long = digits + "1234567890123456789"[:io.MAX_BULK_DIGITS + 1 - length]
+        assert io._piece_ids(f"1 {too_long}\n".encode())[0] is None, too_long
 
 
 @pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
