@@ -4,6 +4,7 @@ import contextlib
 import io as stdio
 import os
 import re
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -364,11 +365,31 @@ def test_reader_sweep_count(tmp_path, monkeypatch, read, sweeps):
     assert len(files) == sweeps
 
 
-def test_sweep_in_small_pieces(tmp_path):
+def _on_threads(read, callers):
+    """read() on `callers` threads started together; their outcomes."""
+    start = threading.Barrier(callers)
+    outcomes = [None] * callers
+
+    def call(i):
+        start.wait()
+        outcomes[i] = _outcome(read)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return outcomes
+
+
+@pytest.mark.parametrize("callers", [2, 5])
+def test_threaded_sweep_in_small_pieces(tmp_path, callers):
     """In pieces of a few lines, results still follow file order: of bad
     lines in two pieces the first is named, and an id gap before a bad
     line gives the line error, as the reference reader does.  No thread
-    is left running, and the counts take h.degrees()'s dtype."""
+    is left running, and the counts take h.degrees()'s dtype.  Each read
+    runs on `callers` threads at once, switching every 10 microseconds,
+    and every thread gets the same result: the readers share no state."""
     h = evolve(GeneratorConfig(p=0.5, steps=2_000, size_dist=Constant(3), seed=11))
     path = tmp_path / "h.txt"
     write_hypergraph(h, str(path))
@@ -380,13 +401,21 @@ def test_sweep_in_small_pieces(tmp_path):
         "gap-then-bad-line": lines[:100] + [gap] + lines[100:1400] + [b" \n"] + lines[1400:],
         "gap": lines + [gap],
     }
-    running = threading.active_count()
+    running, interval = threading.active_count(), sys.getswitchinterval()
     got = {}
-    with mock.patch.object(io, "READ_PIECE", 64):
-        for name, v in variants.items():
-            path.write_bytes(b"".join(v))
-            got[name] = tuple(_outcome(lambda: read(str(path))) for read in READERS)
-            assert threading.active_count() == running, name
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(io, "READ_PIECE", 64):
+            for name, v in variants.items():
+                path.write_bytes(b"".join(v))
+                outcomes = [_on_threads(lambda: read(str(path)), callers) for read in READERS]
+                for each in outcomes:
+                    assert all(o == each[0] if isinstance(o, str) else _same_result(o, each[0])
+                               for o in each), name
+                got[name] = tuple(each[0] for each in outcomes)
+                assert threading.active_count() == running, name
+    finally:
+        sys.setswitchinterval(interval)
     assert got["two-bad-pieces"] == ("error: line 601: non-integer token '+1'",) * 3
     assert got["gap-then-bad-line"] == ("error: line 1402: empty hyperedge",) * 3
     assert got["gap"] == (f"error: vertex id gap: id {h.num_vertices} never appears",) * 3
