@@ -11,8 +11,13 @@ between the empirical tail CDF and the fitted one.  k_min can be fixed or
 chosen automatically by scanning the present degrees for the smallest KS
 distance.  The exponents of all candidate cutoffs come from one lane-wise
 bounded Brent search over numpy arrays, each lane taking the same steps as
-scipy's fminbound would on its own, and their KS distances from one batched
-pass over all cutoffs.  The Hurwitz zeta is Cephes' sum, the code
+scipy's fminbound would on its own.  Their KS distances come from a branch
+and bound: one batched pass bounds each cutoff's distance from below by its
+distance over its first KS_HEAD tail points, and cutoffs are scored in full
+in increasing bound order, KS_BATCH at a time, until the next bound exceeds
+the best distance so far, so the smallest distance and its first cutoff are
+those of a full scan.  A cutoff whose distance is NaN (zeta(beta, k_min)
+underflowed to 0) is never chosen.  The Hurwitz zeta is Cephes' sum, the code
 scipy.special.zeta runs, done step for step in numpy, so every fit equals
 the scipy one bit for bit and the library does not import scipy.
 """
@@ -270,32 +275,27 @@ def _zeta_from(x: np.ndarray, q: np.ndarray, powers: np.ndarray,
 # power-law fitting
 
 
-def _mle_betas(k_min, n, sum_log) -> np.ndarray:
-    """Exponents maximizing the discrete power-law likelihood, one per tail.
+def _bounded_min(objective, params: list[np.ndarray], lo: float, hi: float) -> np.ndarray:
+    """Minimizers on [lo, hi] of objective(x, *params), one per lane.
 
-    Lane i minimizes n[i]*ln(zeta(beta, k_min[i])) + beta*sum_log[i], which
-    is convex in beta, on [1 + 1e-6, 25] by Brent's bounded search.  Every
-    lane takes the floating-point steps of fminbound (scipy's bounded
-    minimize_scalar, xatol 1e-9, at most 500 evaluations): the same golden
-    or parabolic choice, the same points x, w, v and the same stop, so each
-    result equals that call bit for bit.  All lanes step together as arrays,
-    and a lane leaves the active set once it has converged.
+    objective maps one point per lane and the lanes' parameter arrays to
+    one value per lane.  Every lane takes the floating-point steps of
+    fminbound (scipy's bounded minimize_scalar, xatol 1e-9, at most 500
+    evaluations): the same golden or parabolic choice, the same points x, w,
+    v and the same stop, so each result equals that call bit for bit.  All
+    lanes step together as arrays, and a lane leaves the active set, with
+    its parameters, once it has converged.
     """
-    kk, nn, sl = (np.asarray(v, dtype=np.float64) for v in (k_min, n, sum_log))
-    out = np.empty(len(kk))
+    out = np.empty(len(params[0]))
     idx = np.arange(len(out))
     golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
     sqrt_eps = np.sqrt(2.2e-16)
-    lo, hi = 1.0 + 1e-6, 25.0
     a, b = np.full(len(out), lo), np.full(len(out), hi)
     xf = np.full(len(out), lo + golden_mean * (hi - lo))   # x, the best point
     nfc, fulc = xf, xf                                     # w and v
     e = rat = np.zeros(len(out))
 
-    def objective(x):
-        return nn * np.log(_zeta(x, kk)) + x * sl
-
-    fx = fnfc = ffulc = objective(xf)
+    fx = fnfc = ffulc = objective(xf, *params)
     num = 1
     while True:
         xm = 0.5 * (a + b)
@@ -304,9 +304,10 @@ def _mle_betas(k_min, n, sum_log) -> np.ndarray:
         done = ~(np.abs(xf - xm) > (tol2 - 0.5 * (b - a))) | (num >= 500)
         if done.any():
             out[idx[done]] = xf[done]
-            idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2, kk, nn, sl = (
+            idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2 = (
                 v[~done] for v in (idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
-                                   e, rat, xm, tol1, tol2, kk, nn, sl))
+                                   e, rat, xm, tol1, tol2))
+            params = [v[~done] for v in params]
         if not len(idx):
             return out
 
@@ -330,7 +331,7 @@ def _mle_betas(k_min, n, sum_log) -> np.ndarray:
         rat = np.where(para, step, golden_mean * gold)
 
         x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = objective(x)
+        fu = objective(x, *params)
         num += 1
 
         better = fu <= fx
@@ -344,6 +345,16 @@ def _mle_betas(k_min, n, sum_log) -> np.ndarray:
         fnfc = np.where(better, fx, np.where(shift, fu, fnfc))
         xf = np.where(better, x, xf)
         fx = np.where(better, fu, fx)
+
+
+def _mle_betas(k_min, n, sum_log) -> np.ndarray:
+    """Exponents maximizing the discrete power-law likelihood, one per tail:
+    lane i minimizes n[i]*ln(zeta(beta, k_min[i])) + beta*sum_log[i], which
+    is convex in beta, on [1 + 1e-6, 25] (_bounded_min)."""
+    def nll(beta, k, n, sum_log):
+        return n * np.log(_zeta(beta, k)) + beta * sum_log
+    return _bounded_min(nll, [np.asarray(v, dtype=np.float64) for v in (k_min, n, sum_log)],
+                        1.0 + 1e-6, 25.0)
 
 
 KS_PIECE = 1 << 13      # tail points per piece of _ks_stats, or one whole tail
@@ -364,10 +375,12 @@ def _segments(lengths: np.ndarray):
 
 
 def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
-              n: np.ndarray, betas: np.ndarray) -> np.ndarray:
+              n: np.ndarray, betas: np.ndarray, head: int | None = None) -> np.ndarray:
     """KS distance of each lane's fit: lane j fits the tail of values >=
     cuts[j], the values from index first[j] on, holding n[j] items, with
-    exponent betas[j].
+    exponent betas[j].  With head, the distance is taken over the lane's
+    first head tail points only: a lower bound of the full distance, bit
+    for bit, since every term is the full pass's own.
 
     The distance is the sup over k >= cuts[j] between the empirical and the
     fitted CDF.  Both are integer step functions, so the supremum is attained
@@ -376,9 +389,10 @@ def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
     gaps.  So a lane needs zeta(beta, q) at q = t and t + 1 for each tail
     value t, and at q = cut for the denominator; zeta(beta, q) sums the
     powers (q + i)^-beta for i = 0..9.  A lane takes its powers once, over
-    its suffix of one grid (the union of {k..k+10} over the values and
-    cuts k), evaluates zeta once per q from them, and its distances at all
-    its points then come from array operations.
+    its range of one grid (the union of {k..k+10} over the values and cuts
+    k) from its cut to its last point's t + 10, evaluates zeta once per q
+    from them, and its distances at all its points then come from array
+    operations.
     Lanes go in runs of whole lanes of at most KS_PIECE tail points, or of
     one larger lane (core.spans).
     """
@@ -392,21 +406,25 @@ def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
     grid = _distinct(keys[:, None] + np.arange(11, dtype=np.uint64))
     gi = np.searchsorted(grid, qs)              # (q + i)^-beta is at grid[gi + i]
     qs, grid = qs.astype(np.float64), grid.astype(np.float64)
-    # each tail's bounds among all points
-    bounds = np.cumsum(np.concatenate(([0], len(values) - first)))
+    points = len(values) - first
+    if head is not None:
+        points = np.minimum(points, head)
+    qend = qi[first + points - 1] + 2           # past the last point's t + 1
+    gend = gi[qend - 1] + 10                    # past its t + 10
+    bounds = np.cumsum(np.concatenate(([0], points)))   # each lane's points
     out = np.empty(len(cuts))
     for j, stop in spans(bounds, KS_PIECE):
         f, q0, x = first[j:stop], ci[j:stop], betas[j:stop]
         g0 = gi[q0]
-        # each lane's powers over the grid from its cut on, then its zetas at
-        # every q from its cut on, from those powers
-        lane, i, gstart = _segments(len(grid) - g0)
+        # each lane's powers over its grid range, then its zetas at every q
+        # of its range, from those powers
+        lane, i, gstart = _segments(gend[j:stop] - g0)
         powers = np.float_power(grid[g0[lane] + i], -x[lane])
-        lane, i, zstart = _segments(len(qs) - q0)
+        lane, i, zstart = _segments(qend[j:stop] - q0)
         at = q0[lane] + i
         z = _zeta_from(x[lane], qs[at], powers, gstart[lane] + gi[at] - g0[lane])
-        # then both CDFs at each tail value
-        lane, i, pstart = _segments(len(values) - f)
+        # then both CDFs at each tail point
+        lane, i, pstart = _segments(points[j:stop])
         m = f[lane] + i                         # the value of each tail point
         zm = zstart[lane] + qi[m] - q0[lane]    # z at t; z at t + 1 is next
         denom = z[zstart][lane]                 # zeta(beta, cut)
@@ -417,17 +435,48 @@ def _ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
     return out
 
 
+KS_HEAD = 32    # tail points per lane of the auto scan's bound pass
+KS_BATCH = 8    # lanes the auto scan scores in full at a time
+
+
+def _scanned_ks_stats(hist: DegreeHistogram, first: np.ndarray, cuts: np.ndarray,
+                      n: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """_ks_stats of every lane that can hold the smallest distance, by
+    branch and bound; inf for the lanes it prunes.
+
+    Each lane's bound is its distance over its first KS_HEAD tail points,
+    at most its full distance.  Lanes are scored in full in increasing
+    bound order, KS_BATCH at a time, until the next bound exceeds the best
+    distance so far: every lane left has a larger distance than the
+    smallest, and every lane whose bound ties the best is scored, so the
+    first cutoff still wins a tie.  A NaN bound (a NaN distance) sorts
+    last and stops nothing: its lane is scored only if the scan reaches it.
+    """
+    bound = _ks_stats(hist, first, cuts, n, betas, head=KS_HEAD)
+    stats = np.full(len(cuts), np.inf)
+    order = np.argsort(bound, kind="stable")
+    best = np.inf
+    for i in range(0, len(order), KS_BATCH):
+        if bound[order[i]] > best:
+            break
+        lanes = order[i:i + KS_BATCH]
+        stats[lanes] = _ks_stats(hist, first[lanes], cuts[lanes], n[lanes], betas[lanes])
+        best = np.fmin.reduce(stats[lanes], initial=best)
+    return stats
+
+
 def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     """Discrete MLE power-law fit of the histogram tail.
 
     k_min is the smallest value included in the fit; pass "auto" to scan the
     present values whose tail holds >= MIN_TAIL items and two or more
     distinct values, and keep the cutoff minimizing the KS distance (the
-    first such cutoff on a tie).  Raises ValueError when fewer than 10 items
-    survive the cutoff or when the tail is a single repeated value (exponent
-    undefined).  Every cutoff, fixed or scanned, is a lane of one table over
-    the histogram: its first index, n from the suffix sums of the counts,
-    and its sum of c*ln k as a slice sum.
+    first such cutoff on a tie, and never one whose distance is NaN; if all
+    are NaN, FitReport refuses the first).  Raises ValueError when fewer
+    than 10 items survive the cutoff or when the tail is a single repeated
+    value (exponent undefined).  Every cutoff, fixed or scanned, is a lane
+    of one table over the histogram: its first index, n from the suffix
+    sums of the counts, and its sum of c*ln k as a slice sum.
     """
     if not len(hist.values):
         raise ValueError("empty histogram")
@@ -457,9 +506,14 @@ def fit_power_law(hist: DegreeHistogram, k_min: int | str = 5) -> FitReport:
     terms = hist.counts * np.log(values)
     sum_logs = np.array([terms[i:].sum() for i in first.tolist()])
     ns = n[first]
-    betas = _mle_betas(cuts, ns, sum_logs)
-    stats = _ks_stats(hist, first, cuts, ns, betas)
-    j = int(np.argmin(stats))                   # the first cutoff on a tie
+    # IEEE arithmetic as in C: past zeta's underflow, log(0) is -inf and the
+    # CDFs 0/0 are NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        betas = _mle_betas(cuts, ns, sum_logs)
+        stats = (_scanned_ks_stats if k_min == "auto" else _ks_stats)(
+            hist, first, cuts, ns, betas)
+    # the first cutoff on a tie; a NaN distance loses, unless all are NaN
+    j = int(np.argmin(np.where(np.isnan(stats), np.inf, stats)))
     return FitReport(float(betas[j]), int(cuts[j]), int(ns[j]), float(stats[j]))
 
 

@@ -77,18 +77,22 @@ def size_classes(tokens: np.ndarray, offsets: np.ndarray):
     edges, in order: rows holds the members of the piece's edges of size s,
     e0 is its first edge.  If all have size s, rows is a view of tokens and
     which and slots are None; else which holds their indices in the piece,
-    slots their token positions and rows is the copy tokens[slots]."""
+    slots their token positions and rows is the copy tokens[slots].  A piece
+    of one size (its smallest size is its largest) is known without counting
+    its sizes; a piece of edges of size 1 yields nothing."""
     for e0 in range(0, len(offsets) - 1, SORT_PIECE):
         bounds = offsets[e0:e0 + SORT_PIECE + 1]
         sizes = np.diff(bounds)
+        lo, hi = int(sizes.min()), int(sizes.max())
+        if lo == hi:
+            if lo >= 2:
+                yield e0, None, None, tokens[bounds[0]:bounds[-1]].reshape(-1, lo)
+            continue
         counts = np.bincount(sizes)
         for s in (np.flatnonzero(counts[2:]) + 2).tolist():
-            if counts[s] == len(sizes):
-                yield e0, None, None, tokens[bounds[0]:bounds[-1]].reshape(-1, s)
-            else:
-                which = np.flatnonzero(sizes == s)
-                slots = bounds[which][:, None] + np.arange(s, dtype=bounds.dtype)
-                yield e0, which, slots, tokens[slots]
+            which = np.flatnonzero(sizes == s)
+            slots = bounds[which][:, None] + np.arange(s, dtype=bounds.dtype)
+            yield e0, which, slots, tokens[slots]
 
 
 def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:

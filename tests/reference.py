@@ -14,7 +14,8 @@ cutoff's tail out of a histogram, reference_mle_beta runs scipy's bounded
 minimize_scalar on one tail, reference_ks_stat takes one tail's KS distance
 with scipy's zeta, and reference_fit_power_law fits one cutoff at a time
 with all three; cephes_zeta is Cephes' Hurwitz zeta on Python
-floats, which also tells where its sums stopped.
+floats, which also tells where its sums stopped; reference_size_classes
+groups each piece's edges by a bincount of its sizes.
 
 Two samplers that no command runs feed the tests: sample_power_law draws
 from a discrete power law (criterion 9 and the fit tests), and
@@ -197,6 +198,24 @@ def reference_rows(tokens: np.ndarray, offsets: np.ndarray) -> str:
     sizes = np.diff(offsets).tolist()
     line = {s: " ".join(["%d"] * s) + "\n" for s in set(sizes)}
     return "".join([line[s] for s in sizes]) % tuple(tokens.tolist())
+
+
+def reference_size_classes(tokens: np.ndarray, offsets: np.ndarray, piece: int):
+    """core.size_classes by a bincount of the sizes of every piece of piece
+    edges: (e0, which, slots, rows) per size s >= 2 that the piece holds,
+    rows a view of tokens (which and slots None) when all its edges have
+    size s, else the copy of their members at their token positions."""
+    for e0 in range(0, len(offsets) - 1, piece):
+        bounds = offsets[e0:e0 + piece + 1]
+        sizes = np.diff(bounds)
+        counts = np.bincount(sizes)
+        for s in range(2, len(counts)):
+            if counts[s] == len(sizes):
+                yield e0, None, None, tokens[bounds[0]:bounds[-1]].reshape(-1, s)
+            elif counts[s]:
+                which = np.flatnonzero(sizes == s)
+                slots = bounds[which][:, None] + np.arange(s)
+                yield e0, which, slots, tokens[slots]
 
 
 def histogram(counts: dict[int, int]) -> DegreeHistogram:

@@ -408,10 +408,35 @@ class TestFitPowerLaw:
 
     def test_auto_keeps_first_cutoff_on_ks_tie(self):
         hist = histogram({1: 30, 2: 20, 3: 10, 4: 10})
-        def tie(hist, first, cuts, n, betas):
-            return np.full(len(cuts), 0.25)
-        with mock.patch.object(analysis, "_ks_stats", side_effect=tie):
-            assert fit_power_law(hist, "auto").k_min == 1
+        def tie(hist, first, cuts, n, betas, head=None):
+            return np.full(len(cuts), 0.25)     # every bound and distance ties
+        for batch in (1, analysis.KS_BATCH):
+            with (mock.patch.object(analysis, "_ks_stats", side_effect=tie),
+                  mock.patch.object(analysis, "KS_BATCH", batch)):
+                assert fit_power_law(hist, "auto").k_min == 1
+
+    @pytest.mark.parametrize("batch", [1, analysis.KS_BATCH])
+    def test_auto_keeps_first_cutoff_when_a_later_tie_bounds_lower(self, batch):
+        """Cutoff 2 is scored first, on its smaller bound, and ties cutoff
+        1's distance; cutoff 1's bound equals that best, so it is scored
+        too and wins the tie, and cutoff 3's larger bound prunes it."""
+        hist = histogram({1: 30, 2: 20, 3: 10, 4: 10})
+        bound, full = {1: 0.25, 2: 0.1, 3: 0.3}, {1: 0.25, 2: 0.25, 3: 0.4}
+        scored = []
+        def ks(hist, first, cuts, n, betas, head=None):
+            if head is None:
+                scored.extend(cuts.tolist())
+            return np.array([(full if head is None else bound)[c] for c in cuts.tolist()])
+        with (mock.patch.object(analysis, "_ks_stats", side_effect=ks),
+              mock.patch.object(analysis, "KS_BATCH", batch)):
+            report = fit_power_law(hist, "auto")
+        assert (report.k_min, report.ks_stat) == (1, 0.25)
+        assert scored == ([2, 1] if batch == 1 else [2, 1, 3])
+
+    def test_auto_with_every_distance_nan_is_refused(self):
+        # the one cutoff's zeta(beta, 10^18) underflows to 0, with no warning
+        with pytest.raises(ValueError, match="^KS statistic out of range: nan$"):
+            fit_power_law(histogram({10**18: 6, 10**18 + 1: 6}), "auto")
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):
@@ -527,23 +552,53 @@ def _fit_bits(report):
     return (report.beta_hat.hex(), report.k_min, report.n_tail, report.ks_stat.hex())
 
 
+def _compare_histogram(side: str) -> DegreeHistogram:
+    """One degree histogram of a 10^5-step compare run (p=1, d=3, seed 7)."""
+    if side == "hypergraph":
+        degrees = projected_degrees(evolve(GeneratorConfig(1.0, 100_000, Constant(3),
+                                                           seed=7)))
+    else:
+        degrees = evolve_graph_baseline(1.0, 100_000, seed=7).degrees()
+    return DegreeHistogram.from_degrees(degrees)
+
+
 @pytest.mark.parametrize("side", ["hypergraph", "graph"])
 def test_ks_pieces_do_not_change_the_fit(side):
     """The KS distances walk their lanes in runs of KS_PIECE tail points
     (core.spans): runs of 1 and 7 points, one lane each or a few, give the
     default's auto and fixed-cutoff reports bit for bit, on either
     histogram of a 10^5-step compare run."""
-    if side == "hypergraph":
-        degrees = projected_degrees(evolve(GeneratorConfig(1.0, 100_000, Constant(3),
-                                                           seed=7)))
-    else:
-        degrees = evolve_graph_baseline(1.0, 100_000, seed=7).degrees()
-    hist = DegreeHistogram.from_degrees(degrees)
+    hist = _compare_histogram(side)
     reports = {}
     for piece in (1, 7, analysis.KS_PIECE):
         with mock.patch.object(analysis, "KS_PIECE", piece):
             reports[piece] = [_fit_bits(fit_power_law(hist, k)) for k in ("auto", 5)]
     assert reports[1] == reports[7] == reports[analysis.KS_PIECE]
+
+
+@pytest.mark.parametrize("side", ["hypergraph", "graph"])
+def test_pruned_scan_is_the_full_scan(side):
+    """On either histogram of a 10^5-step compare run, the auto fit is the
+    argmin of the unpruned KS distances of every lane, bit for bit, and the
+    bound prunes at least three quarters of the lanes."""
+    hist = _compare_histogram(side)
+    n = np.cumsum(hist.counts[::-1])[::-1]
+    first = np.arange(min(int(np.count_nonzero(n >= MIN_TAIL)), len(hist.values) - 1))
+    cuts, ns = hist.values[first], n[first]
+    sum_logs = [float((hist.counts[i:] * np.log(hist.values[i:])).sum()) for i in first]
+    betas = _mle_betas(cuts, ns, sum_logs)
+    full = analysis._ks_stats(hist, first, cuts, ns, betas)
+    j = int(np.argmin(full))
+    want = FitReport(float(betas[j]), int(cuts[j]), int(ns[j]), float(full[j]))
+    with mock.patch.object(analysis, "_ks_stats", wraps=analysis._ks_stats) as ks:
+        assert _fit_bits(fit_power_law(hist, "auto")) == _fit_bits(want)
+    scored = sum(len(c.args[2]) for c in ks.call_args_list if c.kwargs.get("head") is None)
+    assert 1 <= scored <= len(cuts) // 4
+
+
+# histograms where the fitted zeta(beta, cut) of their top cutoff underflows
+# to 0, so that cutoff's KS distance is NaN
+NAN_CUTOFF = [{1: 50, 10**18: 6, 10**18 + 1: 6}, {1: 50, 2**62: 5, 2**62 + 1: 5}]
 
 
 @pytest.mark.parametrize("counts", [
@@ -552,12 +607,19 @@ def test_ks_pieces_do_not_change_the_fit(side):
     {5: 3, 6: 4, 7: 5, 10**8 - 10: 2, 10**8 + 20: 3},
     {1: 50, 2: 3, 2**53 + 1: 5, 2**53 + 2: 4},
     {1: 50, 2: 7, 2**62: 5},
+    *NAN_CUTOFF,
 ])
 def test_fit_of_values_past_1e8_equals_reference(counts):
     """Degrees where zeta takes its asymptotic form (q > 1e8), beside ones
-    where it sums, and past exact float64 integers, fit as scipy fits them."""
+    where it sums, and past exact float64 integers, fit as scipy fits them.
+    A cutoff with a NaN KS distance is never chosen: on NAN_CUTOFF the auto
+    fit is the fit at 1 (scipy's own search warns at that cutoff, so here
+    the fixed fit is the judge)."""
     hist = histogram(counts)
     for cut in ("auto", 1, 2, 6):
+        if cut == "auto" and counts in NAN_CUTOFF:
+            assert fit_power_law(hist, "auto") == fit_power_law(hist, 1)
+            continue
         try:
             want = reference_fit_power_law(hist, cut)
         except ValueError as err:

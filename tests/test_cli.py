@@ -512,6 +512,20 @@ def _run_cli(args, stdin=b"", closed=()):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("rows", ["1,50\n1000000000000000000,6\n1000000000000000001,6\n",
+                                  "1,50\n4611686018427387904,5\n4611686018427387905,5\n"],
+                         ids=["1e18", "2^62"])
+def test_fit_auto_passes_over_a_nan_cutoff(tmp_path, rows):
+    """At the top cutoff the fitted zeta(beta, cut) underflows to 0 and the
+    KS distance is NaN: the scan keeps the fit at 1, and no numpy warning
+    reaches stderr."""
+    hist = tmp_path / "hist.csv"
+    hist.write_text("degree,count\n" + rows)
+    code, out, err = _run_cli(["fit", "--in", str(hist), "--kmin", "auto"])
+    assert (code, err) == (0, b"")
+    assert b"k_min=1\n" in out
+
+
 _SCIPY_PROBE = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 

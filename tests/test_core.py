@@ -15,7 +15,8 @@ from pahyper import (Constant, GeneratorConfig, Hypergraph, UniformInt, evolve,
                      read_hypergraph, write_hypergraph, write_observed_graph)
 from pahyper import core, generator, io
 from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
-from reference import EdgeList, reference_from_edges, sample_preferential
+from reference import (EdgeList, reference_from_edges, reference_size_classes,
+                       sample_preferential)
 
 
 class TestInitial:
@@ -212,6 +213,32 @@ def test_sort_members_across_pieces(lo, hi):
     edges = [e.tolist() for e in np.split(flat, np.cumsum(sizes)[:-1])]
     got, want = _sorted_per_edge(edges)
     assert got == want
+
+
+@pytest.mark.parametrize("choices", [(1,), (3,), (1, 5), (1, 2, 3, 6)],
+                         ids=["all-1", "all-3", "1-and-5", "several"])
+@pytest.mark.parametrize("piece", [1, 7, SORT_PIECE])
+def test_size_classes_match_bincount_reference(choices, piece):
+    """core.size_classes yields what a bincount of each piece's sizes
+    gives, in pieces of 1, 7 and SORT_PIECE edges: a run of edges of the
+    smallest size, one of mixed sizes and one of the largest size, so that
+    uniform and mixed pieces both occur, with a view of tokens exactly for a
+    piece of one size >= 2."""
+    rng = np.random.default_rng(len(choices))
+    sizes = np.concatenate([np.full(piece + 3, choices[0]), rng.choice(choices, piece + 3),
+                            np.full(piece + 3, choices[-1])])
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
+    tokens = rng.integers(0, 50, size=int(offsets[-1])).astype(np.int32)
+    with mock.patch.object(core, "SORT_PIECE", piece):
+        got = list(core.size_classes(tokens, offsets))
+    want = list(reference_size_classes(tokens, offsets, piece))
+    assert len(got) == len(want)
+    for (e0, which, slots, rows), (e0_, which_, slots_, rows_) in zip(got, want):
+        assert e0 == e0_ and (which is None) == (which_ is None) == (slots is None)
+        assert np.shares_memory(rows, tokens) == (which is None)
+        assert rows.dtype == rows_.dtype and np.array_equal(rows, rows_)
+        if which is not None:
+            assert np.array_equal(which, which_) and np.array_equal(slots, slots_)
 
 
 def _reference_spans(sizes, budget):
