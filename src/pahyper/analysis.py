@@ -167,8 +167,7 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
     if simple:
         n = h.num_vertices
         a, b = edges[edges[:, 0] != edges[:, 1]].T
-        keys = np.sort(a.astype(np.int64) * n + b)     # n * n can pass int32
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = _distinct(a.astype(np.int64) * n + b)   # n * n can pass int32
         edges = np.empty((len(keys), 2), dtype=h.tokens.dtype)
         np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     return ObservedGraph(num_vertices=h.num_vertices, edges=edges)
@@ -363,7 +362,7 @@ KS_PIECE = 1 << 13      # tail points per piece of _ks_stats, or one whole tail
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of a, ascending (np.unique would load numpy.ma)."""
     a = np.sort(a, axis=None)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a[np.concatenate((a[:1] == a[:1], a[1:] != a[:-1]))]
 
 
 def _segments(lengths: np.ndarray):

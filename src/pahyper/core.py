@@ -17,6 +17,7 @@ of all vertex degrees equals the sum of all hyperedge cardinalities.
 
 The gap rule, that ids cover 0..max, is one function, counted: checked
 applies it to a token array, io's counting readers to a file's id pieces.
+One rule, grow, sizes every array filled piece by piece.
 
 One walk, spans, cuts runs of whole edges: evolve's fill and io's writers
 take runs of PIECE_IDS ids, read when each runs, so one patch of it moves
@@ -114,13 +115,21 @@ def sort_members(tokens: np.ndarray, offsets: np.ndarray) -> None:
             tokens[slots] = rows
 
 
+def grow(a: np.ndarray, top: int, cap: int) -> None:
+    """Resize a in place to hold at least top <= cap entries, if it holds
+    fewer: to top, or by at least a quarter, but never past cap.  An array
+    filled piece by piece takes this one rule."""
+    if top > len(a):
+        a.resize(min(max(top, (5 * len(a) + 3) // 4), cap), refcheck=False)
+
+
 def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
     """The occurrences of each id 0..max of arrays of non-negative ids, at
     most n ids in all, in index_dtype of their number; raises ValueError
     naming the smallest missing id unless the ids cover 0..max.  Among at
     most n ids, one past n leaves a gap below n either way, so it is
-    clipped to n: the count, which grows by doubling as the pieces come,
-    in index_dtype(n), never takes more than n + 1 entries."""
+    clipped to n: the count, in index_dtype(n) and grown as the pieces
+    come (grow), never takes more than n + 1 entries."""
     counts, size, total = np.zeros(0, dtype=index_dtype(n)), 0, 0
     for ids in pieces:
         total += len(ids)
@@ -128,8 +137,7 @@ def counted(pieces: Iterable[np.ndarray], n: int) -> np.ndarray:
         if top > n:
             ids, top = np.minimum(ids, n), n
         size = max(size, top + 1)
-        if size > len(counts):
-            counts.resize(min(max(size, 2 * len(counts)), n + 1), refcheck=False)
+        grow(counts, size, n + 1)
         add_at(counts, ids, 1)
         del ids                     # before the next piece is made
     counts.resize(size, refcheck=False)

@@ -35,14 +35,13 @@ _piece_ids, both checks a piece and parses it: it finds where each id
 starts and each line ends, and reads each id from 8-byte words at its
 start with numpy integer arithmetic, the same words giving its digit
 count.  Only a piece it refuses is walked line by line, by the same
-function, to name its first bad line.  read_degrees and read_edge_sizes
-read their input once: they hand each piece's ids to core.counted, so they
-hold no token array, and read_edge_sizes fills the edge offsets on the
-way.  read_hypergraph reads twice: a first sweep checks every piece and
-fills the offsets, which size one token array, and a second parses the
-ids into it, refusing input that changed in between, and ends in
-core.checked.  Either way core.counted is the one
-check that ids cover 0..max.
+function, to name its first bad line.  Every reader reads its input once
+(_sweep) and hands each piece's ids to one sink: read_degrees and
+read_edge_sizes to core.counted, so they hold no token array, and
+read_hypergraph to one token array, which ends in core.checked; the edge
+offsets are filled on the way.  Either way core.counted is the one check
+that ids cover 0..max, and the offsets, the tokens and counted's counts
+grow by one rule, core.grow.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import numpy as np
 
 from . import core
 from .analysis import DegreeHistogram, FitReport, ObservedGraph
-from .core import Hypergraph, checked, counted, index_dtype, spans
+from .core import Hypergraph, checked, counted, grow, index_dtype, spans
 
 __all__ = [
     "read_hypergraph",
@@ -310,79 +309,68 @@ def _raise_line_error(raw: bytes, lineno: int) -> None:
     raise AssertionError("the bulk parser refused a piece of well-formed lines")
 
 
-def _sweep(f, offsets: bool = False, count: bool = False
-           ) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
+def _sweep(f, sink, offsets: bool = False) -> tuple:
     """One sweep of a seekable binary hypergraph file, one piece at a time
-    (_pieces, _piece_ids): the number of its ids; the most digits of an
-    id; if offsets, its edge offsets (the number of ids up to the end of
-    each line), in index_dtype of its size and grown by doubling as the
-    pieces come; and, if count, the occurrences of each id, by
-    core.counted, which raises its gap error.
+    (_pieces, _piece_ids): sink(the pieces' ids, the most ids the file can
+    hold), where sink is core.counted or _joined; and, if offsets, its edge
+    offsets (the number of ids up to the end of each line), in index_dtype
+    of its size and grown as the pieces come (core.grow), else None.
 
     The first piece that _piece_ids refuses raises the ValueError of its
     first bad line (_raise_line_error): a line other than a comment that
     is not one or more ids of 1 to MAX_BULK_DIGITS ASCII digits, separated
     by spaces or tabs, or a carriage return not at a line end."""
     size = f.seek(0, SEEK_END)
+    n = (size + 1) // 2     # every id but the last is followed by a separator
     ends = np.zeros(1, dtype=index_dtype(size)) if offsets else None
-    n = line = digits = 0
+    line = 0
 
     def ids():
-        nonlocal n, line, digits
+        nonlocal line
         for piece, raw, comments in _pieces(f):
-            ends_in_ids, width, piece_ids = _piece_ids(piece)
+            ends_in_ids, _, piece_ids = _piece_ids(piece)
             if ends_in_ids is None:
                 _raise_line_error(raw, line + comments + 1)
             top = line + 1 + len(ends_in_ids)
             if ends is not None:
-                if top > len(ends):
-                    ends.resize(max(top, 2 * len(ends)), refcheck=False)
-                ends[line + 1:top] = ends_in_ids + n
-            line, n = top - 1, n + len(piece_ids)
-            digits = max(digits, width)
+                grow(ends, top, n + 1)      # a line holds an id and its end
+                ends[line + 1:top] = ends_in_ids + ends[line]
+            line = top - 1
             del piece, raw, ends_in_ids     # done with, before a new piece
             yield piece_ids
             del piece_ids
 
-    counts = None
-    if count:
-        # every id but the last is followed by a separator
-        counts = counted(ids(), (size + 1) // 2)
-    else:
-        for _ in ids():
-            pass
+    result = sink(ids(), n)
     if ends is not None:
         ends.resize(line + 1, refcheck=False)
-    return n, digits, ends, counts
+    return result, ends
+
+
+def _joined(pieces, n: int) -> np.ndarray:
+    """The ids of arrays of at most n non-negative ids in all, in one array
+    grown in place as the pieces come (core.grow) and trimmed at the end,
+    in index_dtype of the largest id so far: int32, made int64 once if an
+    id reaches 2**31."""
+    tokens, filled = np.empty(0, dtype=index_dtype(0)), 0
+    for ids in pieces:
+        if ids.max(initial=0) >= core.INDEX_LIMIT:
+            tokens = tokens.astype(np.int64, copy=False)
+        grow(tokens, filled + len(ids), n)
+        tokens[filled:filled + len(ids)] = ids
+        filled += len(ids)
+        del ids                     # before the next piece is made
+    tokens.resize(filled, refcheck=False)
+    return tokens
 
 
 def _parse_bulk(f) -> Hypergraph:
-    """Parse a seekable binary hypergraph file with numpy.  A malformed
-    line raises the error of _sweep; the result goes through core.checked,
-    so ids that do not cover 0..max raise its error.
-
-    The file is read in the pieces of _pieces twice: one sweep checks each
-    piece and fills the edge offsets (_sweep), and a second parses each
-    piece's ids (_piece_ids) into its slice of one token array, sized by
-    the first.  An input that the second sweep finds changed (a piece now
-    refused, longer ids, or other than the first sweep's number of ids)
-    raises a ValueError.  Beside the output arrays, the parser holds a few
-    arrays the size of a piece and, in the final check, a count per vertex
-    and a flag per token.
-    """
-    n, digits, offsets, _ = _sweep(f, offsets=True)
-    tokens = np.empty(n, dtype=index_dtype(10**digits - 1))
-    filled = 0
-    changed = "the input changed between the reader's two sweeps"
-    for piece, _, _ in _pieces(f):
-        ends_in_ids, width, ids = _piece_ids(piece)
-        if ends_in_ids is None or width > digits or filled + len(ids) > n:
-            raise ValueError(changed)
-        tokens[filled:filled + len(ids)] = ids
-        filled += len(ids)
-    if filled != n:
-        raise ValueError(changed)
-    return checked(tokens, offsets)
+    """Parse a seekable binary hypergraph file with numpy in one sweep
+    (_sweep) whose ids go into one token array (_joined).  A malformed line
+    raises the error of _sweep; the result goes through core.checked, so
+    ids that do not cover 0..max raise its error.  Beside the output
+    arrays, the parser holds a few arrays the size of a piece and, in the
+    final check, a count per vertex and a flag per token."""
+    return checked(*_sweep(f, _joined, offsets=True))
 
 
 def _seekable(source: str, parse):
@@ -413,14 +401,14 @@ def read_hypergraph(source: str) -> Hypergraph:
 def read_degrees(source: str) -> np.ndarray:
     """read_hypergraph(source).degrees(), or its error, with no token array:
     one sweep checks each piece and counts its ids."""
-    return _seekable(source, lambda f: _sweep(f, count=True)[3])
+    return _seekable(source, lambda f: _sweep(f, counted)[0])
 
 
 def read_edge_sizes(source: str) -> np.ndarray:
     """The edge sizes of read_hypergraph(source), or its error, with no
     token array: one sweep fills the offsets, and a count per vertex for
     the gap check."""
-    return _seekable(source, lambda f: np.diff(_sweep(f, offsets=True, count=True)[2]))
+    return _seekable(source, lambda f: np.diff(_sweep(f, counted, offsets=True)[1]))
 
 
 def ingest_labeled(source: str, delimiter: str = ";") -> tuple[Hypergraph, list[str]]:
@@ -460,6 +448,9 @@ def write_histogram_csv(hist: DegreeHistogram, destination: str) -> None:
     _write(destination, [b"degree,count\n" + rows])
 
 
+HISTOGRAM_ROW = re.compile(r"([0-9]+),([0-9]+)")     # ASCII digits only
+
+
 def read_histogram_csv(source: str) -> DegreeHistogram:
     lines = _text_lines(source)
     header = next(lines, (1, ""))[1].strip()
@@ -471,10 +462,9 @@ def read_histogram_csv(source: str) -> DegreeHistogram:
         line = line.strip()
         if not line:
             raise ValueError(f"line {lineno}: empty row")
-        try:
-            k_str, c_str = line.split(",")
-            k, c = int(k_str), int(c_str)
-        except ValueError:
+        try:    # AttributeError: no match; ValueError: over int()'s 4300 digits
+            k, c = map(int, HISTOGRAM_ROW.fullmatch(line).groups())
+        except (AttributeError, ValueError):
             raise ValueError(f"line {lineno}: malformed row {line!r}") from None
         if not (0 < k < 2**63 and 0 < c < 2**63):
             raise ValueError(f"line {lineno}: degree and count must be "

@@ -185,6 +185,31 @@ def test_counted_matches_bincount(ids_and_cuts):
     assert max(_Sized.lengths, default=0) <= len(ids) + 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 200), max_size=30), st.integers(0, 50))
+@example([1, 2, 3, 4, 5, 6, 7, 8], 0)
+@example([4, 5, 6, 100], 1000)
+@example([3, 3, 2, 0], 0)
+def test_growth_rule(tops, spare):
+    """core.grow resizes only an array too short for top, to top or by at
+    least a quarter, never past the cap (so to the cap where a quarter
+    would pass it), and keeps what the array held."""
+    cap = max(tops, default=0) + spare
+    a = _Sized(0, np.int64)
+    for top in tops:
+        held = a.tolist()
+        _Sized.lengths = []
+        core.grow(a, top, cap)
+        if top <= len(held):
+            assert _Sized.lengths == []
+        else:
+            (length,) = _Sized.lengths
+            assert length in (top, cap) or 4 * length >= 5 * len(held)
+            assert top <= length <= cap
+        assert a[:len(held)].tolist() == held
+        a[:] = np.arange(len(a))
+
+
 def _sorted_per_edge(edges):
     tokens = np.array([v for e in edges for v in e], dtype=np.int64)
     offsets = np.cumsum([0] + [len(e) for e in edges], dtype=np.int64)
