@@ -70,17 +70,19 @@ def _check_trials(args) -> None:
     _check(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
 
 
-def _run_trials(fn, args, config: GeneratorConfig, *extra, out: str) -> list:
+def _run_trials(fn, args, config: GeneratorConfig, *extra, out: str,
+                **in_process) -> list:
     """fn(config, *extra, out) for each of --trials runs, in order: run i
     takes seed config.seed + i and output name out.{i:03d}, and a single run
     keeps config and out as given.  The runs go over min(--jobs, --trials)
-    worker processes, or run in this process when that is 1."""
+    worker processes, or run in this process when that is 1, and only then
+    does fn take the keyword arguments in_process."""
     tasks = [(config, *extra, out)] if args.trials == 1 else [
         (replace(config, seed=config.seed + i), *extra, f"{out}.{i:03d}")
         for i in range(args.trials)]
     workers = min(args.jobs, len(tasks))
     if workers == 1:
-        return [fn(*task) for task in tasks]
+        return [fn(*task, **in_process) for task in tasks]
     # imported here, so that a run without a pool loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -211,18 +213,114 @@ def cmd_ingest(args) -> int:
 # compare
 
 
-def _compare_one(config: GeneratorConfig, kmin, prefix: str) -> list[str]:
-    # degrees only, so no pair array is alive while the baseline runs
-    projected = analysis.DegreeHistogram.from_degrees(
-        analysis.projected_degrees(evolve(config)))
-    baseline = analysis.degree_histogram(
-        evolve_graph_baseline(config.p, config.steps, config.seed))
+# below this many steps a forked child costs more than it saves
+SPLIT_STEPS = 1 << 15
 
-    # both fits before the first write, so a failed fit leaves no file
-    sides = [(tag, hist, analysis.fit_power_law(hist, kmin))
-             for tag, hist in (("hypergraph", projected), ("graph", baseline))]
+
+class _Forked:
+    """fn(*args) run in a forked child beside the caller: compare's graph
+    side.  The child sends back its result, or the exception it raised,
+    pickled over a pipe, and leaves by os._exit, so it runs no atexit
+    handler and flushes no stdio buffer it inherited.  As a context
+    manager, the child is killed and reaped at exit unless result() has
+    reaped it."""
+
+    def __init__(self, fn, *args):
+        import pickle
+        import warnings
+        read, write = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork beside other OS threads, such
+                # as numpy's BLAS pool; the child calls no BLAS routine and
+                # leaves by os._exit, so no lock those threads hold is used.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                try:
+                    sent = (True, fn(*args))
+                except BaseException as err:
+                    sent = (False, err)
+                with open(write, "wb") as pipe:
+                    pickle.dump(sent, pipe)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        self.pipe.close()
+
+    def result(self):
+        """fn's result once the child has ended, or the exception fn
+        raised, raised again here.  A child that ended with no result is a
+        ChildProcessError, an OSError."""
+        import pickle
+        sent = self.pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0:
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise ChildProcessError(f"the baseline graph's process ended with no "
+                                    f"result ({how})")
+        ok, value = pickle.loads(sent)
+        if not ok:
+            raise value
+        return value
+
+
+def _hypergraph_side(config: GeneratorConfig, kmin):
+    """The projection's degree histogram and its fit.  It takes degrees
+    only, so no pair array is ever alive."""
+    hist = analysis.DegreeHistogram.from_degrees(
+        analysis.projected_degrees(evolve(config)))
+    return hist, analysis.fit_power_law(hist, kmin)
+
+
+def _graph_side(config: GeneratorConfig, kmin):
+    """The baseline graph's degree histogram and its fit."""
+    hist = analysis.degree_histogram(
+        evolve_graph_baseline(config.p, config.steps, config.seed))
+    return hist, analysis.fit_power_law(hist, kmin)
+
+
+def _compare_one(config: GeneratorConfig, kmin, prefix: str,
+                 split: bool = False) -> list[str]:
+    """Both sides, then their four files and stdout lines.  With split, a
+    run of at least SPLIT_STEPS steps on more than one CPU builds the graph
+    side in a forked child while this process builds the hypergraph side,
+    so both sides' memory is held at once; otherwise the sides run one
+    after the other.  Either way the hypergraph side's error comes first,
+    and both fits come before the first write, so a failed fit leaves no
+    file."""
+    # where the OS cannot say which CPUs the process may use (macOS,
+    # Windows), the sides run one after the other
+    if (split and config.steps >= SPLIT_STEPS and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        # forked first, before any large array exists
+        with _Forked(_graph_side, config, kmin) as child:
+            sides = [_hypergraph_side(config, kmin), child.result()]
+    else:
+        sides = [_hypergraph_side(config, kmin), _graph_side(config, kmin)]
+
     lines = []
-    for tag, hist, report in sides:
+    for tag, (hist, report) in zip(("hypergraph", "graph"), sides):
         io.write_ccdf_csv(analysis.ccdf(hist), f"{prefix}.{tag}_ccdf.csv")
         io.write_fit_report(report, f"{prefix}.{tag}_fit.txt")
         lines.append(f"beta_hat_{tag}={report.beta_hat:#.6g}")
@@ -237,7 +335,8 @@ def cmd_compare(args) -> int:
     kmin = _parse_kmin(args.kmin)
     config = _flagged(GeneratorConfig, p=args.p, steps=args.steps,
                       size_dist=_flagged(Constant, args.d), y0=args.d, seed=args.seed)
-    results = _run_trials(_compare_one, args, config, kmin, out=args.out_prefix)
+    results = _run_trials(_compare_one, args, config, kmin, out=args.out_prefix,
+                          split=True)
     for i, lines in enumerate(results):
         prefix = "" if args.trials == 1 else f"seed={args.seed + i} "
         for line in lines:
@@ -261,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="RNG seed")
     run.add_argument("--trials", type=int, default=1,
                      help="independent seeded runs (out becomes a prefix)")
-    run.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="parallel worker processes, at most one per trial; a compare "
+                          f"trial run in this process with --steps >= {SPLIT_STEPS} and "
+                          "a second CPU builds its baseline graph in a forked child")
 
     read = argparse.ArgumentParser(add_help=False)
     read.add_argument("--in", dest="input", default="-",

@@ -2,11 +2,15 @@
 
 import io as stdio
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pahyper
@@ -317,10 +321,162 @@ class TestCompare:
         _, peak = traced_peak(cli._compare_one, config, "auto", str(tmp_path / "cmp"))
         assert peak < 2.5 * token_bytes
 
+    def test_sides_peak_under_the_same_bound(self):
+        """On the split path both sides are alive at once, in two
+        processes: the sum of their traced peaks stays under the serial
+        bound."""
+        config = GeneratorConfig(p=1.0, steps=200_000, size_dist=Constant(3), y0=3, seed=7)
+        token_bytes = 8 * evolve(config).total_degree
+        peaks = [traced_peak(side, config, "auto")[1]
+                 for side in (cli._hypergraph_side, cli._graph_side)]
+        assert sum(peaks) < 2.5 * token_bytes
+
+    def test_split_path_gives_the_serial_outputs(self, tmp_path, capsys, monkeypatch,
+                                                  split):
+        def run(name):
+            prefix = tmp_path / name / "cmp"
+            prefix.parent.mkdir()
+            rc = main(["compare", "--steps", "3000", "--p", "0.5", "--d", "2",
+                       "--seed", "5", "--out-prefix", str(prefix)])
+            return rc, capsys.readouterr(), {f.name: f.read_bytes()
+                                             for f in prefix.parent.iterdir()}
+
+        monkeypatch.setattr(cli, "SPLIT_STEPS", 3001)
+        serial = run("serial")
+        monkeypatch.setattr(cli, "SPLIT_STEPS", 3000)
+        assert run("split") == serial and len(split) == 1
+        assert serial[0] == 0 and len(serial[2]) == 4
+
     def test_d_below_two_rejected(self, capsys):
         assert main(["compare", "--steps", "10", "--p", "0.5", "--d", "1",
                      "--out-prefix", "x"]) == 2
         assert "--d" in capsys.readouterr().err
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """compare forced onto its split path (SPLIT_STEPS 0, two CPUs in the
+    affinity); the list of children os.fork made.  No child is left after
+    the test."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_value_error(*args):
+    raise ValueError("no graph today")
+
+
+def _allocate_past_memory(*args):
+    np.empty(1 << 62, np.int8)
+
+
+@pytest.mark.parametrize("steps, graph_side", [
+    ("0", None),                              # both fits fail
+    ("3000", _raise_value_error),
+    ("3000", _allocate_past_memory),
+], ids=["steps-0", "value-error", "memory-error"])
+def test_failed_side_on_the_split_path_as_on_the_serial(tmp_path, capsys, monkeypatch,
+                                                        split, steps, graph_side):
+    """A failure on either side or both ends as on the serial path: the
+    hypergraph side's error first, the same line and exit code, no file.
+    The graph side is patched before the fork, so the child inherits it."""
+    if graph_side is not None:
+        monkeypatch.setattr(cli, "evolve_graph_baseline", graph_side)
+
+    def run():
+        rc = main(["compare", "--steps", steps, "--p", "1",
+                   "--out-prefix", str(tmp_path / "cmp")])
+        return rc, capsys.readouterr(), list(tmp_path.iterdir())
+
+    on_split = run()
+    assert len(split) == 1
+    monkeypatch.setattr(cli, "SPLIT_STEPS", sys.maxsize)
+    assert on_split == run()
+    rc, (out, err), files = on_split
+    assert rc in (1, 2) and out == "" and files == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("end, how", [
+    (lambda: os._exit(1), "exit code 1"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+], ids=["exit-1", "sigkill"])
+def test_child_with_no_result_is_one_error_line(tmp_path, capsys, monkeypatch, split,
+                                                end, how):
+    monkeypatch.setattr(cli, "evolve_graph_baseline", lambda *args: end())
+    assert main(["compare", "--steps", "3000", "--p", "1",
+                 "--out-prefix", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: the baseline graph's process ended with no result ({how})\n")
+    assert list(tmp_path.iterdir()) == [] and len(split) == 1
+
+
+def test_failed_hypergraph_side_kills_the_child(tmp_path, capsys, monkeypatch, split):
+    """The parent's own error ends the run at once: the child, still
+    building its side, is killed and reaped."""
+    monkeypatch.setattr(cli, "evolve", _raise_value_error)
+    monkeypatch.setattr(cli, "evolve_graph_baseline", lambda *args: time.sleep(60))
+    start = time.perf_counter()
+    assert main(["compare", "--steps", "3000", "--p", "1",
+                 "--out-prefix", str(tmp_path / "cmp")]) == 2
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr() == ("", "error: no graph today\n")
+    assert list(tmp_path.iterdir()) == [] and len(split) == 1
+
+
+def test_fork_beside_threads_warns_nothing(tmp_path, capsys, monkeypatch, split):
+    """Python 3.12+ warns when it forks a process with other OS threads, as
+    numpy's BLAS pool is; compare forks only where that is safe, so the
+    warning is dropped, not turned into an error."""
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert main(["compare", "--steps", "3000", "--p", "1",
+                 "--out-prefix", str(tmp_path / "cmp")]) == 0
+    assert len(split) == 1 and len(list(tmp_path.iterdir())) == 4
+
+
+def test_only_a_run_in_this_process_splits(tmp_path, capsys, monkeypatch, split):
+    """--jobs above 1 keeps one process per trial: a pool worker runs both
+    sides itself, and each trial of --jobs 1 forks its own child.  The pool
+    is a stand-in that maps in this process."""
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    for jobs, forks in (("2", 0), ("1", 2)):
+        assert main(["compare", "--steps", "3000", "--p", "1", "--trials", "2",
+                     "--jobs", jobs, "--out-prefix", str(tmp_path / jobs)]) == 0
+        assert len(split) == forks
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -578,6 +734,22 @@ def test_commands_load_no_module_past_the_cli_import(tmp_path):
         "'--out-prefix', 'cmp']) == 0",
         "assert main(['project', '--in', 'h.txt', '--out', 'g.txt']) == 0",
         "assert main(['project', '--in', 'h.txt', '--out', 's.txt', '--simple']) == 0",
+        "print(sorted(set(sys.modules) - loaded))"])
+    assert _probe(probe, tmp_path).splitlines()[-1] == b"[]"
+    assert (tmp_path / "cmp.graph_ccdf.csv").read_text().startswith("degree,ccdf\n")
+
+
+def test_split_compare_loads_no_module_past_the_cli_import(tmp_path):
+    """compare's split path forks and pickles with modules the CLI import
+    has loaded, so it adds nothing to start-up or memory either."""
+    probe = "; ".join([
+        "import os, sys",
+        "import pahyper.cli as cli",
+        "loaded = set(sys.modules)",
+        "cli.SPLIT_STEPS = 0",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "assert cli.main(['compare', '--steps', '3000', '--p', '1', '--seed', '7', "
+        "'--out-prefix', 'cmp']) == 0",
         "print(sorted(set(sys.modules) - loaded))"])
     assert _probe(probe, tmp_path).splitlines()[-1] == b"[]"
     assert (tmp_path / "cmp.graph_ccdf.csv").read_text().startswith("degree,ccdf\n")

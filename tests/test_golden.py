@@ -11,10 +11,11 @@ generation chunks.
 """
 
 import hashlib
+import os
 
 import pytest
 
-from pahyper import core
+from pahyper import cli, core
 from pahyper.cli import main
 
 STEPS = "20000"
@@ -97,3 +98,19 @@ def test_outputs_on_the_int64_path(outputs, tmp_path, monkeypatch):
     _write_outputs(tmp_path)
     for name in GOLDEN:
         assert (tmp_path / name).read_bytes() == (outputs / name).read_bytes(), name
+
+
+def test_outputs_on_the_split_path(tmp_path, monkeypatch):
+    """compare with its baseline graph built in a forked child: the same
+    bytes."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(cli, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert main(["compare", "--steps", STEPS, "--p", "1", "--d", "3",
+                 "--seed", "7", "--out-prefix", str(tmp_path / "cmp")]) == 0
+    assert len(forks) == 1
+    for name in GOLDEN:
+        if name.startswith("cmp."):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == GOLDEN[name], name
