@@ -33,7 +33,6 @@ from .core import Hypergraph, add_at, count_ids, index_dtype, size_classes, span
 __all__ = [
     "DegreeHistogram",
     "FitReport",
-    "ObservedGraph",
     "degree_histogram",
     "edge_size_histogram",
     "project",
@@ -45,6 +44,9 @@ __all__ = [
 ]
 
 MIN_TAIL = 10  # refuse power-law fits on smaller tails
+
+# perfbench/tracer.py wraps degrees by this name; ROADMAP item 14 deletes it with the tracer
+ObservedGraph = Hypergraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,31 +106,12 @@ class FitReport:
             raise ValueError(f"KS statistic out of range: {self.ks_stat}")
 
 
-@dataclass(frozen=True, eq=False)
-class ObservedGraph:
-    """Multigraph (or simplified graph) of unordered vertex-id pairs.
-
-    edges is an (m, 2) array of ids; each row holds a pair with a <= b.
-    """
-
-    num_vertices: int
-    edges: np.ndarray
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> np.ndarray:
-        """Per-vertex degrees; a self loop contributes 2 to its endpoint."""
-        return count_ids(self.edges.ravel(), self.num_vertices)
-
-
 # ----------------------------------------------------------------------
 # histograms and projection
 
 
 def degree_histogram(structure) -> DegreeHistogram:
-    """Histogram of vertex degrees of a Hypergraph or ObservedGraph."""
+    """Histogram of vertex degrees of a Hypergraph, a graph among them."""
     return DegreeHistogram.from_degrees(structure.degrees())
 
 
@@ -137,18 +120,22 @@ def edge_size_histogram(h: Hypergraph) -> DegreeHistogram:
     return DegreeHistogram.from_degrees(np.diff(h.offsets))
 
 
-def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
-    """Clique-expansion graph of a hypergraph.
+def project(h: Hypergraph, simple: bool = False) -> Hypergraph:
+    """Clique-expansion graph of a hypergraph, as a Hypergraph of one edge
+    per pair: edge i is tokens[2i:2i + 2], its ids in ascending order.
 
     Every hyperedge of cardinality c contributes one edge per unordered pair
     of its c occurrence positions, i.e. c*(c-1)/2 edges; repeated members
     yield self loops and parallel edges.  Edges come in hyperedge order, and
     within a hyperedge in the order of itertools.combinations.  With
     simple=True duplicate pairs are collapsed and self loops dropped across
-    the whole graph, and the edges come sorted.
+    the whole graph, and the edges come sorted; num_vertices stays h's, so
+    an id whose every pair was a loop is kept with degree 0.
 
-    Pairs are copied into the (m, 2) edge array per size class of a piece of
+    Pairs are copied into an (m, 2) array per size class of a piece of
     edges (core.size_classes), between views where the piece has one size.
+    The per-edge pair offsets, and the simple graph's keys, are freed
+    before the graph's offsets are made.
     """
     first = np.diff(h.offsets, prepend=0).astype(np.int64)  # 0, each size c; int64 for c*c
     np.cumsum(first * (first - 1) // 2, out=first)  # first pair of each edge, then m
@@ -164,13 +151,17 @@ def project(h: Hypergraph, simple: bool = False) -> ObservedGraph:
             dest = first[e0 + which][:, None] + np.arange(len(a))
             edges[dest, 0] = rows[:, a]
             edges[dest, 1] = rows[:, b]
+    del first
     if simple:
         n = h.num_vertices
         a, b = edges[edges[:, 0] != edges[:, 1]].T
         keys = _distinct(a.astype(np.int64) * n + b)   # n * n can pass int32
         edges = np.empty((len(keys), 2), dtype=h.tokens.dtype)
         np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
-    return ObservedGraph(num_vertices=h.num_vertices, edges=edges)
+        del keys
+    m = len(edges)
+    return Hypergraph(h.num_vertices, edges.ravel(),
+                      np.arange(0, 2 * m + 1, 2, dtype=index_dtype(2 * m)))
 
 
 def projected_degrees(h: Hypergraph) -> np.ndarray:

@@ -76,7 +76,8 @@ def _run_trials(fn, args, config: GeneratorConfig, *extra, out: str,
     takes seed config.seed + i and output name out.{i:03d}, and a single run
     keeps config and out as given.  The runs go over min(--jobs, --trials)
     worker processes, or run in this process when that is 1, and only then
-    does fn take the keyword arguments in_process."""
+    does fn take the keyword arguments in_process.  A worker that ends with
+    no result (killed, say) is a ChildProcessError, an OSError."""
     tasks = [(config, *extra, out)] if args.trials == 1 else [
         (replace(config, seed=config.seed + i), *extra, f"{out}.{i:03d}")
         for i in range(args.trials)]
@@ -85,8 +86,12 @@ def _run_trials(fn, args, config: GeneratorConfig, *extra, out: str,
         return [fn(*task, **in_process) for task in tasks]
     # imported here, so that a run without a pool loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    except BrokenProcessPool:
+        raise ChildProcessError("a --jobs worker process ended with no result") from None
 
 
 def _parse_kmin(text: str):
@@ -177,7 +182,7 @@ def cmd_degrees(args) -> int:
 def cmd_project(args) -> int:
     h = io.read_hypergraph(args.input)
     g = analysis.project(h, simple=args.simple)
-    io.write_observed_graph(g, args.out)
+    io.write_hypergraph(g, args.out)
     _note(f"num_vertices={g.num_vertices} num_edges={g.num_edges}")
     return 0
 

@@ -1,5 +1,7 @@
 """Evolution processes: preferential-attachment hypergraphs and, as their
 2-uniform case, the classic preferential-attachment graph used as a baseline.
+A graph is a Hypergraph of one pair per edge, so the baseline is evolve's
+2-uniform result as it is.
 
 Each time step is one of two events.  With probability p a new vertex arrives
 together with a new hyperedge containing it plus Y_t - 1 preferentially drawn
@@ -40,7 +42,6 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy would load it inside the first evolve)
 
 from . import core
-from .analysis import ObservedGraph
 from .core import Hypergraph, index_dtype, sort_members, spans
 
 __all__ = [
@@ -290,7 +291,7 @@ def sum_sizes_trace(config: GeneratorConfig) -> np.ndarray:
     return _stream_offsets(config.y0, sizes, np.int64)[1:]
 
 
-def evolve_graph_baseline(p: float, steps: int, seed: int = 0) -> ObservedGraph:
+def evolve_graph_baseline(p: float, steps: int, seed: int = 0) -> Hypergraph:
     """Classic preferential-attachment graph process, for comparison runs.
 
     This is the 2-uniform case of the hypergraph process, started from a
@@ -298,8 +299,7 @@ def evolve_graph_baseline(p: float, steps: int, seed: int = 0) -> ObservedGraph:
     vertex arrives with one edge to a preferentially drawn endpoint;
     otherwise one edge arrives with both endpoints preferential.  Endpoint
     draws use degrees as of the end of the previous step; self loops add 2
-    to their vertex's degree.  Returns the multigraph, seed loop first.
+    to their vertex's degree.  Returns the multigraph as that process's
+    2-uniform Hypergraph, one sorted pair per edge, seed loop first.
     """
-    h = evolve(GeneratorConfig(p, steps, Constant(2), y0=2, seed=seed))
-    # in a 2-uniform hypergraph every edge is one sorted pair
-    return ObservedGraph(h.num_vertices, h.tokens.reshape(-1, 2))
+    return evolve(GeneratorConfig(p, steps, Constant(2), y0=2, seed=seed))

@@ -15,13 +15,14 @@ Formats (bit-exact contracts, all paths accept '-' for stdin/stdout):
                     (coauthorship-style corpora); labels are trimmed and
                     case-sensitive, duplicates within a record are kept.
 
-Hypergraph and graph files, and the histogram and CCDF CSV writers, go
-through one numpy codec over bytes, with no Python int or str per id: every
-id is laid out in 4-byte cells of three digits from a table of digit
-groups, one divmod by 1000 per cell, with its separator in the fourth byte
-of its last cell, and a (hyper)graph goes in pieces of whole edges of at
-most core.PIECE_IDS ids, or of one larger edge, so its text never exists
-whole and a piece's arrays are bounded whatever the edge sizes.
+Hypergraph files, and the histogram and CCDF CSV writers, go through one
+numpy codec over bytes, with no Python int or str per id: every id is laid
+out in 4-byte cells of three digits from a table of digit groups, one
+divmod by 1000 per cell, with its separator in the fourth byte of its last
+cell, and a hypergraph goes in pieces of whole edges of at most
+core.PIECE_IDS ids, or of one larger edge, so its text never exists whole
+and a piece's arrays are bounded whatever the edge sizes.  A graph file is
+the hypergraph file of a graph's Hypergraph, one pair per line.
 Every output goes as UTF-8 bytes through one function, to a file in binary
 or to '-' through sys.stdout's text layer.
 The hypergraph readers take one byte path in.  A file or stdin that can
@@ -56,7 +57,7 @@ from io import SEEK_END, BytesIO
 import numpy as np
 
 from . import core
-from .analysis import DegreeHistogram, FitReport, ObservedGraph
+from .analysis import DegreeHistogram, FitReport
 from .core import Hypergraph, checked, counted, grow, index_dtype, spans
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "read_degrees",
     "read_edge_sizes",
     "write_hypergraph",
-    "write_observed_graph",
     "ingest_labeled",
     "read_histogram_csv",
     "write_histogram_csv",
@@ -177,17 +177,8 @@ def write_hypergraph(h: Hypergraph, destination: str) -> None:
     _write(destination, _row_pieces(h.tokens, h.offsets))
 
 
-def _encode_pairs(pairs: np.ndarray, sep: str) -> bytes:
-    """The lines of _encode_rows of an (m, 2) array, one line per row."""
-    return _encode_rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2), sep)
-
-
-def write_observed_graph(g: ObservedGraph, destination: str) -> None:
-    """Write a graph in the hypergraph line format (two ids per line), in
-    pieces of core.PIECE_IDS // 2 pairs."""
-    pairs = core.PIECE_IDS // 2
-    _write(destination, (_encode_pairs(g.edges[e0:e0 + pairs], " ")
-                         for e0 in range(0, g.num_edges, pairs)))
+# perfbench/tracer.py wraps this name; ROADMAP item 14 deletes it with the tracer
+write_observed_graph = write_hypergraph
 
 
 MAX_BULK_DIGITS = 18    # any id this long fits int64
@@ -444,7 +435,8 @@ def write_label_map(labels: list[str], destination: str) -> None:
 
 
 def write_histogram_csv(hist: DegreeHistogram, destination: str) -> None:
-    rows = _encode_pairs(np.column_stack((hist.values, hist.counts)), ",")
+    ids = np.column_stack((hist.values, hist.counts)).ravel()
+    rows = _encode_rows(ids, np.arange(0, ids.size + 1, 2), ",")
     _write(destination, [b"degree,count\n" + rows])
 
 

@@ -5,7 +5,8 @@ reference_evolve runs the evolution process one step at a time on it;
 reference_from_edges checks an edge list with a set of its ids;
 reference_read reads a hypergraph file's bytes by the format's grammar, one
 regular expression per rule; reference_rows formats the hypergraph line
-format with Python's % operator;
+format with Python's % operator; graph_pairs and pair_graph turn a graph,
+a Hypergraph of one pair per edge, into an (m, 2) array and back;
 histogram builds a DegreeHistogram from a {value: count} dict,
 reference_ccdf walks its tail one value at a time, and reference_ccdf_csv
 and reference_histogram_csv format every row of a CCDF and of a histogram
@@ -198,6 +199,18 @@ def reference_rows(tokens: np.ndarray, offsets: np.ndarray) -> str:
     sizes = np.diff(offsets).tolist()
     line = {s: " ".join(["%d"] * s) + "\n" for s in set(sizes)}
     return "".join([line[s] for s in sizes]) % tuple(tokens.tolist())
+
+
+def graph_pairs(g: Hypergraph) -> np.ndarray:
+    """A graph's edges as an (m, 2) array, one row per edge; the graph must
+    hold one pair per edge."""
+    assert np.array_equal(g.offsets, np.arange(0, g.total_degree + 1, 2))
+    return g.tokens.reshape(-1, 2)
+
+
+def pair_graph(num_vertices: int, pairs: np.ndarray) -> Hypergraph:
+    """The graph of an (m, 2) array of sorted pairs: one edge per row."""
+    return Hypergraph(num_vertices, pairs.ravel(), np.arange(0, pairs.size + 1, 2))
 
 
 def reference_size_classes(tokens: np.ndarray, offsets: np.ndarray, piece: int):

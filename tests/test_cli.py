@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface (in-process main calls)."""
 
 import io as stdio
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -374,6 +375,29 @@ def split(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def pool(monkeypatch):
+    """The process pool replaced by a stand-in that maps in this process;
+    the list of the worker counts it was built with."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    return sizes
+
+
 def _raise_value_error(*args):
     raise ValueError("no graph today")
 
@@ -455,24 +479,10 @@ def test_fork_beside_threads_warns_nothing(tmp_path, capsys, monkeypatch, split)
     assert len(split) == 1 and len(list(tmp_path.iterdir())) == 4
 
 
-def test_only_a_run_in_this_process_splits(tmp_path, capsys, monkeypatch, split):
+def test_only_a_run_in_this_process_splits(tmp_path, capsys, pool, split):
     """--jobs above 1 keeps one process per trial: a pool worker runs both
     sides itself, and each trial of --jobs 1 forks its own child.  The pool
     is a stand-in that maps in this process."""
-    class Pool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     for jobs, forks in (("2", 0), ("1", 2)):
         assert main(["compare", "--steps", "3000", "--p", "1", "--trials", "2",
                      "--jobs", jobs, "--out-prefix", str(tmp_path / jobs)]) == 0
@@ -544,28 +554,10 @@ def test_message_of_no_parameter_passes_unchanged(capsys):
 
 @pytest.mark.parametrize("command, target", [("generate", "--out"),
                                              ("compare", "--out-prefix")])
-def test_pool_has_one_worker_per_trial_at_most(tmp_path, capsys, monkeypatch,
-                                               command, target):
+def test_pool_has_one_worker_per_trial_at_most(tmp_path, capsys, pool, command, target):
     """--jobs above --trials builds a pool of --trials workers, and one
     trial builds none; the outputs are those of a run with --jobs 1.  The
     pool is a stand-in that records its size and maps in this process."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-
     def run(trials, jobs):
         name = tmp_path / f"t{trials}j{jobs}" / "run"
         name.parent.mkdir()
@@ -575,9 +567,22 @@ def test_pool_has_one_worker_per_trial_at_most(tmp_path, capsys, monkeypatch,
         return capsys.readouterr(), files
 
     assert run("2", "64") == run("2", "1")
-    assert sizes == [2]
+    assert pool == [2]
     assert run("1", "8") == run("1", "1")
-    assert sizes == [2]
+    assert pool == [2]
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="only forked pool workers inherit the patched evolve")
+def test_killed_pool_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A --jobs worker that dies mid-trial ends the run with one error line
+    and exit 1, not a traceback, and no file is written."""
+    monkeypatch.setattr(cli, "evolve", lambda config: os.kill(os.getpid(), signal.SIGKILL))
+    assert main(["generate", "--steps", "100", "--p", "0.5", "--trials", "2", "--jobs", "2",
+                 "--out", str(tmp_path / "h")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: a --jobs worker process ended with no result\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("config", [

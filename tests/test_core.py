@@ -12,7 +12,7 @@ from scipy import stats
 
 from pahyper import (Constant, GeneratorConfig, Hypergraph, UniformInt, evolve,
                      evolve_graph_baseline, project, projected_degrees, read_degrees,
-                     read_hypergraph, write_hypergraph, write_observed_graph)
+                     read_hypergraph, write_hypergraph)
 from pahyper import core, generator, io
 from pahyper.core import NETWORK_MAX, SORT_PIECE, sort_members
 from reference import (EdgeList, reference_from_edges, reference_size_classes,
@@ -304,19 +304,19 @@ def test_spans_match_a_plain_walk(sizes, budget, at_int32_top):
 def test_one_piece_budget_for_the_fill_and_the_writers(tmp_path):
     """One patch of core.PIECE_IDS sets the chunks of evolve's fill, the
     runs of the hypergraph writer and the PIECE_IDS // 2 pairs of each
-    piece of the graph writer."""
+    piece of a graph's file."""
     config = GeneratorConfig(p=0.5, steps=300, size_dist=Constant(3), seed=1)
     h = evolve(config)
     g = project(h)
     with (mock.patch.object(core, "PIECE_IDS", 8),
           mock.patch.object(generator, "spans", wraps=core.spans) as fill,
-          mock.patch.object(io, "spans", wraps=core.spans) as rows,
-          mock.patch.object(io, "_encode_pairs", wraps=io._encode_pairs) as pairs):
+          mock.patch.object(io, "spans", wraps=core.spans) as rows):
         assert evolve(config) == h
         write_hypergraph(h, str(tmp_path / "h.txt"))
-        write_observed_graph(g, str(tmp_path / "g.txt"))
+        with mock.patch.object(io, "_encode_rows", wraps=io._encode_rows) as pieces:
+            write_hypergraph(g, str(tmp_path / "g.txt"))
     assert fill.call_args.args[1] == rows.call_args.args[1] == 8
-    assert pairs.call_count == -(-g.num_edges // 4)
+    assert pieces.call_count == -(-g.num_edges // 4)
 
 
 class TestSamplePreferential:
@@ -389,8 +389,9 @@ def test_int64_index_arrays_equal_int32(monkeypatch, tmp_path):
         built = Hypergraph.from_edges(h.hyperedges)
         graph = evolve_graph_baseline(0.5, 5_000, seed=3)
         return [h.tokens, h.offsets, read.tokens, read.offsets, built.tokens,
-                built.offsets, project(h).edges, project(h, simple=True).edges,
-                graph.edges, h.degrees(), read_degrees(str(path)), projected_degrees(h),
+                built.offsets, project(h).tokens, project(h).offsets,
+                project(h, simple=True).tokens, graph.tokens, graph.offsets,
+                h.degrees(), read_degrees(str(path)), projected_degrees(h),
                 project(h).degrees(), graph.degrees()]
 
     narrow = index_arrays()

@@ -71,6 +71,7 @@ def test_generate_project(tmp_path, traced, capsys):
     with mock.patch.object(core, "SORT_PIECE", 16):
         assert cli.main(["project", "--in", h, "--out", g]) == 0
     assert traced.failures == []
-    assert_called(traced, ["io.read_hypergraph", "analysis.project",
-                           "io.write_observed_graph"])
+    assert_called(traced, ["io.read_hypergraph", "analysis.project"])
+    # generate's file, then the graph's: a graph is written as a hypergraph
+    assert traced.counts["io.write_hypergraph.calls"] == 2
     assert traced.counts["analysis.project.pairs"] > 0
